@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -96,7 +97,11 @@ def _parse_ids(text: str) -> frozenset[int]:
 def _load_vertex_set(spec: str) -> frozenset[int]:
     """A vertex set given as a csv list or a witness-file path."""
     p = Path(spec)
-    if p.exists():
+    try:
+        is_file = p.exists()
+    except OSError:  # e.g. a csv longer than a file name may be
+        is_file = False
+    if is_file:
         s, _, _ = generators.parse_witness(p.read_text())
         return s
     return _parse_ids(spec)
@@ -108,9 +113,9 @@ def _two_coloring(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
         if start in color:
             continue
         color[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in g.adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]

@@ -11,6 +11,12 @@ Conventions:
   * rotations[p] lists, in cyclic order, the darts leaving p;
   * the face walk successor of a dart is the rotation successor of its
     reversal at the head vertex.
+
+Surgeries (chord, vertex and crossed-edge insertion, deletion, wedge) edit
+one mutable `_Builder` in place and walk only the faces they touch, as in
+edge-addition planarity testing; the public functions thaw a drawing into
+a builder, apply one surgery and freeze the result.  Generators keep one
+builder for a whole construction.
 """
 
 from __future__ import annotations
@@ -82,16 +88,8 @@ class Dart(NamedTuple):
 PVertex = RealV | DummyV
 
 
-@dataclass(frozen=True)
-class OnePlanarDrawing:
-    n_real: int
-    edges: tuple[tuple[int, int], ...]  # original edges, (u, v) with u < v
-    pvertices: tuple[PVertex, ...]
-    segments: tuple[Segment, ...]
-    rotations: tuple[tuple[Dart, ...], ...]
-    multi_allowed: bool = False
-
-    # -- basic lookups ------------------------------------------------
+class _Planarization:
+    """Lookups shared by the frozen drawing and its mutable builder."""
 
     @property
     def n_p(self) -> int:
@@ -100,6 +98,27 @@ class OnePlanarDrawing:
     @property
     def m_p(self) -> int:
         return len(self.segments)
+
+    def origin(self, d: Dart) -> int:
+        return self.segments[d.sid].ends[d.end]
+
+    def head(self, d: Dart) -> int:
+        return self.segments[d.sid].ends[1 - d.end]
+
+    def reverse(self, d: Dart) -> Dart:
+        return Dart(d.sid, 1 - d.end)
+
+
+@dataclass(frozen=True)
+class OnePlanarDrawing(_Planarization):
+    n_real: int
+    edges: tuple[tuple[int, int], ...]  # original edges, (u, v) with u < v
+    pvertices: tuple[PVertex, ...]
+    segments: tuple[Segment, ...]
+    rotations: tuple[tuple[Dart, ...], ...]
+    multi_allowed: bool = False
+
+    # -- basic lookups ------------------------------------------------
 
     @property
     def real_pid(self) -> dict[int, int]:
@@ -112,15 +131,6 @@ class OnePlanarDrawing:
             }
             self.__dict__["_real_pid"] = cached
         return cached
-
-    def origin(self, d: Dart) -> int:
-        return self.segments[d.sid].ends[d.end]
-
-    def head(self, d: Dart) -> int:
-        return self.segments[d.sid].ends[1 - d.end]
-
-    def reverse(self, d: Dart) -> Dart:
-        return Dart(d.sid, 1 - d.end)
 
     def edge_segments(self) -> dict[int, list[int]]:
         cached = self.__dict__.get("_edge_segments")
@@ -220,7 +230,16 @@ def _rotation_tables(d: OnePlanarDrawing) -> list[str]:
     return bad
 
 
-def _face_orbits(d: OnePlanarDrawing) -> list[Face]:
+def _walk_face(start: Dart, successor) -> Face:
+    walk = [start]
+    cur = successor(start)
+    while cur != start:
+        walk.append(cur)
+        cur = successor(cur)
+    return Face(_canonical_walk(walk))
+
+
+def _face_orbits(d: _Planarization) -> list[Face]:
     """All face walks of the rotation system, canonically ordered."""
     index_at: list[dict[Dart, int]] = [
         {x: i for i, x in enumerate(rot)} for rot in d.rotations
@@ -236,19 +255,23 @@ def _face_orbits(d: OnePlanarDrawing) -> list[Face]:
     out: list[Face] = []
     for sid in range(d.m_p):
         for end in (0, 1):
-            start = Dart(sid, end)
-            if start in seen:
-                continue
-            walk = [start]
-            seen.add(start)
-            cur = successor(start)
-            while cur != start:
-                walk.append(cur)
-                seen.add(cur)
-                cur = successor(cur)
-            out.append(Face(_canonical_walk(walk)))
+            if Dart(sid, end) not in seen:
+                face = _walk_face(Dart(sid, end), successor)
+                seen.update(face.darts)
+                out.append(face)
     out.sort(key=lambda f: f.darts)
     return out
+
+
+def _face_at(d: _Planarization, start: Dart) -> Face:
+    """The canonical orbit through `start`, found by walking that face alone."""
+
+    def successor(x: Dart) -> Dart:
+        rx = d.reverse(x)
+        rot = d.rotations[d.origin(rx)]
+        return rot[(rot.index(rx) + 1) % len(rot)]
+
+    return _walk_face(start, successor)
 
 
 def _planarization_components(d: OnePlanarDrawing) -> list[list[int]]:
@@ -456,7 +479,8 @@ def crossing_partition(d: OnePlanarDrawing) -> tuple[set[tuple[int, int]], set[t
     crossed = {d.edges[eid] for eid in crossed_ids}
     uncrossed = {e for eid, e in enumerate(d.edges) if eid not in crossed_ids}
     n_dummies = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
-    assert len(crossed_ids) == 2 * n_dummies
+    if len(crossed_ids) != 2 * n_dummies:
+        raise InvalidDrawing(f"{len(crossed_ids)} crossed edges but {n_dummies} dummies")
     return crossed, uncrossed
 
 
@@ -489,20 +513,37 @@ def check_bipartite_edge_budget(
 
 
 # ---------------------------------------------------------------------
-# mutable builder used by every surgery
+# the mutable drawing every surgery edits
 
 
-class _Builder:
+class _Builder(_Planarization):
+    """One drawing under construction; each surgery edits it in place.
+
+    Besides the drawing's own lists it keeps `real_pid`, the first id of
+    every vertex pair (`eid_of`) and each edge's segment ids (`edge_sids`)
+    up to date.  New edges, pvertices and segments are appended, so ids
+    keep their creation order.
+    """
+
     def __init__(self, d: OnePlanarDrawing):
         self.n_real = d.n_real
-        self.edges: list[tuple[int, int]] = list(d.edges)
-        self.pvertices: list[PVertex] = list(d.pvertices)
-        self.segments: list[Segment] = list(d.segments)
-        self.rotations: list[list[Dart]] = [list(r) for r in d.rotations]
         self.multi_allowed = d.multi_allowed
+        self._load(list(d.edges), list(d.pvertices), list(d.segments), [list(r) for r in d.rotations])
 
-    def finish(self) -> OnePlanarDrawing:
-        return OnePlanarDrawing(
+    def _load(self, edges, pvertices, segments, rotations) -> None:
+        self.edges: list[tuple[int, int]] = edges
+        self.pvertices: list[PVertex] = pvertices
+        self.segments: list[Segment] = segments
+        self.rotations: list[list[Dart]] = rotations
+        self.real_pid = {pv.vid: pid for pid, pv in enumerate(pvertices) if isinstance(pv, RealV)}
+        # reversed, so that the first of several parallel copies wins
+        self.eid_of = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
+        self.edge_sids: list[list[int]] = [[] for _ in edges]
+        for sid, seg in enumerate(segments):
+            self.edge_sids[seg.eid].append(sid)
+
+    def freeze(self) -> OnePlanarDrawing:
+        d = OnePlanarDrawing(
             n_real=self.n_real,
             edges=tuple(self.edges),
             pvertices=tuple(self.pvertices),
@@ -510,38 +551,249 @@ class _Builder:
             rotations=tuple(tuple(r) for r in self.rotations),
             multi_allowed=self.multi_allowed,
         )
+        d.__dict__["_real_pid"] = dict(self.real_pid)
+        return d
 
-    def new_real(self, vid: int | None = None) -> int:
-        if vid is None:
-            vid = self.n_real
-        self.n_real = max(self.n_real, vid + 1)
-        self.pvertices.append(RealV(vid))
+    # -- appending --------------------------------------------------
+
+    def new_edge(self, u: int, v: int) -> int:
+        e = (u, v) if u < v else (v, u)
+        if not self.multi_allowed and e in self.eid_of:
+            raise DuplicateEdge(f"edge ({e[0]},{e[1]}) already exists in simple mode")
+        self.eid_of.setdefault(e, len(self.edges))
+        self.edges.append(e)
+        self.edge_sids.append([])
+        return len(self.edges) - 1
+
+    def new_pvertex(self, pv: PVertex) -> int:
+        pid = len(self.pvertices)
+        self.pvertices.append(pv)
         self.rotations.append([])
-        return len(self.pvertices) - 1
+        if isinstance(pv, RealV):
+            self.real_pid[pv.vid] = pid
+        return pid
 
     def new_segment(self, ends: tuple[int, int], eid: int, part: int) -> int:
         self.segments.append(Segment(ends, eid, part))
+        self.edge_sids[eid].append(len(self.segments) - 1)
         return len(self.segments) - 1
 
-    def insert_before(self, pid: int, anchor: Dart | None, new: Dart) -> None:
+    def insert_before(self, pid: int, anchor: Dart, new: Dart) -> None:
         """Insert `new` into the rotation at pid, directly before `anchor`."""
         rot = self.rotations[pid]
-        if anchor is None:
-            rot.append(new)
+        rot.insert(rot.index(anchor), new)
+
+    # -- surgeries --------------------------------------------------
+
+    def add_chord(
+        self, face: Face, u: int, v: int, occurrences: tuple[int, int] | None = None
+    ) -> None:
+        walk = _check_face(self, face)
+        if u == v:
+            raise NotOnFace("chord endpoints must differ")
+        if occurrences is None:
+            pos_u = _walk_positions(self, walk, u)
+            pos_v = _walk_positions(self, walk, v)
+            if not pos_u or not pos_v:
+                raise NotOnFace(f"vertex {u if not pos_u else v} is not a corner of the face")
+            i, j = pos_u[0], pos_v[0]
         else:
-            rot.insert(rot.index(anchor), new)
+            i, j = occurrences
+            pid_u, pid_v = self.real_pid.get(u), self.real_pid.get(v)
+            if self.origin(walk[i]) != pid_u or self.origin(walk[j]) != pid_v:
+                raise NotOnFace("occurrence positions do not match the given vertices")
+        k = len(walk)
+        if (j - i) % k == 1 or (i - j) % k == 1:
+            raise WouldCreateBigon(f"chord ({u},{v}) duplicates a face side")
+        eid = self.new_edge(u, v)
+        pu, pv = self.origin(walk[i]), self.origin(walk[j])
+        sid = self.new_segment((pu, pv), eid, 0)
+        self.insert_before(pu, walk[i], Dart(sid, 0))
+        self.insert_before(pv, walk[j], Dart(sid, 1))
+
+    def insert_vertex(self, face: Face, attach: Sequence[int]) -> None:
+        """Add real vertex n_real joined to k >= 2 corners of `face` (walk order)."""
+        walk = _check_face(self, face)
+        positions = []
+        for vid in attach:
+            occ = _walk_positions(self, walk, vid)
+            if not occ:
+                raise BadAttachment(f"vertex {vid} is not a corner of the face")
+            positions.append(occ[0])
+        pairs = sorted(zip(positions, attach))
+        if len({p for p, _ in pairs}) != len(pairs) or len(pairs) < 2:
+            raise BadAttachment("attachments must be distinct corners")
+        z = self.n_real
+        self.n_real += 1
+        pz = self.new_pvertex(RealV(z))
+        spoke_darts: list[Dart] = []
+        for pos, vid in pairs:
+            eid = self.new_edge(vid, z)
+            pu = self.origin(walk[pos])
+            sid = self.new_segment((pu, pz), eid, 0)
+            self.insert_before(pu, walk[pos], Dart(sid, 0))
+            spoke_darts.append(Dart(sid, 1))
+        self.rotations[pz] = spoke_darts[::-1]
+
+    def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
+        cross_eid = self.eid_of.get(tuple(sorted(cross)))
+        if cross_eid is None:
+            raise NotOnFace(f"edge {cross} not in drawing")
+        sids = self.edge_sids[cross_eid]
+        if len(sids) != 1:
+            raise NotOnFace(f"edge {cross} is already crossed")
+        sid_c = sids[0]
+        side_a = _face_at(self, Dart(sid_c, 0)).real_corners(self)
+        side_b = _face_at(self, Dart(sid_c, 1)).real_corners(self)
+        if u in side_a and v in side_b:
+            pass
+        elif u in side_b and v in side_a:
+            u, v = v, u
+        else:
+            raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
+        new_eid = self.new_edge(u, v)
+
+        # split the crossed segment at a fresh dummy
+        pa, pb = self.segments[sid_c].ends
+        pD = self.new_pvertex(DummyV(*sorted((cross_eid, new_eid))))
+        # part 0 of the crossed edge keeps the smaller original endpoint
+        part_a = 0 if pa == self.real_pid[self.edges[cross_eid][0]] else 1
+        self.segments[sid_c] = Segment((pa, pD), cross_eid, part_a)
+        sid_c2 = self.new_segment((pD, pb), cross_eid, 1 - part_a)
+        # splice: at pb the old dart is renamed to the new segment
+        rot_b = self.rotations[pb]
+        rot_b[rot_b.index(Dart(sid_c, 1))] = Dart(sid_c2, 1)
+        self.rotations[pD] = [Dart(sid_c, 1), Dart(sid_c2, 0)]
+
+        # the old faces now run through pD; each piece is attached on its own side:
+        # u's side runs pa -> pD -> pb, v's side runs pb -> pD -> pa
+        part_u = 0 if u <= v else 1
+        for vert, through, part in ((u, Dart(sid_c, 0), part_u), (v, Dart(sid_c2, 1), 1 - part_u)):
+            walk = _face_at(self, through).darts
+            pos_v = _walk_positions(self, walk, vert)
+            pos_d = [i for i, x in enumerate(walk) if self.origin(x) == pD]
+            if not pos_v or not pos_d:
+                raise NotOnFace(f"vertex {vert} lost sight of the crossing")
+            p_vert = self.real_pid[vert]
+            sid = self.new_segment((p_vert, pD), new_eid, part)
+            self.insert_before(p_vert, walk[pos_v[0]], Dart(sid, 0))
+            self.insert_before(pD, walk[pos_d[0]], Dart(sid, 1))
+
+    def delete_edges(self, eids: Iterable[int]) -> dict[int, int]:
+        removed = set(eids)
+        for eid in removed:
+            if not (0 <= eid < len(self.edges)):
+                raise BadVertex(f"edge id {eid} out of range")
+
+        # dummies that disappear: crossing with at least one removed edge
+        dead_dummies: set[int] = set()
+        merge_partner: dict[int, int] = {}  # partner eid -> its dummy pid
+        for pid, pv in enumerate(self.pvertices):
+            if isinstance(pv, DummyV):
+                a, b = pv.eid_a, pv.eid_b
+                if a in removed or b in removed:
+                    dead_dummies.add(pid)
+                    for keep, other in ((a, b), (b, a)):
+                        if keep not in removed and other in removed:
+                            merge_partner[keep] = pid
+
+        eid_map: dict[int, int] = {}
+        new_edges: list[tuple[int, int]] = []
+        for eid, e in enumerate(self.edges):
+            if eid not in removed:
+                eid_map[eid] = len(new_edges)
+                new_edges.append(e)
+
+        pid_map: dict[int, int] = {}
+        new_pvs: list[PVertex] = []
+        for pid, pv in enumerate(self.pvertices):
+            if pid in dead_dummies:
+                continue
+            pid_map[pid] = len(new_pvs)
+            if isinstance(pv, DummyV):
+                new_pvs.append(DummyV(eid_map[pv.eid_a], eid_map[pv.eid_b]))
+            else:
+                new_pvs.append(pv)
+
+        new_segments: list[Segment] = []
+        dart_map: dict[Dart, Dart] = {}
+        for old_eid in sorted(eid_map):
+            sids = self.edge_sids[old_eid]
+            if old_eid in merge_partner:
+                # two segments shrink back to one
+                dummy = merge_partner[old_eid]
+                u, v = self.edges[old_eid]
+                pu, pv_ = self.real_pid[u], self.real_pid[v]
+                sid_new = len(new_segments)
+                new_segments.append(Segment((pid_map[pu], pid_map[pv_]), eid_map[old_eid], 0))
+                for old_sid in sids:
+                    seg = self.segments[old_sid]
+                    for end in (0, 1):
+                        p = seg.ends[end]
+                        if p != dummy:
+                            dart_map[Dart(old_sid, end)] = Dart(sid_new, 0 if p == pu else 1)
+            else:
+                for old_sid in sorted(sids, key=lambda s: self.segments[s].part):
+                    seg = self.segments[old_sid]
+                    sid_new = len(new_segments)
+                    new_segments.append(
+                        Segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), eid_map[old_eid], seg.part)
+                    )
+                    dart_map[Dart(old_sid, 0)] = Dart(sid_new, 0)
+                    dart_map[Dart(old_sid, 1)] = Dart(sid_new, 1)
+
+        new_rotations = [
+            [dart_map[x] for x in self.rotations[pid] if x in dart_map] for pid in sorted(pid_map)
+        ]
+        self._load(new_edges, new_pvs, new_segments, new_rotations)
+        return eid_map
+
+    def wedge(self, b: OnePlanarDrawing, va: int, vb: int) -> None:
+        """Glue drawing b on by identifying its vertex vb with va (see wedge_at_vertex)."""
+        vid_map: dict[int, int] = {vb: va}
+        for v in range(b.n_real):
+            if v != vb:
+                vid_map[v] = self.n_real + len(vid_map) - 1
+        self.n_real += b.n_real - 1
+        eid_off = len(self.edges)
+        for u, v in b.edges:
+            self.new_edge(vid_map[u], vid_map[v])
+
+        pid_shared_a, pid_shared_b = self.real_pid[va], b.real_pid[vb]
+        pid_map: dict[int, int] = {pid_shared_b: pid_shared_a}
+        for pid, pv in enumerate(b.pvertices):
+            if pid != pid_shared_b:
+                pid_map[pid] = self.new_pvertex(
+                    DummyV(pv.eid_a + eid_off, pv.eid_b + eid_off)
+                    if isinstance(pv, DummyV)
+                    else RealV(vid_map[pv.vid])
+                )
+
+        sid_off = len(self.segments)
+        for seg in b.segments:
+            self.new_segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), seg.eid + eid_off, seg.part)
+
+        for pid, rot in enumerate(b.rotations):
+            mapped = [Dart(x.sid + sid_off, x.end) for x in rot]
+            if pid == pid_shared_b:
+                mapped += self.rotations[pid_shared_a]
+            self.rotations[pid_map[pid]] = mapped
 
 
-def _walk_positions(d: OnePlanarDrawing, walk: Sequence[Dart], vid: int) -> list[int]:
+def _walk_positions(d: _Planarization, walk: Sequence[Dart], vid: int) -> list[int]:
     """Positions on the walk whose corner is the real vertex vid."""
     pid = d.real_pid.get(vid)
     return [i for i, x in enumerate(walk) if d.origin(x) == pid]
 
 
-def _check_face(d: OnePlanarDrawing, face: Face) -> tuple[Dart, ...]:
-    """Verify that `face` is an actual orbit of d and return its walk."""
-    for candidate in _face_orbits(d):
-        if candidate == face:
+def _check_face(d: _Planarization, face: Face) -> tuple[Dart, ...]:
+    """Verify that `face` is an actual orbit of d, canonically rotated, and return its walk.
+
+    Only the face through the walk's first dart is walked.
+    """
+    if face.darts:
+        sid, end = face.darts[0]
+        if 0 <= sid < d.m_p and end in (0, 1) and _face_at(d, Dart(sid, end)) == face:
             return face.darts
     raise NotOnFace("face is not a face of this drawing")
 
@@ -560,34 +812,9 @@ def add_chord_in_face(
     WouldCreateBigon when the two occurrences are walk-adjacent (the
     split would leave a two-sided face of parallel edges).
     """
-    walk = _check_face(d, face)
-    if u == v:
-        raise NotOnFace("chord endpoints must differ")
-    if occurrences is None:
-        pos_u = _walk_positions(d, walk, u)
-        pos_v = _walk_positions(d, walk, v)
-        if not pos_u or not pos_v:
-            raise NotOnFace(f"vertex {u if not pos_u else v} is not a corner of the face")
-        i, j = pos_u[0], pos_v[0]
-    else:
-        i, j = occurrences
-        pid_u, pid_v = d.real_pid.get(u), d.real_pid.get(v)
-        if d.origin(walk[i]) != pid_u or d.origin(walk[j]) != pid_v:
-            raise NotOnFace("occurrence positions do not match the given vertices")
-    k = len(walk)
-    if (j - i) % k == 1 or (i - j) % k == 1:
-        raise WouldCreateBigon(f"chord ({u},{v}) duplicates a face side")
-    uu, vv = (u, v) if u < v else (v, u)
-    if not d.multi_allowed and (uu, vv) in d.edges:
-        raise DuplicateEdge(f"edge ({uu},{vv}) already exists in simple mode")
     b = _Builder(d)
-    eid = len(b.edges)
-    b.edges.append((uu, vv))
-    pu, pv = d.origin(walk[i]), d.origin(walk[j])
-    sid = b.new_segment((pu, pv), eid, 0)
-    b.insert_before(pu, walk[i], Dart(sid, 0))
-    b.insert_before(pv, walk[j], Dart(sid, 1))
-    return b.finish()
+    b.add_chord(face, u, v, occurrences)
+    return b.freeze()
 
 
 def insert_vertex_in_face(
@@ -599,42 +826,11 @@ def insert_vertex_in_face(
     return _insert_vertex_multi(d, face, attach)
 
 
-def _insert_vertex_multi(
-    d: OnePlanarDrawing,
-    face: Face,
-    attach: Sequence[int],
-    positions: Sequence[int] | None = None,
-) -> OnePlanarDrawing:
+def _insert_vertex_multi(d: OnePlanarDrawing, face: Face, attach: Sequence[int]) -> OnePlanarDrawing:
     """Insert a new real vertex joined to k >= 2 corners of `face` (walk order)."""
-    walk = _check_face(d, face)
-    if positions is None:
-        positions = []
-        for vid in attach:
-            occ = _walk_positions(d, walk, vid)
-            if not occ:
-                raise BadAttachment(f"vertex {vid} is not a corner of the face")
-            positions.append(occ[0])
-    pairs = sorted(zip(positions, attach))
-    positions = [p for p, _ in pairs]
-    attach = [a for _, a in pairs]
-    if len(set(positions)) != len(positions) or len(positions) < 2:
-        raise BadAttachment("attachments must be distinct corners")
-
     b = _Builder(d)
-    z = b.n_real
-    pz = b.new_real()
-    spoke_darts: list[Dart] = []
-    origin_of = {x: d.origin(x) for x in walk}
-    for vid, pos in zip(attach, positions):
-        uu, vv = (vid, z) if vid < z else (z, vid)
-        eid = len(b.edges)
-        b.edges.append((uu, vv))
-        pu = origin_of[walk[pos]]
-        sid = b.new_segment((pu, pz), eid, 0)
-        b.insert_before(pu, walk[pos], Dart(sid, 0))
-        spoke_darts.append(Dart(sid, 1))
-    b.rotations[pz] = list(reversed(spoke_darts))
-    return b.finish()
+    b.insert_vertex(face, attach)
+    return b.freeze()
 
 
 def add_crossed_edge(
@@ -645,84 +841,9 @@ def add_crossed_edge(
     u must be a corner of a face bounded by `cross`, and v a corner of
     the face on the other side.
     """
-    try:
-        cross_eid = d.edges.index(tuple(sorted(cross)))
-    except ValueError:
-        raise NotOnFace(f"edge {cross} not in drawing") from None
-    sids = d.edge_segments()[cross_eid]
-    if len(sids) != 1:
-        raise NotOnFace(f"edge {cross} is already crossed")
-    sid_c = sids[0]
-
-    orbits = _face_orbits(d)
-    by_dart: dict[Dart, Face] = {}
-    for f in orbits:
-        for x in f.darts:
-            by_dart[x] = f
-    face_a = by_dart[Dart(sid_c, 0)]
-    face_b = by_dart[Dart(sid_c, 1)]
-    if u in face_a.real_corners(d) and v in face_b.real_corners(d):
-        pass
-    elif u in face_b.real_corners(d) and v in face_a.real_corners(d):
-        u, v = v, u
-    else:
-        raise NotOnFace(
-            f"({u},{v}) do not sit on opposite sides of edge {cross}"
-        )
-
-    uu, vv = (u, v) if u < v else (v, u)
-    if not d.multi_allowed and (uu, vv) in d.edges:
-        raise DuplicateEdge(f"edge ({uu},{vv}) already exists in simple mode")
-
     b = _Builder(d)
-    new_eid = len(b.edges)
-    b.edges.append((uu, vv))
-
-    # split the crossed segment at a fresh dummy
-    seg = d.segments[sid_c]
-    pa, pb = seg.ends
-    dummy_edges = tuple(sorted((cross_eid, new_eid)))
-    pD = len(b.pvertices)
-    b.pvertices.append(DummyV(*dummy_edges))
-    b.rotations.append([])
-    cu, cv = d.edges[cross_eid]
-    pid_cu = d.real_pid[cu]
-    # part 0 of the crossed edge keeps the smaller original endpoint
-    part_a = 0 if pa == pid_cu else 1
-    b.segments[sid_c] = Segment((pa, pD), cross_eid, part_a)
-    sid_c2 = b.new_segment((pD, pb), cross_eid, 1 - part_a)
-    # splice: at pb the old dart is renamed to the new segment
-    rot_b = b.rotations[pb]
-    rot_b[rot_b.index(Dart(sid_c, 1))] = Dart(sid_c2, 1)
-    b.rotations[pD] = [Dart(sid_c, 1), Dart(sid_c2, 0)]
-
-    # the old faces now run through pD; each piece is attached on its own side
-    interim = b.finish()
-
-    def attach_piece(drawing: OnePlanarDrawing, vert: int, through: Dart, part: int) -> OnePlanarDrawing:
-        face = None
-        for f in _face_orbits(drawing):
-            if through in f.darts:
-                face = f
-                break
-        assert face is not None
-        walk = face.darts
-        pos_v = _walk_positions(drawing, walk, vert)
-        pos_d = [i for i, x in enumerate(walk) if drawing.origin(x) == pD]
-        if not pos_v or not pos_d:
-            raise NotOnFace(f"vertex {vert} lost sight of the crossing")
-        bb = _Builder(drawing)
-        pv_real = drawing.real_pid[vert]
-        sid = bb.new_segment((pv_real, pD), new_eid, part)
-        bb.insert_before(pv_real, walk[pos_v[0]], Dart(sid, 0))
-        bb.insert_before(pD, walk[pos_d[0]], Dart(sid, 1))
-        return bb.finish()
-
-    part_for_u = 0 if u == uu else 1
-    # u's side runs pa -> pD -> pb; v's side runs pb -> pD -> pa
-    step1 = attach_piece(interim, u, Dart(sid_c, 0), part_for_u)
-    step2 = attach_piece(step1, v, Dart(sid_c2, 1), 1 - part_for_u)
-    return step2
+    b.add_crossed(u, v, cross)
+    return b.freeze()
 
 
 def delete_edges(
@@ -732,93 +853,9 @@ def delete_edges(
 
     Returns the new drawing and the old-eid -> new-eid map for kept edges.
     """
-    removed = set(eids)
-    for eid in removed:
-        if not (0 <= eid < len(d.edges)):
-            raise BadVertex(f"edge id {eid} out of range")
-
-    by_edge = d.edge_segments()
-    # dummies that disappear: crossing with at least one removed edge
-    dead_dummies: set[int] = set()
-    merge_partner: dict[int, int] = {}  # partner eid -> its dummy pid
-    for pid, pv in enumerate(d.pvertices):
-        if isinstance(pv, DummyV):
-            a, b = pv.eid_a, pv.eid_b
-            if a in removed or b in removed:
-                dead_dummies.add(pid)
-                for keep, other in ((a, b), (b, a)):
-                    if keep not in removed and other in removed:
-                        merge_partner[keep] = pid
-
-    eid_map: dict[int, int] = {}
-    new_edges: list[tuple[int, int]] = []
-    for eid, e in enumerate(d.edges):
-        if eid not in removed:
-            eid_map[eid] = len(new_edges)
-            new_edges.append(e)
-
-    pid_map: dict[int, int] = {}
-    new_pvs: list[PVertex] = []
-    for pid, pv in enumerate(d.pvertices):
-        if pid in dead_dummies:
-            continue
-        pid_map[pid] = len(new_pvs)
-        if isinstance(pv, DummyV):
-            new_pvs.append(DummyV(eid_map[pv.eid_a], eid_map[pv.eid_b]))
-        else:
-            new_pvs.append(pv)
-
-    new_segments: list[Segment] = []
-    dart_map: dict[Dart, Dart] = {}
-    for old_eid in sorted(eid_map):
-        sids = by_edge[old_eid]
-        if old_eid in merge_partner:
-            # two segments shrink back to one
-            dummy = merge_partner[old_eid]
-            u, v = d.edges[old_eid]
-            pu, pv_ = d.real_pid[u], d.real_pid[v]
-            sid_new = len(new_segments)
-            new_segments.append(
-                Segment((pid_map[pu], pid_map[pv_]), eid_map[old_eid], 0)
-            )
-            for old_sid in sids:
-                seg = d.segments[old_sid]
-                for end in (0, 1):
-                    p = seg.ends[end]
-                    if p == dummy:
-                        continue
-                    dart_map[Dart(old_sid, end)] = Dart(sid_new, 0 if p == pu else 1)
-        else:
-            for old_sid in sorted(sids, key=lambda s: d.segments[s].part):
-                seg = d.segments[old_sid]
-                sid_new = len(new_segments)
-                new_segments.append(
-                    Segment(
-                        (pid_map[seg.ends[0]], pid_map[seg.ends[1]]),
-                        eid_map[old_eid],
-                        seg.part,
-                    )
-                )
-                dart_map[Dart(old_sid, 0)] = Dart(sid_new, 0)
-                dart_map[Dart(old_sid, 1)] = Dart(sid_new, 1)
-
-    new_rotations: list[tuple[Dart, ...]] = []
-    for pid in sorted(pid_map):
-        rot = []
-        for x in d.rotations[pid]:
-            if x in dart_map:
-                rot.append(dart_map[x])
-        new_rotations.append(tuple(rot))
-
-    out = OnePlanarDrawing(
-        n_real=d.n_real,
-        edges=tuple(new_edges),
-        pvertices=tuple(new_pvs),
-        segments=tuple(new_segments),
-        rotations=tuple(new_rotations),
-        multi_allowed=d.multi_allowed,
-    )
-    return out, eid_map
+    b = _Builder(d)
+    eid_map = b.delete_edges(eids)
+    return b.freeze(), eid_map
 
 
 # ---------------------------------------------------------------------
@@ -933,51 +970,9 @@ def wedge_at_vertex(a: OnePlanarDrawing, b: OnePlanarDrawing, va: int, vb: int) 
     vertex is spliced into one corner of a's rotation there, merging one
     face of each drawing.
     """
-    vid_map: dict[int, int] = {vb: va}
-    nxt = a.n_real
-    for v in range(b.n_real):
-        if v != vb:
-            vid_map[v] = nxt
-            nxt += 1
-
     builder = _Builder(a)
-    builder.n_real = nxt
-    eid_off = len(a.edges)
-    for u, v in b.edges:
-        uu, vv = sorted((vid_map[u], vid_map[v]))
-        builder.edges.append((uu, vv))
-
-    pid_map: dict[int, int] = {}
-    pid_shared_b = b.real_pid[vb]
-    for pid, pv in enumerate(b.pvertices):
-        if pid == pid_shared_b:
-            pid_map[pid] = a.real_pid[va]
-            continue
-        pid_map[pid] = len(builder.pvertices)
-        if isinstance(pv, DummyV):
-            builder.pvertices.append(DummyV(pv.eid_a + eid_off, pv.eid_b + eid_off))
-        else:
-            builder.pvertices.append(RealV(vid_map[pv.vid]))
-        builder.rotations.append([])
-
-    sid_off = len(a.segments)
-    for seg in b.segments:
-        builder.segments.append(
-            Segment(
-                (pid_map[seg.ends[0]], pid_map[seg.ends[1]]),
-                seg.eid + eid_off,
-                seg.part,
-            )
-        )
-
-    for pid in range(b.n_p):
-        mapped = [Dart(x.sid + sid_off, x.end) for x in b.rotations[pid]]
-        if pid == pid_shared_b:
-            target = builder.rotations[a.real_pid[va]]
-            builder.rotations[a.real_pid[va]] = mapped + target
-        else:
-            builder.rotations[pid_map[pid]] = mapped
-    return builder.finish()
+    builder.wedge(b, va, vb)
+    return builder.freeze()
 
 
 # ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ Vertex id layouts (all documented so witness sets are reproducible):
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .embedding import (
@@ -23,14 +24,12 @@ from .embedding import (
     OnePlanarDrawing,
     RealV,
     Segment,
+    _Builder,
+    _face_at,
     _face_orbits,
-    _insert_vertex_multi,
-    add_chord_in_face,
-    add_crossed_edge,
+    _Planarization,
     drawing_from_faces,
-    insert_vertex_in_face,
     validate,
-    wedge_at_vertex,
 )
 from .errors import BadParity, InvalidDrawing, ParseError, TooManyCrossings, TooSmall
 from .graph import Graph, odd_components
@@ -49,26 +48,43 @@ class FamilyInstance:
 
 
 # ---------------------------------------------------------------------
-# face helpers
+# face helpers; each works on a frozen drawing or on a builder
 
 
-def _faces_sorted_by_corners(d: OnePlanarDrawing) -> list[Face]:
-    return sorted(_face_orbits(d), key=lambda f: tuple(sorted(f.real_corners(d))))
+def _corner_order(d: _Planarization):
+    """Sort key of faces: their sorted real corners, then the canonical face order."""
+    return lambda f: (tuple(sorted(f.real_corners(d))), f.darts)
 
 
-def _face_with_corner_set(d: OnePlanarDrawing, want: set[int]) -> Face:
-    for f in _face_orbits(d):
+def _faces_sorted_by_corners(d: _Planarization) -> list[Face]:
+    return sorted(_face_orbits(d), key=_corner_order(d))
+
+
+def _insort_new_faces(d: _Builder, fs: list[Face]) -> None:
+    """Add the faces around the newest vertex to the corner-sorted face list fs.
+
+    Right after `insert_vertex` these are exactly the pieces of the split
+    face, which the caller has already taken out of fs.
+    """
+    for x in d.rotations[-1]:
+        bisect.insort(fs, _face_at(d, x), key=_corner_order(d))
+
+
+def _face_with_corner_set(d: _Planarization, want: set[int]) -> Face:
+    """The first face, in canonical order, whose real corners are `want`, each once.
+
+    Such a face has every vertex of `want` as a corner, so only the faces
+    around the vertex of `want` with the fewest darts are walked.
+    """
+    around = min((d.real_pid[v] for v in want), key=lambda p: len(d.rotations[p]))
+    matches = []
+    for x in d.rotations[around]:
+        f = _face_at(d, x)
         if set(f.real_corners(d)) == want and len(f.real_corners(d)) == len(want):
-            return f
-    raise InvalidDrawing(f"no face with corner set {sorted(want)}")
-
-
-def _triangle_drawing() -> OnePlanarDrawing:
-    return drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
-
-
-def _c4_drawing() -> OnePlanarDrawing:
-    return drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]])
+            matches.append(f)
+    if not matches:
+        raise InvalidDrawing(f"no face with corner set {sorted(want)}")
+    return min(matches, key=lambda f: f.darts)
 
 
 # ---------------------------------------------------------------------
@@ -80,14 +96,20 @@ def stacked_triangulation(s: int, rng: SplitMix64 | None = None) -> OnePlanarDra
 
     Deterministic (smallest-corner face first) unless an rng picks faces.
     """
+    return _stacked_triangulation(s, rng)[0].freeze()
+
+
+def _stacked_triangulation(s: int, rng: SplitMix64 | None) -> tuple[_Builder, list[Face]]:
+    """The triangulation and its faces in corner order, kept sorted as faces split."""
     if s < 3:
         raise TooSmall(f"triangulation needs s >= 3, got {s}")
-    d = _triangle_drawing()
+    d = _Builder(drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]]))
+    fs = _faces_sorted_by_corners(d)
     for _ in range(3, s):
-        fs = _faces_sorted_by_corners(d)
-        face = fs[rng.below(len(fs))] if rng is not None else fs[0]
-        d = insert_vertex_in_face(d, face, list(face.real_corners(d)))
-    return d
+        face = fs.pop(rng.below(len(fs)) if rng is not None else 0)
+        d.insert_vertex(face, face.real_corners(d))
+        _insort_new_faces(d, fs)
+    return d, fs
 
 
 def stacked_quadrangulation(s: int) -> OnePlanarDrawing:
@@ -96,24 +118,30 @@ def stacked_quadrangulation(s: int) -> OnePlanarDrawing:
     Each step adds a vertex joined to two opposite corners of the
     smallest-corner face, splitting one quad into two.
     """
+    return _stacked_quadrangulation(s)[0].freeze()
+
+
+def _stacked_quadrangulation(s: int) -> tuple[_Builder, list[Face]]:
     if s < 4:
         raise TooSmall(f"quadrangulation needs s >= 4, got {s}")
     if s % 2 != 0:
         raise BadParity(f"quadrangulation size must be even, got {s}")
-    d = _c4_drawing()
+    d = _Builder(drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]]))
+    fs = _faces_sorted_by_corners(d)
     for _ in range(4, s):
-        face = _faces_sorted_by_corners(d)[0]
+        face = fs.pop(0)
         corners = face.real_corners(d)
         pick = min(range(4), key=lambda i: corners[i])
-        d = _insert_vertex_multi(d, face, [corners[pick], corners[(pick + 2) % 4]])
-    return d
+        d.insert_vertex(face, [corners[pick], corners[(pick + 2) % 4]])
+        _insort_new_faces(d, fs)
+    return d, fs
 
 
 # ---------------------------------------------------------------------
-# per-face insertion patterns
+# per-face insertion patterns, applied in place
 
 
-def _fill_triangle(d: OnePlanarDrawing, face: Face) -> OnePlanarDrawing:
+def _fill_triangle(d: _Builder, face: Face) -> None:
     """Insert three vertices adjacent to all corners of a triangular face.
 
     Canonical pattern: each new vertex hangs off one side of the
@@ -122,18 +150,17 @@ def _fill_triangle(d: OnePlanarDrawing, face: Face) -> OnePlanarDrawing:
     """
     c0, c1, c2 = face.real_corners(d)
     a = d.n_real
-    d = _insert_vertex_multi(d, face, [c0, c1])
+    d.insert_vertex(face, [c0, c1])
     b = d.n_real
-    d = _insert_vertex_multi(d, _face_with_corner_set(d, {c0, c1, c2, a}), [c1, c2])
+    d.insert_vertex(_face_with_corner_set(d, {c0, c1, c2, a}), [c1, c2])
     c = d.n_real
-    d = _insert_vertex_multi(d, _face_with_corner_set(d, {c0, c1, c2, a, b}), [c2, c0])
-    d = add_crossed_edge(d, b, c0, (a, c1))
-    d = add_crossed_edge(d, c, c1, (b, c2))
-    d = add_crossed_edge(d, a, c2, (c, c0))
-    return d
+    d.insert_vertex(_face_with_corner_set(d, {c0, c1, c2, a, b}), [c2, c0])
+    d.add_crossed(b, c0, (a, c1))
+    d.add_crossed(c, c1, (b, c2))
+    d.add_crossed(a, c2, (c, c0))
 
 
-def _fill_quad(d: OnePlanarDrawing, face: Face) -> OnePlanarDrawing:
+def _fill_quad(d: _Builder, face: Face) -> None:
     """Insert two vertices adjacent to all corners of a quadrilateral face.
 
     The first vertex's four legs are uncrossed; the second vertex sits
@@ -141,67 +168,56 @@ def _fill_quad(d: OnePlanarDrawing, face: Face) -> OnePlanarDrawing:
     """
     c0, c1, c2, c3 = face.real_corners(d)
     a = d.n_real
-    d = _insert_vertex_multi(d, face, [c0, c1, c2, c3])
+    d.insert_vertex(face, [c0, c1, c2, c3])
     b = d.n_real
-    d = _insert_vertex_multi(d, _face_with_corner_set(d, {c0, c1, a}), [c0, c1])
-    d = add_crossed_edge(d, b, c2, (a, c1))
-    d = add_crossed_edge(d, b, c3, (a, c0))
-    return d
+    d.insert_vertex(_face_with_corner_set(d, {c0, c1, a}), [c0, c1])
+    d.add_crossed(b, c2, (a, c1))
+    d.add_crossed(b, c3, (a, c0))
 
 
-def _cross_quad_face(d: OnePlanarDrawing, face: Face) -> OnePlanarDrawing:
+def _cross_quad_face(d: _Builder, face: Face) -> None:
     """Add both diagonals of a quadrilateral face, crossing inside it."""
     w = face.real_corners(d)
     if len(w) != 4 or len(set(w)) != 4:
         raise InvalidDrawing(f"not a quadrilateral face: {w}")
-    d = add_chord_in_face(d, face, w[0], w[2])
-    return add_crossed_edge(d, w[1], w[3], (min(w[0], w[2]), max(w[0], w[2])))
+    d.add_chord(face, w[0], w[2])
+    d.add_crossed(w[1], w[3], (min(w[0], w[2]), max(w[0], w[2])))
 
 
 # ---------------------------------------------------------------------
 # extremal families
 
 
+def _instance(
+    name: str, d: _Builder, n: int, delta: int, witness: frozenset[int], deficiency: int, upper: int
+) -> FamilyInstance:
+    """Freeze a finished family drawing, checking first that it has n vertices."""
+    if d.n_real != n:
+        raise InvalidDrawing(f"{name}: built {d.n_real} vertices, expected {n}")
+    drawing = d.freeze()
+    return FamilyInstance(name, drawing.graph(), drawing, delta, witness, deficiency, upper)
+
+
 def family_delta3(s: int) -> FamilyInstance:
     """Triangulation on s vertices plus three degree-3 vertices per face."""
     if s < 4:
         raise TooSmall(f"family delta3 needs s >= 4, got {s}")
-    d = stacked_triangulation(s)
-    for face in _faces_sorted_by_corners(d):
-        d = _fill_triangle(d, face)
-    n = 7 * s - 12
-    inst = FamilyInstance(
-        name=f"delta3-s{s}",
-        graph=d.graph(),
-        drawing=d,
-        delta=3,
-        witness=frozenset(range(s)),
-        predicted_deficiency=5 * s - 12,
-        predicted_matching_upper=s,
-    )
-    assert inst.graph.n == n
-    return inst
+    d, fs = _stacked_triangulation(s, None)
+    for face in fs:
+        _fill_triangle(d, face)
+    return _instance(f"delta3-s{s}", d, n=7 * s - 12, delta=3, witness=frozenset(range(s)),
+                     deficiency=5 * s - 12, upper=s)
 
 
 def family_delta4(s: int) -> FamilyInstance:
     """Quadrangulation on s vertices plus two degree-4 vertices per face."""
     if s < 4:
         raise TooSmall(f"family delta4 needs s >= 4, got {s}")
-    d = stacked_quadrangulation(s)
-    for face in _faces_sorted_by_corners(d):
-        d = _fill_quad(d, face)
-    n = 3 * s - 4
-    inst = FamilyInstance(
-        name=f"delta4-s{s}",
-        graph=d.graph(),
-        drawing=d,
-        delta=4,
-        witness=frozenset(range(s)),
-        predicted_deficiency=s - 4,
-        predicted_matching_upper=s,
-    )
-    assert inst.graph.n == n
-    return inst
+    d, fs = _stacked_quadrangulation(s)
+    for face in fs:
+        _fill_quad(d, face)
+    return _instance(f"delta4-s{s}", d, n=3 * s - 4, delta=4, witness=frozenset(range(s)),
+                     deficiency=s - 4, upper=s)
 
 
 def _k2_drawing() -> OnePlanarDrawing:
@@ -218,40 +234,32 @@ def family_delta4_k5(k: int) -> FamilyInstance:
     """k copies of K5 glued along the shared edge (0, 1)."""
     if k < 1:
         raise TooSmall(f"family delta4-k5 needs k >= 1, got {k}")
-    d = _k2_drawing()
+    d = _Builder(_k2_drawing())
+    # each block grows on the side of the (0,1) segment's first dart
+    side01 = Dart(d.edge_sids[0][0], 0)
     for i in range(k):
         p1, p3, p2 = 3 * i + 2, 3 * i + 3, 3 * i + 4
-        # each block grows on the side of the (0,1) segment's first dart
-        sid01 = next(s for s, seg in enumerate(d.segments) if seg.eid == 0)
-        face = next(f for f in _face_orbits(d) if Dart(sid01, 0) in f.darts)
-        d = _insert_vertex_multi(d, face, [0, 1])  # p1
-        face = next(f for f in _face_orbits(d) if Dart(sid01, 0) in f.darts)
-        d = _insert_vertex_multi(d, face, [0, 1])  # p3
+        d.insert_vertex(_face_at(d, side01), [0, 1])  # p1
+        d.insert_vertex(_face_at(d, side01), [0, 1])  # p3
         rim = _face_with_corner_set(d, {0, 1, p1, p3})
-        d = _insert_vertex_multi(d, rim, list(rim.real_corners(d)))  # p2
-        d = add_crossed_edge(d, p1, p3, (0, p2))
-        assert d.n_real == 3 * i + 5
+        d.insert_vertex(rim, rim.real_corners(d))  # p2
+        d.add_crossed(p1, p3, (0, p2))
+        if d.n_real != 3 * i + 5:
+            raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")
     n = 3 * k + 2
-    return FamilyInstance(
-        name=f"delta4-k5-k{k}",
-        graph=d.graph(),
-        drawing=d,
-        delta=4,
-        witness=frozenset({0, 1}),
-        predicted_deficiency=k - 2,
-        predicted_matching_upper=(n - (k - 2)) // 2,
-    )
+    return _instance(f"delta4-k5-k{k}", d, n=n, delta=4, witness=frozenset({0, 1}),
+                     deficiency=k - 2, upper=(n - (k - 2)) // 2)
 
 
 def k6_drawing() -> OnePlanarDrawing:
     """The canonical 1-planar K6: triangular prism plus crossed quad diagonals."""
-    d = drawing_from_faces(
+    d = _Builder(drawing_from_faces(
         6,
         [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]],
-    )
+    ))
     for quad in ({0, 1, 4, 3}, {1, 2, 5, 4}, {2, 0, 3, 5}):
-        d = _cross_quad_face(d, _face_with_corner_set(d, quad))
-    return d
+        _cross_quad_face(d, _face_with_corner_set(d, quad))
+    return d.freeze()
 
 
 def cube_block_drawing() -> OnePlanarDrawing:
@@ -264,10 +272,10 @@ def cube_block_drawing() -> OnePlanarDrawing:
         [0, 2, 6, 4],
         [1, 5, 7, 3],
     ]
-    d = drawing_from_faces(8, quads)
+    d = _Builder(drawing_from_faces(8, quads))
     for q in quads:
-        d = _cross_quad_face(d, _face_with_corner_set(d, set(q)))
-    return d
+        _cross_quad_face(d, _face_with_corner_set(d, set(q)))
+    return d.freeze()
 
 
 def mindeg7_block_drawing() -> OnePlanarDrawing:
@@ -297,10 +305,10 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
                 b1, b2 = [x for x in range(3) if x != a]
                 edgesq.append([vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)])
     squares = axial + edgesq
-    d = drawing_from_faces(24, tri + squares)
+    d = _Builder(drawing_from_faces(24, tri + squares))
     for q in squares:
-        d = _cross_quad_face(d, _face_with_corner_set(d, set(q)))
-    return d
+        _cross_quad_face(d, _face_with_corner_set(d, set(q)))
+    return d.freeze()
 
 
 def _hub_family(
@@ -308,22 +316,12 @@ def _hub_family(
 ) -> FamilyInstance:
     if g < 1:
         raise TooSmall(f"family {name} needs g >= 1, got {g}")
-    d = block
+    d = _Builder(block)
     for _ in range(1, g):
-        d = wedge_at_vertex(d, block, 0, 0)
-    n = d.n_real
-    block_n = block.n_real
-    assert n == (block_n - 1) * g + 1
-    deficiency = g - 1
-    return FamilyInstance(
-        name=f"{name}-g{g}",
-        graph=d.graph(),
-        drawing=d,
-        delta=delta,
-        witness=frozenset({0}),
-        predicted_deficiency=deficiency,
-        predicted_matching_upper=(n - deficiency) // 2,
-    )
+        d.wedge(block, 0, 0)
+    n = (block.n_real - 1) * g + 1
+    return _instance(f"{name}-g{g}", d, n=n, delta=delta, witness=frozenset({0}),
+                     deficiency=g - 1, upper=(n - g + 1) // 2)
 
 
 def family_delta5(g: int) -> FamilyInstance:
@@ -365,8 +363,7 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
     if n < 4:
         raise TooSmall(f"random drawing needs n >= 4, got {n}")
     rng = SplitMix64(seed)
-    d = stacked_triangulation(n, rng)
-    fs = _faces_sorted_by_corners(d)
+    d, fs = _stacked_triangulation(n, rng)
     if crossings > len(fs):
         raise TooManyCrossings(f"{crossings} crossings but only {len(fs)} faces")
     chosen = rng.sample_indices(len(fs), crossings)
@@ -374,13 +371,13 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
         face = fs[fi]
         u, v, w = face.real_corners(d)
         z = d.n_real
-        d = _insert_vertex_multi(d, face, [u, v])
+        d.insert_vertex(face, [u, v])
         y = d.n_real
-        d = _insert_vertex_multi(d, _face_with_corner_set(d, {u, v, w, z}), [w, z])
+        d.insert_vertex(_face_with_corner_set(d, {u, v, w, z}), [w, z])
         quad = _face_with_corner_set(d, {w, u, z, y})
-        d = add_chord_in_face(d, quad, z, w)
-        d = add_crossed_edge(d, u, y, (min(z, w), max(z, w)))
-    return d
+        d.add_chord(quad, z, w)
+        d.add_crossed(u, y, (min(z, w), max(z, w)))
+    return d.freeze()
 
 
 # ---------------------------------------------------------------------

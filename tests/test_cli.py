@@ -111,6 +111,20 @@ def test_check_charge_dump(tmp_path, capsys):
     assert "total 168 168" in out
 
 
+def test_check_charge_long_csv_matches_witness_file(tmp_path, capsys):
+    # a csv longer than a file name may be is still read as a vertex list
+    run(capsys, "generate", "delta3", "--s", "6", "-o", str(tmp_path))
+    drawing = str(tmp_path / "delta3-s6.1pg")
+    csv = ",".join(str(v) for v in list(range(6)) * 40)
+    assert len(csv) > 255
+    code_csv, out_csv = run(capsys, "check", "charge", drawing, "--S", csv, "--dump")
+    code_file, out_file = run(
+        capsys, "check", "charge", drawing, "--S", str(tmp_path / "delta3-s6.witness"), "--dump"
+    )
+    assert code_csv == code_file == 0
+    assert out_csv == out_file
+
+
 def test_check_degree_bound_commands(tmp_path, capsys):
     run(capsys, "generate", "delta3", "--s", "4", "-o", str(tmp_path))
     t_arg = ",".join(str(v) for v in range(4, 16))

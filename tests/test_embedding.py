@@ -5,6 +5,7 @@ import pytest
 from oneplanar.embedding import (
     Dart,
     DummyV,
+    Face,
     OnePlanarDrawing,
     RealV,
     Segment,
@@ -22,6 +23,8 @@ from oneplanar.embedding import (
     validate,
     wedge_at_vertex,
     write_drawing,
+    _face_at,
+    _face_orbits,
 )
 from oneplanar.errors import (
     BadAttachment,
@@ -275,6 +278,38 @@ def test_insert_vertex_rejects_repeats():
         insert_vertex_in_face(d, f, [0, 1, 1])
     with pytest.raises(BadAttachment):
         insert_vertex_in_face(d, f, [0, 1])
+
+
+def _bogus_faces():
+    """(drawing, not-a-face) pairs; each walk must be rejected, not crash."""
+    d = k4_drawing()
+    f = faces(d)[0]
+    split = add_chord_in_face(c4_drawing(), faces(c4_drawing())[0], 0, 2)
+    stale = faces(c4_drawing())[0]
+    return {
+        "stale-split-face": (split, stale),
+        "rotated": (d, Face(f.darts[1:] + f.darts[:1])),
+        "doubled": (d, Face(f.darts * 2)),
+        "sid-too-large": (d, Face((Dart(d.m_p + 3, 0),) + f.darts[1:])),
+        "sid-negative": (d, Face((Dart(-1, 0),) + f.darts[1:])),
+        "end-out-of-range": (d, Face((Dart(f.darts[0].sid, 2),) + f.darts[1:])),
+        "empty": (d, Face(())),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bogus_faces()))
+def test_surgeries_reject_walks_that_are_not_faces(case):
+    d, bogus = _bogus_faces()[case]
+    with pytest.raises(NotOnFace):
+        add_chord_in_face(d, bogus, 0, 2)
+    with pytest.raises(NotOnFace):
+        insert_vertex_in_face(d, bogus, [0, 1, 2])
+
+
+def test_local_face_walk_matches_full_enumeration():
+    for d in (k6_drawing(), family_delta3(5).drawing, random_oneplanar(10, 3, 4)):
+        for f in _face_orbits(d):
+            assert all(_face_at(d, x) == f for x in f.darts)
 
 
 def test_faces_partition_every_dart():

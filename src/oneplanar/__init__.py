@@ -11,8 +11,7 @@ from .bounds import (
     charging_run,
     check_cw_degree_bound,
     check_degree_bound,
-    check_deficiency_mindeg5,
-    check_deficiency_mindeg34,
+    check_deficiency,
     check_min_odd_component_size,
     degree_classes,
     reduce_components,

@@ -7,26 +7,25 @@ The checks come in three layers:
     uncrossed chords, insert auxiliary vertices into T-heavy faces,
     assign 6/3/2 charges and audit every per-vertex lower bound;
   * deficiency bounds odd(G-S) - |S| for minimum degree 3/4/5 and the
-    end-to-end matching lower-bound certifier.
+    end-to-end matching lower-bound certifier, both read from one
+    per-delta table (BOUNDS).
 
 All comparisons are exact (integers and fractions.Fraction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .embedding import (
     Face,
     OnePlanarDrawing,
-    RealV,
+    _Builder,
     _face_orbits,
-    _insert_vertex_multi,
-    add_chord_in_face,
+    _Planarization,
     crossing_weighted_degree,
-    delete_edges,
     validate,
 )
 from .errors import (
@@ -169,20 +168,8 @@ class ChargeLedger:
     totals: tuple[int, int]  # (sum of charges, 12|S| + 12|T| - 24)
 
 
-def _real_corner_occurrences(
-    d: OnePlanarDrawing, face: Face
-) -> list[tuple[int, int]]:
-    """(walk position, vid) for every real corner occurrence."""
-    out = []
-    for i, x in enumerate(face.darts):
-        pv = d.pvertices[d.origin(x)]
-        if isinstance(pv, RealV):
-            out.append((i, pv.vid))
-    return out
-
-
 def _first_addable_chord(
-    d: OnePlanarDrawing,
+    d: _Planarization,
     s: frozenset[int],
     t: frozenset[int],
     rng: SplitMix64 | None,
@@ -193,7 +180,7 @@ def _first_addable_chord(
         rng.shuffle(fs)
     for face in fs:
         k = len(face.darts)
-        occ = _real_corner_occurrences(d, face)
+        occ = face.real_corner_positions(d)
         s_occ: dict[int, list[int]] = {}
         t_occ: dict[int, list[int]] = {}
         for pos, vid in occ:
@@ -235,12 +222,14 @@ def charging_run(
         raise STooSmall(f"|S| = {len(s_set)} < 3")
     _check_t_preconditions(d, t_set)
 
-    # step 0: make the graph bipartite
+    # step 0: make the graph bipartite; one builder carries steps 0-2
     ss_edges = [
         eid for eid, (u, v) in enumerate(d.edges) if u in s_set and v in s_set
     ]
-    base, _ = delete_edges(d, ss_edges)
-    work = replace(base, multi_allowed=True)
+    work = _Builder(d)
+    work.delete_edges(ss_edges)
+    base = work.freeze()
+    work.multi_allowed = True
 
     # step 1: chord saturation
     rng = SplitMix64(order_seed) if order_seed is not None else None
@@ -251,30 +240,27 @@ def charging_run(
         if found is None:
             break
         face, sv, tv, pi, pj = found
-        work = add_chord_in_face(work, face, sv, tv, occurrences=(pi, pj))
+        work.add_chord(face, sv, tv, occurrences=(pi, pj))
         chords.append((sv, tv))
-        cap -= 1
-        assert cap > 0, "chord saturation failed to terminate"
-    gamma_prime = work
+        if len(chords) >= cap:
+            raise InvalidDrawing(f"chord saturation did not terminate after {len(chords)} chords")
+    gamma_prime = work.freeze()
 
-    # step 2: auxiliary vertices into T-heavy faces
+    # step 2: auxiliary vertices into T-heavy faces; the loop ends only
+    # when no face has three or more T-corners
     delta_vertices: list[int] = []
     delta_attach: list[tuple[int, tuple[int, int, int]]] = []
     while True:
-        target = None
-        for face in _face_orbits(work):
-            t_corners = sorted({vid for _, vid in _real_corner_occurrences(work, face) if vid in t_set})
-            if len(t_corners) >= 3:
-                target = (face, tuple(t_corners[:3]))
-                break
+        target = next(_t_heavy_faces(work, t_set), None)
         if target is None:
             break
-        face, attach = target
+        face, t_corners = target
+        attach = tuple(t_corners[:3])
         z = work.n_real
-        work = _insert_vertex_multi(work, face, list(attach))
+        work.insert_vertex(face, attach)
         delta_vertices.append(z)
         delta_attach.append((z, attach))
-    final = work
+    final = work.freeze()
 
     # step 3: assign charges
     delta_set = frozenset(delta_vertices)
@@ -292,15 +278,10 @@ def charging_run(
             c = 6
         charge_class.append((eid, c))
         total += c
-    vertex_charge: list[tuple[int, int]] = []
-    charge_of = dict(charge_class)
-    for tv in sorted(t_set):
-        c = sum(
-            charge_of[eid]
-            for eid, (u, v) in enumerate(final.edges)
-            if tv in (u, v)
-        )
-        vertex_charge.append((tv, c))
+    vertex_charge = [
+        (tv, sum(charge_class[eid][1] for eid in final.incident_eids(tv)))
+        for tv in sorted(t_set)
+    ]
     rhs = 12 * len(s_set) + 12 * len(t_set) - 24
 
     ledger = ChargeLedger(
@@ -317,9 +298,11 @@ def charging_run(
         vertex_charge=tuple(vertex_charge),
         totals=(total, rhs),
     )
-    # embedded postconditions of the procedure itself
-    assert not _three_consecutive_crossed(ledger), "chord saturation left 3 consecutive crossed edges"
-    assert not _t_heavy_faces(ledger), "a face with >= 3 T-corners survived step 2"
+    bad = _three_consecutive_crossed(ledger)
+    if bad:
+        raise InvalidDrawing(
+            f"chord saturation left three consecutive crossed edges at T-vertices {bad}"
+        )
     return ledger
 
 
@@ -341,17 +324,15 @@ def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
     return bad
 
 
-def _t_heavy_faces(ledger: ChargeLedger) -> list[Face]:
-    out = []
-    for face in _face_orbits(ledger.final):
-        t_corners = {
-            vid
-            for _, vid in _real_corner_occurrences(ledger.final, face)
-            if vid in ledger.t
-        }
+def _t_heavy_faces(
+    d: _Planarization, t: frozenset[int]
+) -> Iterator[tuple[Face, list[int]]]:
+    """Faces with three or more distinct T-corners, in canonical face order,
+    each with its T-corners sorted."""
+    for face in _face_orbits(d):
+        t_corners = sorted({vid for vid in face.real_corners(d) if vid in t})
         if len(t_corners) >= 3:
-            out.append(face)
-    return out
+            yield face, t_corners
 
 
 @dataclass(frozen=True)
@@ -423,26 +404,18 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     # per-vertex lower bounds
     g_base = base.graph()
-    uncrossed_gp: dict[int, int] = {}
-    for tv in ledger.t:
-        uncrossed_gp[tv] = sum(
-            1
-            for eid, (u, v) in enumerate(gp.edges)
-            if tv in (u, v) and eid not in crossed_gp
-        )
     for tv in sorted(ledger.t):
+        uncrossed_gp = sum(1 for eid in gp.incident_eids(tv) if eid not in crossed_gp)
         c = vc[tv]
-        recomputed = sum(
-            charge_of[eid] for eid, (u, v) in enumerate(final.edges) if tv in (u, v)
-        )
+        recomputed = sum(charge_of[eid] for eid in final.incident_eids(tv))
         if c != recomputed:
             bad.append(f"c({tv}) stored {c} != recomputed {recomputed}")
         if c < 14:
             bad.append(f"c({tv}) = {c} < 14")
-        if uncrossed_gp[tv] >= 2 and c < 3 * g_base.degree(tv) + 6:
+        if uncrossed_gp >= 2 and c < 3 * g_base.degree(tv) + 6:
             bad.append(
                 f"c({tv}) = {c} < 3*deg+6 = {3 * g_base.degree(tv) + 6} despite "
-                f"{uncrossed_gp[tv]} uncrossed edges"
+                f"{uncrossed_gp} uncrossed edges"
             )
         cw = crossing_weighted_degree(base, tv)
         if c < 3 * cw:
@@ -450,7 +423,7 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     for tv in _three_consecutive_crossed(ledger):
         bad.append(f"T-vertex {tv} keeps three consecutive crossed edges")
-    for face in _t_heavy_faces(ledger):
+    for face, _ in _t_heavy_faces(final, ledger.t):
         bad.append(f"face with >=3 T-corners survived: {face.darts}")
 
     return ChargeReport(tuple(bad))
@@ -479,6 +452,12 @@ def write_ledger(ledger: ChargeLedger) -> str:
 
 Provenance = OnePlanarDrawing | FamilyInstance
 
+# delta -> (a, b, c, least |S|, threshold n).  For minimum degree delta,
+# odd(G-S) - |S| <= (a*n - b)/c for every S of at least the least size,
+# so a maximum matching has at least (n - (a*n - b)/c)/2 edges once
+# n >= threshold.
+BOUNDS = {3: (5, 24, 7, 2, 7), 4: (1, 8, 3, 2, 20), 5: (1, 6, 5, 1, 21)}
+
 
 def _check_provenance(g: Graph, provenance: Provenance | None) -> None:
     if provenance is None:
@@ -491,44 +470,31 @@ def _check_provenance(g: Graph, provenance: Provenance | None) -> None:
         raise NoProvenance("attested drawing does not match the graph")
 
 
-def check_deficiency_mindeg34(
+def _bound_row(delta: int) -> tuple[int, int, int, int, int]:
+    if delta not in BOUNDS:
+        raise ValueError(f"delta must be one of {sorted(BOUNDS)}")
+    return BOUNDS[delta]
+
+
+def check_deficiency(
     g: Graph,
     s: Iterable[int],
     delta: int,
     provenance: Provenance | None = None,
 ) -> BoundCheck:
-    """odd(G-S) - |S| <= (5n-24)/7 for delta=3, (n-8)/3 for delta=4; |S| >= 2."""
-    if delta not in (3, 4):
-        raise ValueError("delta must be 3 or 4")
+    """odd(G-S) - |S| <= (a*n - b)/c for minimum degree delta, |S| at least
+    the least size, both from BOUNDS: (5n-24)/7, (n-8)/3, (n-6)/5."""
+    a, b, c, least_s, _ = _bound_row(delta)
     members = frozenset(s)
-    if len(members) < 2:
-        raise STooSmall(f"|S| = {len(members)} < 2")
+    if len(members) < least_s:
+        raise STooSmall(f"|S| = {len(members)} < {least_s}")
     if min_degree(g) < delta:
         raise DegreeTooLow(f"min degree {min_degree(g)} < {delta}")
     if provenance is not None:
         _check_provenance(g, provenance)
     count, _ = odd_components(g, members)
     lhs = Fraction(count - len(members))
-    rhs = Fraction(5 * g.n - 24, 7) if delta == 3 else Fraction(g.n - 8, 3)
-    return BoundCheck(lhs, rhs, lhs <= rhs)
-
-
-def check_deficiency_mindeg5(
-    g: Graph,
-    s: Iterable[int],
-    provenance: Provenance | None = None,
-) -> BoundCheck:
-    """odd(G-S) - |S| <= (n-6)/5 for minimum degree 5; |S| >= 1."""
-    members = frozenset(s)
-    if len(members) < 1:
-        raise STooSmall("|S| must be non-empty")
-    if min_degree(g) < 5:
-        raise DegreeTooLow(f"min degree {min_degree(g)} < 5")
-    if provenance is not None:
-        _check_provenance(g, provenance)
-    count, _ = odd_components(g, members)
-    lhs = Fraction(count - len(members))
-    rhs = Fraction(g.n - 6, 5)
+    rhs = Fraction(a * g.n - b, c)
     return BoundCheck(lhs, rhs, lhs <= rhs)
 
 
@@ -543,9 +509,6 @@ def check_min_odd_component_size(g: Graph, s: Iterable[int], delta: int) -> bool
         x += 1
     _, comps = odd_components(g, members)
     return all(len(c) >= x for c in comps if len(c) % 2 == 1)
-
-
-THRESHOLDS = {3: 7, 4: 20, 5: 21}
 
 
 @dataclass(frozen=True)
@@ -565,23 +528,18 @@ def certify_matching_bound(
 ) -> CertReport:
     """Certify the guaranteed matching size for an attested 1-planar graph.
 
-    Bounds (n+12)/7, (n+4)/3 and (2n+3)/5 for minimum degree 3, 4, 5,
-    applicable from n >= 7, 20, 21 respectively.  Below the threshold
-    the report comes back not-applicable instead of failing.
+    The bound (n - (a*n - b)/c)/2 from BOUNDS is (n+12)/7, (n+4)/3 and
+    (2n+3)/5 for minimum degree 3, 4, 5, applicable from n >= 7, 20, 21
+    respectively.  Below the threshold the report comes back
+    not-applicable instead of failing.
     """
-    if delta not in (3, 4, 5):
-        raise ValueError("delta must be 3, 4 or 5")
+    a, b, c, _, threshold = _bound_row(delta)
     if min_degree(g) < delta:
         raise DegreeTooLow(f"min degree {min_degree(g)} < {delta}")
     _check_provenance(g, provenance)
     n = g.n
-    bound = {
-        3: Fraction(n + 12, 7),
-        4: Fraction(n + 4, 3),
-        5: Fraction(2 * n + 3, 5),
-    }[delta]
+    bound = (n - Fraction(a * n - b, c)) / 2
     size = len(maximum_matching(g))
-    threshold = THRESHOLDS[delta]
     if n < threshold:
         return CertReport(delta, n, size, bound, threshold, False, None, None)
     return CertReport(

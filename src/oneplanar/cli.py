@@ -2,8 +2,7 @@
 
 All outputs are plain text, sorted, LF-terminated; numbers print as
 exact integers or fractions p/q.  Exit codes: 0 success/holds, 1 usage,
-2 parse failure, 3 precondition violation, 4 property violation,
-5 unimplemented family.
+2 parse failure, 3 precondition violation, 4 property violation.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, embedding, generators, matcher
-from .errors import (
-    NotBipartite,
-    OnePlanarError,
-    ParseError,
-    TooLarge,
-    Unimplemented,
-)
+from .errors import NotBipartite, OnePlanarError, ParseError, TooLarge
 from .graph import Graph, parse_graph, write_graph
 
 EXIT_OK = 0
@@ -32,7 +25,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
-EXIT_UNIMPLEMENTED = 5
 
 
 class _UsageError(Exception):
@@ -151,7 +143,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         name = inst.name
         (out_dir / f"{name}.graph").write_text(write_graph(inst.graph))
         (out_dir / f"{name}.1pg").write_text(embedding.write_drawing(inst.drawing))
-        (out_dir / f"{name}.witness").write_text(generators.write_witness(inst))
+        (out_dir / f"{name}.witness").write_text(
+            generators.write_witness(inst.witness, inst.predicted_deficiency, inst.predicted_matching_upper)
+        )
         outputs = [
             str(out_dir / f"{name}.graph"),
             str(out_dir / f"{name}.1pg"),
@@ -191,7 +185,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.mode == "oracle":
         w = matcher.tutte_berge_bruteforce(g, args.limit)
-        sys.stdout.write(matcher.write_deficiency_witness(w, g.n))
+        sys.stdout.write(generators.write_witness(w.s, w.deficiency, (g.n - w.deficiency) // 2))
         return EXIT_OK
     # duality
     w = matcher.tutte_berge_bruteforce(g, args.limit)
@@ -201,7 +195,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"MISMATCH matching={len(m)} deficiency={w.deficiency} n={g.n}")
     sys.stdout.write(matcher.write_matching(m))
-    sys.stdout.write(matcher.write_deficiency_witness(w, g.n))
+    sys.stdout.write(generators.write_witness(w.s, w.deficiency, (g.n - w.deficiency) // 2))
     return EXIT_VIOLATION
 
 
@@ -214,6 +208,12 @@ def _resolve_t(arg: str, d: embedding.OnePlanarDrawing) -> frozenset[int]:
         side0, side1 = _two_coloring(d.graph())
         return side0 if arg == "side0" else side1
     return _load_vertex_set(arg)
+
+
+def _load_provenance(args: argparse.Namespace) -> embedding.OnePlanarDrawing | None:
+    if not args.provenance:
+        return None
+    return embedding.parse_drawing(Path(args.provenance).read_text())
 
 
 def _bound_line(chk: bounds.BoundCheck) -> str:
@@ -254,30 +254,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not args.S:
             raise _UsageError(f"check {what} needs --S")
         s = _load_vertex_set(args.S)
-        prov = (
-            embedding.parse_drawing(Path(args.provenance).read_text())
-            if args.provenance
-            else None
-        )
-        if what == "lemma7":
-            if args.delta not in (3, 4):
-                raise _UsageError("check lemma7 needs --delta 3 or 4")
-            chk = bounds.check_deficiency_mindeg34(g, s, args.delta, prov)
-        else:
-            chk = bounds.check_deficiency_mindeg5(g, s, prov)
+        prov = _load_provenance(args)
+        if what == "lemma7" and args.delta not in (3, 4):
+            raise _UsageError("check lemma7 needs --delta 3 or 4")
+        chk = bounds.check_deficiency(g, s, 5 if what == "lemma8" else args.delta, prov)
         print(_bound_line(chk))
         return EXIT_OK if chk.holds else EXIT_VIOLATION
 
     if what == "theorem1":
         g = parse_graph(Path(args.input).read_text())
-        if args.delta is None:
-            raise _UsageError("check theorem1 needs --delta")
-        prov = (
-            embedding.parse_drawing(Path(args.provenance).read_text())
-            if args.provenance
-            else None
-        )
-        rep = bounds.certify_matching_bound(g, args.delta, prov)
+        if args.delta not in bounds.BOUNDS:
+            raise _UsageError(f"check theorem1 needs --delta in {sorted(bounds.BOUNDS)}")
+        rep = bounds.certify_matching_bound(g, args.delta, _load_provenance(args))
         if not rep.applicable:
             print(
                 f"|M|={rep.matching_size} bound={_fmt(rep.bound)} "
@@ -372,9 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except Unimplemented as exc:
-        print(f"unimplemented: {exc}", file=sys.stderr)
-        return EXIT_UNIMPLEMENTED
     except (TooLarge, OnePlanarError) as exc:
         print(f"precondition: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -57,7 +57,6 @@ __all__ = [
     "drawing_from_faces",
     "faces",
     "insert_vertex_in_face",
-    "is_connected",
     "parse_drawing",
     "validate",
     "wedge_at_vertex",
@@ -162,7 +161,15 @@ class OnePlanarDrawing(_Planarization):
     def incident_eids(self, v: int) -> list[int]:
         if not (0 <= v < self.n_real):
             raise BadVertex(f"vertex {v} not a real vertex (n={self.n_real})")
-        return [eid for eid, (a, b) in enumerate(self.edges) if v in (a, b)]
+        cached = self.__dict__.get("_incident_eids")
+        if cached is None:
+            cached = [[] for _ in range(self.n_real)]
+            for eid, (a, b) in enumerate(self.edges):
+                cached[a].append(eid)
+                if b != a:
+                    cached[b].append(eid)
+            self.__dict__["_incident_eids"] = cached
+        return cached[v]
 
 
 @dataclass(frozen=True)
@@ -175,13 +182,17 @@ class Face:
     def corners(self, d: OnePlanarDrawing) -> tuple[int, ...]:
         return tuple(d.origin(x) for x in self.darts)
 
-    def real_corners(self, d: OnePlanarDrawing) -> tuple[int, ...]:
+    def real_corner_positions(self, d: _Planarization) -> list[tuple[int, int]]:
+        """(walk position, vid) for every real corner occurrence."""
         out = []
-        for x in self.darts:
+        for i, x in enumerate(self.darts):
             pv = d.pvertices[d.origin(x)]
             if isinstance(pv, RealV):
-                out.append(pv.vid)
-        return tuple(out)
+                out.append((i, pv.vid))
+        return out
+
+    def real_corners(self, d: _Planarization) -> tuple[int, ...]:
+        return tuple([vid for _, vid in self.real_corner_positions(d)])
 
 
 def _canonical_walk(walk: Sequence[Dart]) -> tuple[Dart, ...]:
@@ -438,14 +449,10 @@ def _require_valid(d: OnePlanarDrawing) -> None:
         raise InvalidDrawing("; ".join(report.violations))
 
 
-def is_connected(d: OnePlanarDrawing) -> bool:
-    return len(_planarization_components(d)) <= 1
-
-
 def faces(d: OnePlanarDrawing) -> list[Face]:
     """All faces of a valid connected drawing, canonically ordered."""
     _require_valid(d)
-    if not is_connected(d):
+    if len(_planarization_components(d)) > 1:
         raise InvalidDrawing("drawing is disconnected; process per component")
     return _face_orbits(d)
 
@@ -823,11 +830,6 @@ def insert_vertex_in_face(
     """Insert one new vertex joined to exactly three distinct real corners of `face`."""
     if len(attach) != 3 or len(set(attach)) != 3:
         raise BadAttachment("need three distinct attachment vertices")
-    return _insert_vertex_multi(d, face, attach)
-
-
-def _insert_vertex_multi(d: OnePlanarDrawing, face: Face, attach: Sequence[int]) -> OnePlanarDrawing:
-    """Insert a new real vertex joined to k >= 2 corners of `face` (walk order)."""
     b = _Builder(d)
     b.insert_vertex(face, attach)
     return b.freeze()
@@ -1042,8 +1044,10 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
             raise ParseError(f"bad line: {ln!r}") from exc
 
     n_p = n_real + n_dummy
-    if sorted(pvs) != list(range(n_p)) or len(segs) != n_seg:
-        raise ParseError("record counts disagree with header")
+    if sorted(pvs) != list(range(n_p)) or sorted(segs) != list(range(n_seg)):
+        raise ParseError("record ids disagree with header counts")
+    if not set(rots) <= set(pvs):
+        raise ParseError(f"rotation for missing pvertex {min(set(rots) - set(pvs))}")
     for pid in range(n_p):
         rots.setdefault(pid, ())
 

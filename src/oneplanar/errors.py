@@ -60,10 +60,6 @@ class TooManyCrossings(OnePlanarError):
     """More crossing pairs requested than available faces."""
 
 
-class Unimplemented(OnePlanarError):
-    """Family block construction not available."""
-
-
 # matcher
 class TooLarge(OnePlanarError):
     """Graph exceeds the brute-force size limit."""

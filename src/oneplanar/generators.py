@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable
 
 from .embedding import (
     Dart,
@@ -384,13 +385,9 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
 # witness sidecar format
 
 
-def write_witness(inst: FamilyInstance) -> str:
-    s = " ".join(str(v) for v in sorted(inst.witness))
-    return (
-        f"S: {s}\n"
-        f"deficiency: {inst.predicted_deficiency}\n"
-        f"matching_upper: {inst.predicted_matching_upper}\n"
-    )
+def write_witness(s: Iterable[int], deficiency: int, matching_upper: int) -> str:
+    ids = " ".join(str(v) for v in sorted(s))
+    return f"S: {ids}\ndeficiency: {deficiency}\nmatching_upper: {matching_upper}\n"
 
 
 def parse_witness(text: str) -> tuple[frozenset[int], int, int]:

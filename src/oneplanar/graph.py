@@ -119,16 +119,6 @@ def min_degree(g: Graph) -> int:
     return min(len(a) for a in g.adj)
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on `keep`; returns it plus the old-id -> new-id map."""
-    kept = sorted(_check_subset(g, keep))
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
-    ]
-    return build_graph(len(kept), edges, simple=g.simple), remap
-
-
 # --- edge-list text format ------------------------------------------------
 #
 # First line `graph <n> <m>`, then m lines `e <u> <v>` with u < v,

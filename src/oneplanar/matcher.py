@@ -242,13 +242,10 @@ def parse_matching(text: str) -> Matching:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "m":
             raise ParseError(f"bad matching line {ln!r}")
-        edges.append((int(parts[1]), int(parts[2])))
+        try:
+            edges.append((int(parts[1]), int(parts[2])))
+        except ValueError as exc:
+            raise ParseError(f"bad matching line {ln!r}") from exc
     if len(edges) != k:
         raise ParseError("edge count disagrees with header")
     return Matching(frozenset(edges))
-
-
-def write_deficiency_witness(w: DeficiencyWitness, n: int) -> str:
-    s = " ".join(str(v) for v in sorted(w.s))
-    upper = (n - w.deficiency) // 2
-    return f"S: {s}\ndeficiency: {w.deficiency}\nmatching_upper: {upper}\n"

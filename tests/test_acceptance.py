@@ -10,18 +10,15 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-import pytest
 
 from oneplanar.bounds import (
     charge_verify,
     charging_run,
     check_cw_degree_bound,
     check_degree_bound,
-    check_deficiency_mindeg5,
-    check_deficiency_mindeg34,
+    check_deficiency,
 )
 from oneplanar.embedding import check_bipartite_edge_budget, validate
-from oneplanar.errors import Unimplemented
 from oneplanar.generators import (
     check_instance,
     family_delta3,
@@ -233,15 +230,15 @@ def test_criterion_8_deficiency_bounds(drawing_corpus):
     # generator witnesses achieve equality
     for s in (4, 6):
         inst = family_delta3(s)
-        chk = check_deficiency_mindeg34(inst.graph, inst.witness, 3, inst)
+        chk = check_deficiency(inst.graph, inst.witness, 3, inst)
         assert chk.holds and chk.tight
     for s in (8, 10):
         inst = family_delta4(s)
-        chk = check_deficiency_mindeg34(inst.graph, inst.witness, 4, inst)
+        chk = check_deficiency(inst.graph, inst.witness, 4, inst)
         assert chk.holds and chk.tight
     for g_blocks in (4, 6):
         inst = family_delta5(g_blocks)
-        chk = check_deficiency_mindeg5(inst.graph, inst.witness, inst)
+        chk = check_deficiency(inst.graph, inst.witness, 5, inst)
         assert chk.holds and chk.tight
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -304,10 +301,7 @@ def _bfs_two_color(g: Graph) -> frozenset[int]:
 
 
 def test_criterion_10_delta7_family():
-    try:
-        block = mindeg7_block_drawing()
-    except Unimplemented:
-        pytest.skip("24-vertex block fixture not available")
+    block = mindeg7_block_drawing()
     assert validate(block).valid
     assert min_degree(block.graph()) == 7
     for g_blocks in (1, 2, 3):

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from oneplanar import bounds
 from oneplanar.bounds import (
     certify_matching_bound,
     charge_verify,
     charging_run,
     check_cw_degree_bound,
     check_degree_bound,
-    check_deficiency_mindeg5,
-    check_deficiency_mindeg34,
+    check_deficiency,
     check_min_odd_component_size,
     degree_classes,
     reduce_components,
@@ -24,6 +24,7 @@ from oneplanar.embedding import (
 from oneplanar.errors import (
     DegreeTooLow,
     EmptyT,
+    InvalidDrawing,
     NoProvenance,
     NotIndependent,
     STooSmall,
@@ -183,6 +184,15 @@ def test_charging_preconditions():
         charging_run(c4, {0, 1, 2}, {3})
 
 
+def test_charging_postcondition_is_a_typed_error(monkeypatch):
+    # a saturation that left three consecutive crossed edges is reported
+    # by an explicit check, not an assert that `python -O` strips
+    monkeypatch.setattr(bounds, "_three_consecutive_crossed", lambda ledger: [5])
+    inst = family_delta3(4)
+    with pytest.raises(InvalidDrawing, match=r"T-vertices \[5\]"):
+        charging_run(inst.drawing, inst.witness, DELTA3_T)
+
+
 def test_charging_case_two_vertices_get_exactly_fourteen():
     # degree-3 T-vertices with one uncrossed leg end up with charge
     # 6 + 3 + 3 + 2, the last through an auxiliary edge
@@ -276,42 +286,42 @@ def test_charging_holds_for_every_admissible_t():
 
 def test_deficiency_bound_delta3_tight():
     inst = family_delta3(4)
-    chk = check_deficiency_mindeg34(inst.graph, inst.witness, 3)
+    chk = check_deficiency(inst.graph, inst.witness, 3)
     assert (chk.lhs, chk.rhs) == (8, Fraction(56, 7))
     assert chk.holds and chk.tight
 
 
 def test_deficiency_bound_delta4_tight():
     inst = family_delta4(8)
-    chk = check_deficiency_mindeg34(inst.graph, inst.witness, 4)
+    chk = check_deficiency(inst.graph, inst.witness, 4)
     assert (chk.lhs, chk.rhs) == (4, 4)
     assert chk.holds and chk.tight
 
 
 def test_deficiency_bound_requires_two_vertices():
     with pytest.raises(STooSmall):
-        check_deficiency_mindeg34(family_delta3(4).graph, {0}, 3)
+        check_deficiency(family_delta3(4).graph, {0}, 3)
 
 
 def test_deficiency_bound_degree_gate():
     with pytest.raises(DegreeTooLow):
-        check_deficiency_mindeg34(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 1}, 3)
+        check_deficiency(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 1}, 3)
 
 
 def test_deficiency_mindeg5_tight():
-    chk = check_deficiency_mindeg5(family_delta5(4).graph, {0})
+    chk = check_deficiency(family_delta5(4).graph, {0}, 5)
     assert (chk.lhs, chk.rhs) == (3, 3)
     assert chk.tight
-    chk6 = check_deficiency_mindeg5(family_delta5(6).graph, {0})
+    chk6 = check_deficiency(family_delta5(6).graph, {0}, 5)
     assert (chk6.lhs, chk6.rhs) == (5, 5)
 
 
 def test_deficiency_mindeg5_single_vertex_of_k6():
     # removing one vertex of K6 leaves one odd K5 component: lhs = 0 = rhs
-    chk = check_deficiency_mindeg5(make_k(6), {0})
+    chk = check_deficiency(make_k(6), {0}, 5)
     assert (chk.lhs, chk.rhs, chk.holds) == (0, 0, True)
     with pytest.raises(STooSmall):
-        check_deficiency_mindeg5(make_k(6), set())
+        check_deficiency(make_k(6), set(), 5)
 
 
 def test_min_odd_component_size():

@@ -191,6 +191,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_theorem1_rejects_delta_without_a_bound(tmp_path, capsys):
+    run(capsys, "generate", "delta6", "--g", "1", "-o", str(tmp_path))
+    for delta in ("6", "2"):
+        assert main(["check", "theorem1", str(tmp_path / "delta6-g1.graph"), "--delta", delta,
+                     "--provenance", str(tmp_path / "delta6-g1.1pg")]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
 def test_missing_file_is_parse_error(capsys):
     assert main(["solve", "/nonexistent/file.graph"]) == 2
     capsys.readouterr()

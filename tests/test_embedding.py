@@ -418,6 +418,13 @@ def test_1pg_round_trip_byte_exact():
 
 
 def test_1pg_parse_rejects_garbage():
-    for text in ("", "1pg a b c\n", "1pg 2 0 1\npv 0 real 0\n"):
+    pvs = "1pg 2 0 1\npv 0 real 0\npv 1 real 1\n"
+    for text in (
+        "",
+        "1pg a b c\n",
+        "1pg 2 0 1\npv 0 real 0\n",
+        pvs + "seg 5 0 1 0 0\nrot 0: 5.0\nrot 1: 5.1\n",  # segment id beyond the header count
+        pvs + "seg 0 0 1 0 0\nrot 0: 0.0\nrot 1: 0.1\nrot 7:\n",  # rotation of no pvertex
+    ):
         with pytest.raises(ParseError):
             parse_drawing(text)

@@ -195,7 +195,7 @@ def test_families_are_deterministic():
 
 def test_witness_round_trip():
     inst = family_delta5(4)
-    text = write_witness(inst)
+    text = write_witness(inst.witness, inst.predicted_deficiency, inst.predicted_matching_upper)
     s, deficiency, upper = parse_witness(text)
     assert s == inst.witness
     assert deficiency == inst.predicted_deficiency

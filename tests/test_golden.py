@@ -1,8 +1,11 @@
-"""Golden digests: the CLI's generated files and charge ledgers, byte for byte.
+"""Golden digests: the CLI's generated files, charge ledgers, `solve`
+outputs and deficiency/matching checks, byte for byte.
 
-Every digest below was computed before the local-surgery rewrite of
-`embedding`; any drift in a generator, a surgery, the PRNG, the face
-order or a text format changes one of them.  To inspect a mismatch,
+The generate and charge digests were computed before the local-surgery
+rewrite of `embedding`, the solve and check digests before the per-delta
+bound table and the single witness writer; any drift in a generator, a
+surgery, the PRNG, the face order, a bound or a text format changes one
+of them.  To inspect a mismatch,
 rerun the failing command by hand and diff its output against a checkout
 that still passes.
 """
@@ -35,17 +38,45 @@ GENERATE = {
     ("random", "--n", "20", "--x", "5", "--seed", "3"): "b410e075dc17a270cfce4edeef976c04b5c947a58ae3d81e2ad3fc6a818bc79e",
 }
 
-# drawing stem -> generate argv; S is the family witness file, or for the
-# random drawing the complement of its greedy independent T, as a csv
-LEDGER_INPUTS = {
+# stem -> generate argv of every solve, check and ledger input
+INPUTS = {
+    "delta3-s4": ("delta3", "--s", "4"),
     "delta3-s6": ("delta3", "--s", "6"),
+    "delta4-s8": ("delta4", "--s", "8"),
+    "delta5-g2": ("delta5", "--g", "2"),
+    "delta5-g4": ("delta5", "--g", "4"),
     "random-n16-x3-seed5": ("random", "--n", "16", "--x", "3", "--seed", "5"),
 }
+# (stem, order seed) -> digest of `check charge --dump`; S is the family
+# witness file, or for the random drawing the complement of its greedy
+# independent T, as a csv
 CHARGE = {
     ("delta3-s6", None): "36ffc0020d9271bda14b99f5ac15fc4ee59f21ddd21a1c23d87515bc599509b3",
     ("delta3-s6", 7): "36ffc0020d9271bda14b99f5ac15fc4ee59f21ddd21a1c23d87515bc599509b3",
     ("random-n16-x3-seed5", None): "b10764bdf6ed5c079494815e237f5400b3cd004ad7757659094ba74e70b4b312",
     ("random-n16-x3-seed5", 7): "4bb6beda2e69ae9a00aada6bc147937152150b09c52c3717adb042103a085292",
+}
+
+# (stem, mode) -> digest of `solve <stem>.graph --mode <mode>` stdout
+SOLVE = {
+    ("delta3-s4", "matching"): "596a59b7245791da73ef154f0731309f342323ecfffd8126fc1d7ce91a2529a9",
+    ("delta3-s4", "oracle"): "91e7e5299fb1285ac927f1beea04cb14a2f9ce83f9cdfaecc18ed6bbdbe4af03",
+    ("delta3-s4", "duality"): "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6",
+    ("delta5-g2", "matching"): "c80bd916dc33210f32450c4673b7852218ff5e1c41b4c8b1028418050a0f5154",
+    ("delta5-g2", "oracle"): "3d27d063551ce863bdbe2b578a2e7fe6303dce1edfd2b6df433bdc234c17fca7",
+    ("delta5-g2", "duality"): "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6",
+}
+# (check, stem, extra argv) -> digest of the exit code and stdout of
+# `check <check> <stem>.graph --provenance <stem>.1pg [--S <stem>.witness]`
+CHECK = {
+    ("lemma7", "delta3-s4", "--delta", "3"): "d52713f4c6bc04c0e147a1eae77a623232eb02b9bd22b570ac83df05b9a7b2b5",
+    ("lemma7", "delta4-s8", "--delta", "4"): "9253c17447d2ab60951bf841b0d3dd3d0dfefae68e5a45b73175ef96e6cbe006",
+    ("lemma8", "delta5-g4"): "dda2f414a61de03e906805842032fb43704bb323104833026bbcac28170f7e1c",
+    ("theorem1", "delta3-s4", "--delta", "3"): "2ff61629b1507f1f971f84b27c7dcaeb3ca25a894c4f68de04ae3c553eac81f8",
+    ("theorem1", "delta4-s8", "--delta", "4"): "4d7bef7bd4a4ccf6aed4fde6be96027dcec443157942362e3ed01099a5b29977",
+    ("theorem1", "delta4-s8", "--delta", "3"): "703b9d0cf2747e01ea16a2cc6d72cd4d7d8727864cb37164633a4087364cdabc",
+    ("theorem1", "delta5-g4", "--delta", "5"): "7d7ebad635bb2e6281642147dd1fee15bf6b553ef19271bac7faa9a25d701722",
+    ("theorem1", "delta5-g2", "--delta", "5"): "7b329205480d0896907367049e7ab7379a96a6bf8e4c55370adcc87758825575",
 }
 
 
@@ -63,7 +94,7 @@ def generate_digest(tmp_path, argv: tuple[str, ...]) -> str:
 
 
 def ledger_digest(tmp_path, capsys, stem: str, order_seed: int | None) -> str:
-    assert main(["generate", *LEDGER_INPUTS[stem], "-o", str(tmp_path)]) == 0
+    assert main(["generate", *INPUTS[stem], "-o", str(tmp_path)]) == 0
     witness = tmp_path / f"{stem}.witness"
     if witness.exists():
         s_spec = str(witness)
@@ -88,3 +119,32 @@ def test_generate_golden(tmp_path, capsys, argv):
 def test_charge_ledger_golden(tmp_path, capsys, key):
     stem, order_seed = key
     assert ledger_digest(tmp_path, capsys, stem, order_seed) == CHARGE[key]
+
+
+def solve_digest(tmp_path, capsys, stem: str, mode: str) -> str:
+    assert main(["generate", *INPUTS[stem], "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(tmp_path / f"{stem}.graph"), "--mode", mode]) == 0
+    return _sha(capsys.readouterr().out.encode())
+
+
+def check_digest(tmp_path, capsys, what: str, stem: str, extra: tuple[str, ...]) -> str:
+    assert main(["generate", *INPUTS[stem], "-o", str(tmp_path)]) == 0
+    argv = ["check", what, str(tmp_path / f"{stem}.graph"), *extra,
+            "--provenance", str(tmp_path / f"{stem}.1pg")]
+    if what != "theorem1":
+        argv += ["--S", str(tmp_path / f"{stem}.witness")]
+    capsys.readouterr()
+    code = main(argv)
+    return _sha(f"{code}\n".encode() + capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("key", sorted(SOLVE), ids="-".join)
+def test_solve_golden(tmp_path, capsys, key):
+    assert solve_digest(tmp_path, capsys, *key) == SOLVE[key]
+
+
+@pytest.mark.parametrize("key", sorted(CHECK), ids="-".join)
+def test_check_golden(tmp_path, capsys, key):
+    what, stem, *extra = key
+    assert check_digest(tmp_path, capsys, what, stem, tuple(extra)) == CHECK[key]

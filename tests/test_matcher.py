@@ -159,5 +159,6 @@ def test_matching_format_round_trip():
     text = write_matching(m)
     m2 = parse_matching(text)
     assert write_matching(m2) == text
-    with pytest.raises(ParseError):
-        parse_matching("matching 2\nm 0 1\n")
+    for text in ("matching 2\nm 0 1\n", "matching 1\nm a b\n"):
+        with pytest.raises(ParseError):
+            parse_matching(text)

@@ -15,6 +15,7 @@ All comparisons are exact (integers and fractions.Fraction).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -170,15 +171,16 @@ class ChargeLedger:
 
 def _first_addable_chord(
     d: _Planarization,
+    faces: list[Face],
     s: frozenset[int],
     t: frozenset[int],
     rng: SplitMix64 | None,
 ) -> tuple[Face, int, int, int, int] | None:
-    """First S-T chord addable without a bigon, under canonical or shuffled order."""
-    fs = _face_orbits(d)
+    """First S-T chord addable without a bigon, over `faces` in order or shuffled."""
     if rng is not None:
-        rng.shuffle(fs)
-    for face in fs:
+        faces = list(faces)
+        rng.shuffle(faces)
+    for face in faces:
         k = len(face.darts)
         occ = face.real_corner_positions(d)
         s_occ: dict[int, list[int]] = {}
@@ -194,6 +196,13 @@ def _first_addable_chord(
                     if (pj - pi) % k != 1 and (pi - pj) % k != 1:
                         return face, sv, tv, pi, pj
     return None
+
+
+def _replace_face(fs: list[Face], split: Face, pieces: Iterable[Face]) -> None:
+    """Keep the canonically ordered face list fs current after `split` became `pieces`."""
+    fs.remove(split)
+    for f in pieces:
+        bisect.insort(fs, f, key=lambda x: x.darts)
 
 
 def charging_run(
@@ -231,16 +240,17 @@ def charging_run(
     base = work.freeze()
     work.multi_allowed = True
 
-    # step 1: chord saturation
+    # step 1: chord saturation; fs is kept current, in canonical order
+    fs = _face_orbits(work)
     rng = SplitMix64(order_seed) if order_seed is not None else None
     chords: list[tuple[int, int]] = []
     cap = 3 * (work.n_p + 1) ** 2
     while True:
-        found = _first_addable_chord(work, s_set, t_set, rng)
+        found = _first_addable_chord(work, fs, s_set, t_set, rng)
         if found is None:
             break
         face, sv, tv, pi, pj = found
-        work.add_chord(face, sv, tv, occurrences=(pi, pj))
+        _replace_face(fs, face, work.add_chord(face, sv, tv, occurrences=(pi, pj)))
         chords.append((sv, tv))
         if len(chords) >= cap:
             raise InvalidDrawing(f"chord saturation did not terminate after {len(chords)} chords")
@@ -251,13 +261,13 @@ def charging_run(
     delta_vertices: list[int] = []
     delta_attach: list[tuple[int, tuple[int, int, int]]] = []
     while True:
-        target = next(_t_heavy_faces(work, t_set), None)
+        target = next(_t_heavy_faces(work, fs, t_set), None)
         if target is None:
             break
         face, t_corners = target
         attach = tuple(t_corners[:3])
         z = work.n_real
-        work.insert_vertex(face, attach)
+        _replace_face(fs, face, work.insert_vertex(face, attach))
         delta_vertices.append(z)
         delta_attach.append((z, attach))
     final = work.freeze()
@@ -325,11 +335,11 @@ def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
 
 
 def _t_heavy_faces(
-    d: _Planarization, t: frozenset[int]
+    d: _Planarization, faces: Iterable[Face], t: frozenset[int]
 ) -> Iterator[tuple[Face, list[int]]]:
-    """Faces with three or more distinct T-corners, in canonical face order,
-    each with its T-corners sorted."""
-    for face in _face_orbits(d):
+    """The faces of `faces` with three or more distinct T-corners, in their
+    order, each with its T-corners sorted."""
+    for face in faces:
         t_corners = sorted({vid for vid in face.real_corners(d) if vid in t})
         if len(t_corners) >= 3:
             yield face, t_corners
@@ -423,7 +433,7 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     for tv in _three_consecutive_crossed(ledger):
         bad.append(f"T-vertex {tv} keeps three consecutive crossed edges")
-    for face, _ in _t_heavy_faces(final, ledger.t):
+    for face, _ in _t_heavy_faces(final, _face_orbits(final), ledger.t):
         bad.append(f"face with >=3 T-corners survived: {face.darts}")
 
     return ChargeReport(tuple(bad))

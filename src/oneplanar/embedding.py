@@ -28,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     BadAttachment,
     BadVertex,
-    BigonPresent,
     DuplicateEdge,
     InvalidDrawing,
     NotBipartite,
@@ -100,9 +99,6 @@ class _Planarization:
 
     def origin(self, d: Dart) -> int:
         return self.segments[d.sid].ends[d.end]
-
-    def head(self, d: Dart) -> int:
-        return self.segments[d.sid].ends[1 - d.end]
 
     def reverse(self, d: Dart) -> Dart:
         return Dart(d.sid, 1 - d.end)
@@ -178,9 +174,6 @@ class Face:
 
     def __len__(self) -> int:
         return len(self.darts)
-
-    def corners(self, d: OnePlanarDrawing) -> tuple[int, ...]:
-        return tuple(d.origin(x) for x in self.darts)
 
     def real_corner_positions(self, d: _Planarization) -> list[tuple[int, int]]:
         """(walk position, vid) for every real corner occurrence."""
@@ -278,9 +271,9 @@ def _face_at(d: _Planarization, start: Dart) -> Face:
     """The canonical orbit through `start`, found by walking that face alone."""
 
     def successor(x: Dart) -> Dart:
-        rx = d.reverse(x)
-        rot = d.rotations[d.origin(rx)]
-        return rot[(rot.index(rx) + 1) % len(rot)]
+        sid, end = x  # the reversal (sid, 1 - end) is compared as a plain tuple
+        rot = d.rotations[d.segments[sid].ends[1 - end]]
+        return rot[(rot.index((sid, 1 - end)) + 1) % len(rot)]
 
     return _walk_face(start, successor)
 
@@ -505,8 +498,6 @@ def check_bipartite_edge_budget(
     _require_valid(d)
     if d.n_real < 3:
         raise TooSmall("edge budget needs n >= 3")
-    if bigons(d):
-        raise BigonPresent("drawing has a bigon")
     side0, side1 = (frozenset(side) for side in bipartition)
     if side0 & side1 or side0 | side1 != frozenset(range(d.n_real)):
         raise NotBipartite("sides do not partition the vertex set")
@@ -594,7 +585,8 @@ class _Builder(_Planarization):
 
     def add_chord(
         self, face: Face, u: int, v: int, occurrences: tuple[int, int] | None = None
-    ) -> None:
+    ) -> tuple[Face, Face]:
+        """Split `face` by chord (u, v); returns the two pieces of `face`."""
         walk = _check_face(self, face)
         if u == v:
             raise NotOnFace("chord endpoints must differ")
@@ -617,9 +609,10 @@ class _Builder(_Planarization):
         sid = self.new_segment((pu, pv), eid, 0)
         self.insert_before(pu, walk[i], Dart(sid, 0))
         self.insert_before(pv, walk[j], Dart(sid, 1))
+        return _face_at(self, Dart(sid, 0)), _face_at(self, Dart(sid, 1))
 
-    def insert_vertex(self, face: Face, attach: Sequence[int]) -> None:
-        """Add real vertex n_real joined to k >= 2 corners of `face` (walk order)."""
+    def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
+        """Join new real vertex n_real to k >= 2 corners of `face`; returns the k pieces of `face`."""
         walk = _check_face(self, face)
         positions = []
         for vid in attach:
@@ -641,6 +634,7 @@ class _Builder(_Planarization):
             self.insert_before(pu, walk[pos], Dart(sid, 0))
             spoke_darts.append(Dart(sid, 1))
         self.rotations[pz] = spoke_darts[::-1]
+        return [_face_at(self, x) for x in self.rotations[pz]]
 
     def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
         cross_eid = self.eid_of.get(tuple(sorted(cross)))
@@ -1044,7 +1038,9 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
             raise ParseError(f"bad line: {ln!r}") from exc
 
     n_p = n_real + n_dummy
-    if sorted(pvs) != list(range(n_p)) or sorted(segs) != list(range(n_seg)):
+    # counts first, so that a header alone cannot make the ranges below large
+    counts_ok = (len(pvs), len(segs)) == (n_p, n_seg)
+    if not counts_ok or sorted(pvs) != list(range(n_p)) or sorted(segs) != list(range(n_seg)):
         raise ParseError("record ids disagree with header counts")
     if not set(rots) <= set(pvs):
         raise ParseError(f"rotation for missing pvertex {min(set(rots) - set(pvs))}")

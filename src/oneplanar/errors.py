@@ -31,10 +31,6 @@ class NotBipartite(OnePlanarError):
     """Given partition is not a bipartition."""
 
 
-class BigonPresent(OnePlanarError):
-    """Drawing contains a bigon face."""
-
-
 class NotOnFace(OnePlanarError):
     """Requested corner does not lie on the face."""
 

@@ -28,7 +28,6 @@ from .embedding import (
     _Builder,
     _face_at,
     _face_orbits,
-    _Planarization,
     drawing_from_faces,
     validate,
 )
@@ -49,40 +48,19 @@ class FamilyInstance:
 
 
 # ---------------------------------------------------------------------
-# face helpers; each works on a frozen drawing or on a builder
+# face helpers
 
 
-def _corner_order(d: _Planarization):
-    """Sort key of faces: their sorted real corners, then the canonical face order."""
-    return lambda f: (tuple(sorted(f.real_corners(d))), f.darts)
+def _corner_keyed(d: _Builder, f: Face) -> tuple[tuple, Face]:
+    """(sort key, f); faces sort by their sorted real corners, then canonically."""
+    return (tuple(sorted(f.real_corners(d))), f.darts), f
 
 
-def _faces_sorted_by_corners(d: _Planarization) -> list[Face]:
-    return sorted(_face_orbits(d), key=_corner_order(d))
-
-
-def _insort_new_faces(d: _Builder, fs: list[Face]) -> None:
-    """Add the faces around the newest vertex to the corner-sorted face list fs.
-
-    Right after `insert_vertex` these are exactly the pieces of the split
-    face, which the caller has already taken out of fs.
-    """
-    for x in d.rotations[-1]:
-        bisect.insort(fs, _face_at(d, x), key=_corner_order(d))
-
-
-def _face_with_corner_set(d: _Planarization, want: set[int]) -> Face:
-    """The first face, in canonical order, whose real corners are `want`, each once.
-
-    Such a face has every vertex of `want` as a corner, so only the faces
-    around the vertex of `want` with the fewest darts are walked.
-    """
-    around = min((d.real_pid[v] for v in want), key=lambda p: len(d.rotations[p]))
-    matches = []
-    for x in d.rotations[around]:
-        f = _face_at(d, x)
-        if set(f.real_corners(d)) == want and len(f.real_corners(d)) == len(want):
-            matches.append(f)
+def _face_with_corner_set(d: _Builder, faces: Iterable[Face], want: set[int]) -> Face:
+    """The first face of `faces`, in canonical order, whose real corners are `want`, each once."""
+    matches = [
+        f for f in faces if len(c := f.real_corners(d)) == len(want) and set(c) == want
+    ]
     if not matches:
         raise InvalidDrawing(f"no face with corner set {sorted(want)}")
     return min(matches, key=lambda f: f.darts)
@@ -105,12 +83,12 @@ def _stacked_triangulation(s: int, rng: SplitMix64 | None) -> tuple[_Builder, li
     if s < 3:
         raise TooSmall(f"triangulation needs s >= 3, got {s}")
     d = _Builder(drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]]))
-    fs = _faces_sorted_by_corners(d)
+    keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
     for _ in range(3, s):
-        face = fs.pop(rng.below(len(fs)) if rng is not None else 0)
-        d.insert_vertex(face, face.real_corners(d))
-        _insort_new_faces(d, fs)
-    return d, fs
+        _, face = keyed.pop(rng.below(len(keyed)) if rng is not None else 0)
+        for f in d.insert_vertex(face, face.real_corners(d)):
+            bisect.insort(keyed, _corner_keyed(d, f))
+    return d, [f for _, f in keyed]
 
 
 def stacked_quadrangulation(s: int) -> OnePlanarDrawing:
@@ -128,14 +106,14 @@ def _stacked_quadrangulation(s: int) -> tuple[_Builder, list[Face]]:
     if s % 2 != 0:
         raise BadParity(f"quadrangulation size must be even, got {s}")
     d = _Builder(drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]]))
-    fs = _faces_sorted_by_corners(d)
+    keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
     for _ in range(4, s):
-        face = fs.pop(0)
+        _, face = keyed.pop(0)
         corners = face.real_corners(d)
         pick = min(range(4), key=lambda i: corners[i])
-        d.insert_vertex(face, [corners[pick], corners[(pick + 2) % 4]])
-        _insort_new_faces(d, fs)
-    return d, fs
+        for f in d.insert_vertex(face, [corners[pick], corners[(pick + 2) % 4]]):
+            bisect.insort(keyed, _corner_keyed(d, f))
+    return d, [f for _, f in keyed]
 
 
 # ---------------------------------------------------------------------
@@ -151,11 +129,11 @@ def _fill_triangle(d: _Builder, face: Face) -> None:
     """
     c0, c1, c2 = face.real_corners(d)
     a = d.n_real
-    d.insert_vertex(face, [c0, c1])
+    pieces = d.insert_vertex(face, [c0, c1])
     b = d.n_real
-    d.insert_vertex(_face_with_corner_set(d, {c0, c1, c2, a}), [c1, c2])
+    pieces = d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, c2, a}), [c1, c2])
     c = d.n_real
-    d.insert_vertex(_face_with_corner_set(d, {c0, c1, c2, a, b}), [c2, c0])
+    d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, c2, a, b}), [c2, c0])
     d.add_crossed(b, c0, (a, c1))
     d.add_crossed(c, c1, (b, c2))
     d.add_crossed(a, c2, (c, c0))
@@ -169,15 +147,19 @@ def _fill_quad(d: _Builder, face: Face) -> None:
     """
     c0, c1, c2, c3 = face.real_corners(d)
     a = d.n_real
-    d.insert_vertex(face, [c0, c1, c2, c3])
+    pieces = d.insert_vertex(face, [c0, c1, c2, c3])
     b = d.n_real
-    d.insert_vertex(_face_with_corner_set(d, {c0, c1, a}), [c0, c1])
+    d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, a}), [c0, c1])
     d.add_crossed(b, c2, (a, c1))
     d.add_crossed(b, c3, (a, c0))
 
 
 def _cross_quad_face(d: _Builder, face: Face) -> None:
-    """Add both diagonals of a quadrilateral face, crossing inside it."""
+    """Add both diagonals of a quadrilateral face, crossing inside it.
+
+    Only `face` changes, so a face list taken earlier stays current for
+    every other face.
+    """
     w = face.real_corners(d)
     if len(w) != 4 or len(set(w)) != 4:
         raise InvalidDrawing(f"not a quadrilateral face: {w}")
@@ -241,8 +223,8 @@ def family_delta4_k5(k: int) -> FamilyInstance:
     for i in range(k):
         p1, p3, p2 = 3 * i + 2, 3 * i + 3, 3 * i + 4
         d.insert_vertex(_face_at(d, side01), [0, 1])  # p1
-        d.insert_vertex(_face_at(d, side01), [0, 1])  # p3
-        rim = _face_with_corner_set(d, {0, 1, p1, p3})
+        pieces = d.insert_vertex(_face_at(d, side01), [0, 1])  # p3
+        rim = _face_with_corner_set(d, pieces, {0, 1, p1, p3})
         d.insert_vertex(rim, rim.real_corners(d))  # p2
         d.add_crossed(p1, p3, (0, p2))
         if d.n_real != 3 * i + 5:
@@ -258,8 +240,9 @@ def k6_drawing() -> OnePlanarDrawing:
         6,
         [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]],
     ))
+    fs = _face_orbits(d)
     for quad in ({0, 1, 4, 3}, {1, 2, 5, 4}, {2, 0, 3, 5}):
-        _cross_quad_face(d, _face_with_corner_set(d, quad))
+        _cross_quad_face(d, _face_with_corner_set(d, fs, quad))
     return d.freeze()
 
 
@@ -274,8 +257,9 @@ def cube_block_drawing() -> OnePlanarDrawing:
         [1, 5, 7, 3],
     ]
     d = _Builder(drawing_from_faces(8, quads))
+    fs = _face_orbits(d)
     for q in quads:
-        _cross_quad_face(d, _face_with_corner_set(d, set(q)))
+        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
     return d.freeze()
 
 
@@ -307,8 +291,9 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
                 edgesq.append([vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)])
     squares = axial + edgesq
     d = _Builder(drawing_from_faces(24, tri + squares))
+    fs = _face_orbits(d)
     for q in squares:
-        _cross_quad_face(d, _face_with_corner_set(d, set(q)))
+        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
     return d.freeze()
 
 
@@ -372,10 +357,10 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
         face = fs[fi]
         u, v, w = face.real_corners(d)
         z = d.n_real
-        d.insert_vertex(face, [u, v])
+        pieces = d.insert_vertex(face, [u, v])
         y = d.n_real
-        d.insert_vertex(_face_with_corner_set(d, {u, v, w, z}), [w, z])
-        quad = _face_with_corner_set(d, {w, u, z, y})
+        pieces = d.insert_vertex(_face_with_corner_set(d, pieces, {u, v, w, z}), [w, z])
+        quad = _face_with_corner_set(d, pieces, {w, u, z, y})
         d.add_chord(quad, z, w)
         d.add_crossed(u, y, (min(z, w), max(z, w)))
     return d.freeze()

@@ -26,9 +26,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covers(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
 
 @dataclass(frozen=True)
 class DeficiencyWitness:

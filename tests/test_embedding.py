@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from oneplanar.embedding import (
     validate,
     wedge_at_vertex,
     write_drawing,
+    _Builder,
     _face_at,
     _face_orbits,
 )
@@ -35,7 +37,12 @@ from oneplanar.errors import (
     ParseError,
     WouldCreateBigon,
 )
-from oneplanar.generators import family_delta3, k6_drawing, random_oneplanar
+from oneplanar.generators import (
+    family_delta3,
+    k6_drawing,
+    random_oneplanar,
+    stacked_triangulation,
+)
 
 from conftest import c4_drawing, corpus_params, k4_drawing
 
@@ -183,6 +190,11 @@ def test_edge_budget_k33_tight():
     assert (lhs, rhs, holds) == (Fraction(8), 8, True)
 
 
+def test_edge_budget_rejects_a_bigon_as_invalid():
+    with pytest.raises(InvalidDrawing, match="bigon"):
+        check_bipartite_edge_budget(doubled_edge_drawing(), ({0}, {1, 2}))
+
+
 def test_edge_budget_rejects_non_bipartite():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
     with pytest.raises(NotBipartite):
@@ -312,6 +324,49 @@ def test_local_face_walk_matches_full_enumeration():
             assert all(_face_at(d, x) == f for x in f.darts)
 
 
+def _chord_site(b, fs):
+    """The first face with two different real corners that are not walk-adjacent."""
+    for f in fs:
+        occ = f.real_corner_positions(b)
+        for i, u in occ:
+            for j, v in occ:
+                if u != v and (i - j) % len(f) not in (1, len(f) - 1):
+                    return f, u, v, (i, j)
+    return None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: stacked_triangulation(8), lambda: random_oneplanar(10, 3, 4)],
+    ids=["stacked", "random"],
+)
+def test_builder_surgeries_return_the_faces_they_create(make):
+    # after each edit the returned faces are exactly the faces the drawing
+    # gained, and the face passed in is the only face it lost
+    b = _Builder(make())
+    b.multi_allowed = True
+    done = {"chord": 0, "vertex": 0}
+    for step in range(16):
+        before = _face_orbits(b)
+        site = _chord_site(b, before) if step % 2 else None
+        if site is not None:
+            face, u, v, occ = site
+            new = b.add_chord(face, u, v, occurrences=occ)
+            done["chord"] += 1
+        else:
+            # two spokes leave a face with room for a chord, three do not
+            spokes = 2 if step % 4 == 0 else 3
+            face = before[step % len(before)]
+            new = b.insert_vertex(face, sorted(set(face.real_corners(b)))[:spokes])
+            done["vertex"] += 1
+        kept = [f for f in before if f != face]
+        assert len(kept) == len(before) - 1
+        assert sorted(_face_orbits(b), key=lambda f: f.darts) == sorted(
+            kept + list(new), key=lambda f: f.darts
+        )
+    assert min(done.values()) >= 4
+    assert validate(b.freeze()).valid
+
+
 def test_faces_partition_every_dart():
     d = random_oneplanar(8, 2, 3)
     fs = faces(d)
@@ -428,3 +483,14 @@ def test_1pg_parse_rejects_garbage():
     ):
         with pytest.raises(ParseError):
             parse_drawing(text)
+
+
+def test_1pg_parse_header_counts_allocate_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_drawing("1pg 1000000 0 0\npv 0 real 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -3,11 +3,12 @@ outputs and deficiency/matching checks, byte for byte.
 
 The generate and charge digests were computed before the local-surgery
 rewrite of `embedding`, the solve and check digests before the per-delta
-bound table and the single witness writer; any drift in a generator, a
-surgery, the PRNG, the face order, a bound or a text format changes one
-of them.  To inspect a mismatch,
-rerun the failing command by hand and diff its output against a checkout
-that still passes.
+bound table and the single witness writer, the order-seed-11 and
+greedy-S ledgers before the surgeries returned the faces they create;
+any drift in a generator, a surgery, the PRNG, the face order, a bound
+or a text format changes one of them.  To inspect a mismatch, rerun the
+failing command by hand and diff its output against a checkout that
+still passes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ GENERATE = {
 INPUTS = {
     "delta3-s4": ("delta3", "--s", "4"),
     "delta3-s6": ("delta3", "--s", "6"),
+    "delta3-s7": ("delta3", "--s", "7"),
     "delta4-s8": ("delta4", "--s", "8"),
     "delta5-g2": ("delta5", "--g", "2"),
     "delta5-g4": ("delta5", "--g", "4"),
@@ -55,6 +57,15 @@ CHARGE = {
     ("delta3-s6", 7): "36ffc0020d9271bda14b99f5ac15fc4ee59f21ddd21a1c23d87515bc599509b3",
     ("random-n16-x3-seed5", None): "b10764bdf6ed5c079494815e237f5400b3cd004ad7757659094ba74e70b4b312",
     ("random-n16-x3-seed5", 7): "4bb6beda2e69ae9a00aada6bc147937152150b09c52c3717adb042103a085292",
+    ("random-n16-x3-seed5", 11): "f31a3cc2d32064bfbd1b4894519f2aa66c1e2df44c0c79174edff954fdfcaced",
+}
+# the same with S the complement of the greedy independent T even where a
+# witness file exists: then step 1 adds 18 chords and step 2 four
+# auxiliary vertices, and each order gives a different ledger
+CHARGE_GREEDY_S = {
+    ("delta3-s7", None): "a404e34e569736c162bd20afc694ee9bc8db3189753f7b690af0bc1985cc85e8",
+    ("delta3-s7", 7): "595d05a3674aeef09a3aa3e74ae82e2650587d625939a013382f0345645ac294",
+    ("delta3-s7", 11): "05c0829c4c661998ff9a641e68667f88e7f474d067aa29f3c5fdf4eed08a6348",
 }
 
 # (stem, mode) -> digest of `solve <stem>.graph --mode <mode>` stdout
@@ -93,10 +104,12 @@ def generate_digest(tmp_path, argv: tuple[str, ...]) -> str:
     return h.hexdigest()
 
 
-def ledger_digest(tmp_path, capsys, stem: str, order_seed: int | None) -> str:
+def ledger_digest(
+    tmp_path, capsys, stem: str, order_seed: int | None, greedy_s: bool = False
+) -> str:
     assert main(["generate", *INPUTS[stem], "-o", str(tmp_path)]) == 0
     witness = tmp_path / f"{stem}.witness"
-    if witness.exists():
+    if witness.exists() and not greedy_s:
         s_spec = str(witness)
     else:
         g = parse_graph((tmp_path / f"{stem}.graph").read_text())
@@ -119,6 +132,13 @@ def test_generate_golden(tmp_path, capsys, argv):
 def test_charge_ledger_golden(tmp_path, capsys, key):
     stem, order_seed = key
     assert ledger_digest(tmp_path, capsys, stem, order_seed) == CHARGE[key]
+
+
+@pytest.mark.parametrize("key", sorted(CHARGE_GREEDY_S, key=str), ids=str)
+def test_charge_ledger_greedy_s_golden(tmp_path, capsys, key):
+    stem, order_seed = key
+    digest = ledger_digest(tmp_path, capsys, stem, order_seed, greedy_s=True)
+    assert digest == CHARGE_GREEDY_S[key]
 
 
 def solve_digest(tmp_path, capsys, stem: str, mode: str) -> str:

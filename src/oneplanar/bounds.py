@@ -24,8 +24,8 @@ from .embedding import (
     Face,
     OnePlanarDrawing,
     _Builder,
-    _face_orbits,
     _Planarization,
+    _require_valid,
     crossing_weighted_degree,
     validate,
 )
@@ -64,9 +64,7 @@ class DegreeClassCount:
 def _check_t_preconditions(d: OnePlanarDrawing, t: frozenset[int]) -> Graph:
     if not t:
         raise EmptyT("independent set T must be non-empty")
-    report = validate(d)
-    if not report.valid:
-        raise InvalidDrawing("; ".join(report.violations))
+    _require_valid(d)
     if d.multi_allowed:
         raise InvalidDrawing("degree bounds require a simple-mode drawing")
     g = d.graph()
@@ -95,24 +93,22 @@ def degree_classes(d: OnePlanarDrawing, t: Iterable[int]) -> DegreeClassCount:
 
 def check_degree_bound(d: OnePlanarDrawing, t: Iterable[int]) -> BoundCheck:
     """Degree-class inequality 2|T_3| + sum_{d>=4} (3d-6)|T_d| <= 12|V-T| - 24."""
-    members = frozenset(t)
-    g = _check_t_preconditions(d, members)
-    classes = degree_classes(d, members).by_degree
-    lhs = 0
-    for deg, cnt in classes.items():
-        lhs += 2 * cnt if deg == 3 else (3 * deg - 6) * cnt
-    rhs = 12 * (g.n - len(members)) - 24
-    return BoundCheck(Fraction(lhs), Fraction(rhs), lhs <= rhs)
+    return _degree_class_bound(d, t, False, lambda deg: 2 if deg == 3 else 3 * deg - 6)
 
 
 def check_cw_degree_bound(d: OnePlanarDrawing, t: Iterable[int]) -> BoundCheck:
     """Crossing-weighted variant 2|W_3| + 2|W_4| + sum_{d>=5} (3d-12)|W_d| <= 12|V-T| - 24."""
+    return _degree_class_bound(d, t, True, lambda deg: 2 if deg in (3, 4) else 3 * deg - 12)
+
+
+def _degree_class_bound(d: OnePlanarDrawing, t: Iterable[int], cw: bool, weight) -> BoundCheck:
+    """sum of weight(deg) * |class| over T's classes by degree (by
+    crossing-weighted degree if cw) <= 12|V-T| - 24."""
     members = frozenset(t)
     g = _check_t_preconditions(d, members)
-    classes = degree_classes(d, members).by_cw_degree
-    lhs = 0
-    for deg, cnt in classes.items():
-        lhs += 2 * cnt if deg in (3, 4) else (3 * deg - 12) * cnt
+    counts = degree_classes(d, members)
+    classes = counts.by_cw_degree if cw else counts.by_degree
+    lhs = sum(weight(deg) * cnt for deg, cnt in classes.items())
     rhs = 12 * (g.n - len(members)) - 24
     return BoundCheck(Fraction(lhs), Fraction(rhs), lhs <= rhs)
 
@@ -241,7 +237,7 @@ def charging_run(
     work.multi_allowed = True
 
     # step 1: chord saturation; fs is kept current, in canonical order
-    fs = _face_orbits(work)
+    fs = list(_require_valid(base).faces)
     rng = SplitMix64(order_seed) if order_seed is not None else None
     chords: list[tuple[int, int]] = []
     cap = 3 * (work.n_p + 1) ** 2
@@ -387,14 +383,18 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     # bookkeeping identities
     charge_of = dict(ledger.charge_class)
-    recount = {2: 0, 3: 0, 6: 0}
     for eid, c in ledger.charge_class:
+        if not (0 <= eid < len(final.edges)):
+            bad.append(f"edge {eid} charged {c} is not an edge of the final drawing")
+            continue
         u, v = final.edges[eid]
         want = 2 if (u in delta_set or v in delta_set) else (3 if eid in crossed_final else 6)
         if c != want:
             bad.append(f"edge {eid} charged {c}, expected {want}")
-        recount[c] += 1
-    total = 6 * recount[6] + 3 * recount[3] + 2 * recount[2]
+    for eid in range(len(final.edges)):
+        if eid not in charge_of:
+            bad.append(f"edge {eid} {final.edges[eid]} has no charge")
+    total = sum(c for _, c in ledger.charge_class)
     if total != ledger.totals[0]:
         bad.append(f"stored total {ledger.totals[0]} != recomputed {total}")
     rhs = 12 * len(ledger.s) + 12 * len(ledger.t) - 24
@@ -416,8 +416,11 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
     g_base = base.graph()
     for tv in sorted(ledger.t):
         uncrossed_gp = sum(1 for eid in gp.incident_eids(tv) if eid not in crossed_gp)
-        c = vc[tv]
-        recomputed = sum(charge_of[eid] for eid in final.incident_eids(tv))
+        c = vc.get(tv)
+        if c is None:
+            bad.append(f"c({tv}) missing from the ledger")
+            continue
+        recomputed = sum(charge_of.get(eid, 0) for eid in final.incident_eids(tv))
         if c != recomputed:
             bad.append(f"c({tv}) stored {c} != recomputed {recomputed}")
         if c < 14:
@@ -433,7 +436,7 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     for tv in _three_consecutive_crossed(ledger):
         bad.append(f"T-vertex {tv} keeps three consecutive crossed edges")
-    for face, _ in _t_heavy_faces(final, _face_orbits(final), ledger.t):
+    for face, _ in _t_heavy_faces(final, validate(final).faces, ledger.t):
         bad.append(f"face with >=3 T-corners survived: {face.darts}")
 
     return ChargeReport(tuple(bad))
@@ -473,9 +476,7 @@ def _check_provenance(g: Graph, provenance: Provenance | None) -> None:
     if provenance is None:
         raise NoProvenance("1-planarity attestation required (drawing or family instance)")
     drawing = provenance.drawing if isinstance(provenance, FamilyInstance) else provenance
-    report = validate(drawing)
-    if not report.valid:
-        raise InvalidDrawing("; ".join(report.violations))
+    _require_valid(drawing)
     if drawing.n_real != g.n or tuple(sorted(drawing.edges)) != tuple(sorted(g.edges)):
         raise NoProvenance("attested drawing does not match the graph")
 

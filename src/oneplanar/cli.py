@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,38 +44,18 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record: same manifest inputs must yield identical outputs."""
-
-    command: str
-    arguments: dict[str, object]
-    input_digests: dict[str, str]
-    outputs: list[str]
-    output_digests: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "arguments": self.arguments,
-            "input_digests": self.input_digests,
-            "outputs": self.outputs,
-            "output_digests": self.output_digests,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
 def _write_manifest(
     path: str, command: str, arguments: dict, inputs: list[str], outputs: list[str]
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        arguments={k: v for k, v in sorted(arguments.items()) if v is not None},
-        input_digests={p: _digest(Path(p)) for p in sorted(inputs)},
-        outputs=sorted(outputs),
-        output_digests={p: _digest(Path(p)) for p in sorted(outputs)},
-    )
-    Path(path).write_text(manifest.to_json())
+    """Reproducibility record: same manifest inputs must yield identical outputs."""
+    manifest = {
+        "command": command,
+        "arguments": {k: v for k, v in arguments.items() if v is not None},
+        "input_digests": {p: _digest(Path(p)) for p in inputs},
+        "outputs": sorted(outputs),
+        "output_digests": {p: _digest(Path(p)) for p in outputs},
+    }
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_ids(text: str) -> frozenset[int]:
@@ -154,22 +133,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     for p in outputs:
         print(p)
     if args.manifest:
-        _write_manifest(
-            args.manifest,
-            "generate",
-            {
-                "family": args.family,
-                "s": args.s,
-                "k": args.k,
-                "g": args.g,
-                "n": args.n,
-                "x": args.x,
-                "seed": args.seed,
-                "out": args.out,
-            },
-            [],
-            outputs,
-        )
+        names = ("family", "s", "k", "g", "n", "x", "seed", "out")
+        arguments = {name: getattr(args, name) for name in names}
+        _write_manifest(args.manifest, "generate", arguments, [], outputs)
     return EXIT_OK
 
 
@@ -231,10 +197,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             sides = (side0, frozenset(range(d.n_real)) - side0)
         else:
             sides = _two_coloring(d.graph())
-        lhs, rhs, holds = embedding.check_bipartite_edge_budget(d, sides)
-        print(f"lhs={_fmt(lhs)} rhs={_fmt(rhs)} {'holds' if holds else 'violated'}"
-              + (" tight" if holds and lhs == rhs else ""))
-        return EXIT_OK if holds else EXIT_VIOLATION
+        chk = bounds.BoundCheck(*embedding.check_bipartite_edge_budget(d, sides))
+        print(_bound_line(chk))
+        return EXIT_OK if chk.holds else EXIT_VIOLATION
 
     if what in ("lemma5", "lemma6"):
         d = embedding.parse_drawing(Path(args.input).read_text())

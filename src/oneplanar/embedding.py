@@ -100,9 +100,6 @@ class _Planarization:
     def origin(self, d: Dart) -> int:
         return self.segments[d.sid].ends[d.end]
 
-    def reverse(self, d: Dart) -> Dart:
-        return Dart(d.sid, 1 - d.end)
-
 
 @dataclass(frozen=True)
 class OnePlanarDrawing(_Planarization):
@@ -189,7 +186,8 @@ class Face:
 
 
 def _canonical_walk(walk: Sequence[Dart]) -> tuple[Dart, ...]:
-    k = min(range(len(walk)), key=lambda i: walk[i])
+    """The walk rotated to start at its first smallest dart; empty stays empty."""
+    k = walk.index(min(walk)) if walk else 0
     return tuple(walk[k:]) + tuple(walk[:k])
 
 
@@ -199,7 +197,12 @@ def _canonical_walk(walk: Sequence[Dart]) -> tuple[Dart, ...]:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Violations of a drawing; a valid drawing's report also keeps its
+    canonically ordered faces and the planarization's component count."""
+
     violations: tuple[str, ...]
+    faces: tuple[Face, ...] = ()
+    components: int = 0
 
     @property
     def valid(self) -> bool:
@@ -245,22 +248,18 @@ def _walk_face(start: Dart, successor) -> Face:
 
 def _face_orbits(d: _Planarization) -> list[Face]:
     """All face walks of the rotation system, canonically ordered."""
-    index_at: list[dict[Dart, int]] = [
-        {x: i for i, x in enumerate(rot)} for rot in d.rotations
-    ]
-
-    def successor(x: Dart) -> Dart:
-        rx = d.reverse(x)
-        p = d.origin(rx)
-        rot = d.rotations[p]
-        return rot[(index_at[p][rx] + 1) % len(rot)]
+    # the successor of a dart is the rotation successor of its reversal
+    successor: dict[tuple[int, int], Dart] = {}
+    for rot in d.rotations:
+        for i, (sid, end) in enumerate(rot):
+            successor[sid, 1 - end] = rot[(i + 1) % len(rot)]
 
     seen: set[Dart] = set()
     out: list[Face] = []
     for sid in range(d.m_p):
         for end in (0, 1):
             if Dart(sid, end) not in seen:
-                face = _walk_face(Dart(sid, end), successor)
+                face = _walk_face(Dart(sid, end), successor.__getitem__)
                 seen.update(face.darts)
                 out.append(face)
     out.sort(key=lambda f: f.darts)
@@ -407,7 +406,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     # planarity: Euler's formula per planarization component
-    faces = _face_orbits(d)
+    orbits = _face_orbits(d)
     comp_of: dict[int, int] = {}
     comps = _planarization_components(d)
     for ci, comp in enumerate(comps):
@@ -418,7 +417,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     f_c = [0] * len(comps)
     for seg in d.segments:
         m_c[comp_of[seg.ends[0]]] += 1
-    for face in faces:
+    for face in orbits:
         f_c[comp_of[d.origin(face.darts[0])]] += 1
     for ci in range(len(comps)):
         if m_c[ci] == 0:
@@ -430,24 +429,26 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
 
     # bigons are forbidden in both modes (simple mode cannot have them anyway)
     if not bad:
-        for face in _bigon_faces(d, faces):
+        for face in _bigon_faces(d, orbits):
             bad.append(f"bigon face {face.darts}")
+    if bad:
+        return ValidationReport(tuple(bad))
+    return ValidationReport((), tuple(orbits), len(comps))
 
-    return ValidationReport(tuple(bad))
 
-
-def _require_valid(d: OnePlanarDrawing) -> None:
+def _require_valid(d: OnePlanarDrawing) -> ValidationReport:
     report = validate(d)
     if not report.valid:
         raise InvalidDrawing("; ".join(report.violations))
+    return report
 
 
 def faces(d: OnePlanarDrawing) -> list[Face]:
     """All faces of a valid connected drawing, canonically ordered."""
-    _require_valid(d)
-    if len(_planarization_components(d)) > 1:
+    report = _require_valid(d)
+    if report.components > 1:
         raise InvalidDrawing("drawing is disconnected; process per component")
-    return _face_orbits(d)
+    return list(report.faces)
 
 
 def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
@@ -876,20 +877,18 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
         if len(fids) != 2:
             raise InvalidDrawing(f"edge {sorted(pair)} covered {len(fids)} times")
 
-    oriented: list[list[int] | None] = [None] * len(face_cycles)
-    oriented[0] = list(face_cycles[0])
+    oriented: dict[int, list[int]] = {0: list(face_cycles[0])}
     queue = [0]
     while queue:
         fi = queue.pop()
         cyc = oriented[fi]
-        assert cyc is not None
         arcs = {(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
         for i in range(len(cyc)):
             u, v = cyc[i], cyc[(i + 1) % len(cyc)]
             other = [f for f in incidence[frozenset((u, v))] if f != fi]
             fj = other[0] if other else fi
-            if fj == fi or oriented[fj] is not None:
-                if fj != fi and oriented[fj] is not None:
+            if fj == fi or fj in oriented:
+                if fj != fi:
                     cyc_j = oriented[fj]
                     arcs_j = {
                         (cyc_j[k], cyc_j[(k + 1) % len(cyc_j)])
@@ -905,14 +904,14 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
             else:
                 oriented[fj] = list(reversed(cyc_j))
             queue.append(fj)
-    if any(c is None for c in oriented):
+    if len(oriented) != len(face_cycles):
         raise InvalidDrawing("face set is disconnected")
 
     # rotation at v: dart to u is immediately followed by dart to w
     # whenever some face runs u, v, w
     succ: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for cyc in oriented:
-        assert cyc is not None
+    for fi in range(len(face_cycles)):
+        cyc = oriented[fi]
         k = len(cyc)
         for i in range(k):
             u, v, w = cyc[i], cyc[(i + 1) % k], cyc[(i + 2) % k]
@@ -986,12 +985,7 @@ def write_drawing(d: OnePlanarDrawing) -> str:
     for sid, seg in enumerate(d.segments):
         lines.append(f"seg {sid} {seg.ends[0]} {seg.ends[1]} {seg.eid} {seg.part}")
     for pid, rot in enumerate(d.rotations):
-        if rot:
-            k = min(range(len(rot)), key=lambda i: rot[i])
-            canon = rot[k:] + rot[:k]
-        else:
-            canon = rot
-        darts = " ".join(f"{x.sid}.{x.end}" for x in canon)
+        darts = " ".join(f"{x.sid}.{x.end}" for x in _canonical_walk(rot))
         lines.append(f"rot {pid}: {darts}".rstrip())
     return "\n".join(lines) + "\n"
 

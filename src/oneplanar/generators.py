@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .embedding import (
     Dart,
     Face,
     OnePlanarDrawing,
-    RealV,
-    Segment,
     _Builder,
     _face_at,
     _face_orbits,
@@ -70,6 +68,22 @@ def _face_with_corner_set(d: _Builder, faces: Iterable[Face], want: set[int]) ->
 # planar substrates
 
 
+def _stacked(
+    cycle: int, s: int, attach: Callable[[Sequence[int]], Sequence[int]], rng: SplitMix64 | None
+) -> tuple[_Builder, list[Face]]:
+    """Grow the two-faced `cycle`-gon to s vertices: each step pops a face
+    (the smallest corner set first, unless an rng picks one) and joins a new
+    vertex to `attach` of its corners.  Returns the drawing and its faces in
+    corner order, kept sorted as faces split."""
+    d = _Builder(drawing_from_faces(cycle, [list(range(cycle)), list(range(cycle))[::-1]]))
+    keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
+    for _ in range(cycle, s):
+        _, face = keyed.pop(rng.below(len(keyed)) if rng is not None else 0)
+        for f in d.insert_vertex(face, attach(face.real_corners(d))):
+            bisect.insort(keyed, _corner_keyed(d, f))
+    return d, [f for _, f in keyed]
+
+
 def stacked_triangulation(s: int, rng: SplitMix64 | None = None) -> OnePlanarDrawing:
     """Planar triangulation on s vertices grown by repeated face splitting.
 
@@ -79,16 +93,9 @@ def stacked_triangulation(s: int, rng: SplitMix64 | None = None) -> OnePlanarDra
 
 
 def _stacked_triangulation(s: int, rng: SplitMix64 | None) -> tuple[_Builder, list[Face]]:
-    """The triangulation and its faces in corner order, kept sorted as faces split."""
     if s < 3:
         raise TooSmall(f"triangulation needs s >= 3, got {s}")
-    d = _Builder(drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]]))
-    keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
-    for _ in range(3, s):
-        _, face = keyed.pop(rng.below(len(keyed)) if rng is not None else 0)
-        for f in d.insert_vertex(face, face.real_corners(d)):
-            bisect.insort(keyed, _corner_keyed(d, f))
-    return d, [f for _, f in keyed]
+    return _stacked(3, s, lambda c: c, rng)
 
 
 def stacked_quadrangulation(s: int) -> OnePlanarDrawing:
@@ -105,15 +112,7 @@ def _stacked_quadrangulation(s: int) -> tuple[_Builder, list[Face]]:
         raise TooSmall(f"quadrangulation needs s >= 4, got {s}")
     if s % 2 != 0:
         raise BadParity(f"quadrangulation size must be even, got {s}")
-    d = _Builder(drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]]))
-    keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
-    for _ in range(4, s):
-        _, face = keyed.pop(0)
-        corners = face.real_corners(d)
-        pick = min(range(4), key=lambda i: corners[i])
-        for f in d.insert_vertex(face, [corners[pick], corners[(pick + 2) % 4]]):
-            bisect.insort(keyed, _corner_keyed(d, f))
-    return d, [f for _, f in keyed]
+    return _stacked(4, s, lambda c: [min(c), c[(c.index(min(c)) + 2) % 4]], None)
 
 
 # ---------------------------------------------------------------------
@@ -203,21 +202,11 @@ def family_delta4(s: int) -> FamilyInstance:
                      deficiency=s - 4, upper=s)
 
 
-def _k2_drawing() -> OnePlanarDrawing:
-    return OnePlanarDrawing(
-        n_real=2,
-        edges=((0, 1),),
-        pvertices=(RealV(0), RealV(1)),
-        segments=(Segment((0, 1), 0, 0),),
-        rotations=((Dart(0, 0),), (Dart(0, 1),)),
-    )
-
-
 def family_delta4_k5(k: int) -> FamilyInstance:
     """k copies of K5 glued along the shared edge (0, 1)."""
     if k < 1:
         raise TooSmall(f"family delta4-k5 needs k >= 1, got {k}")
-    d = _Builder(_k2_drawing())
+    d = _Builder(drawing_from_faces(2, [[0, 1]]))
     # each block grows on the side of the (0,1) segment's first dart
     side01 = Dart(d.edge_sids[0][0], 0)
     for i in range(k):
@@ -234,16 +223,21 @@ def family_delta4_k5(k: int) -> FamilyInstance:
                      deficiency=k - 2, upper=(n - (k - 2)) // 2)
 
 
+def _with_crossed_quads(
+    n: int, face_cycles: Sequence[Sequence[int]], quads: Sequence[Sequence[int]]
+) -> OnePlanarDrawing:
+    """The planar drawing with faces `face_cycles`, plus both diagonals of each quad in `quads`."""
+    d = _Builder(drawing_from_faces(n, face_cycles))
+    fs = _face_orbits(d)
+    for q in quads:
+        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
+    return d.freeze()
+
+
 def k6_drawing() -> OnePlanarDrawing:
     """The canonical 1-planar K6: triangular prism plus crossed quad diagonals."""
-    d = _Builder(drawing_from_faces(
-        6,
-        [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]],
-    ))
-    fs = _face_orbits(d)
-    for quad in ({0, 1, 4, 3}, {1, 2, 5, 4}, {2, 0, 3, 5}):
-        _cross_quad_face(d, _face_with_corner_set(d, fs, quad))
-    return d.freeze()
+    faces = [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]]
+    return _with_crossed_quads(6, faces, faces[2:])
 
 
 def cube_block_drawing() -> OnePlanarDrawing:
@@ -256,11 +250,7 @@ def cube_block_drawing() -> OnePlanarDrawing:
         [0, 2, 6, 4],
         [1, 5, 7, 3],
     ]
-    d = _Builder(drawing_from_faces(8, quads))
-    fs = _face_orbits(d)
-    for q in quads:
-        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
-    return d.freeze()
+    return _with_crossed_quads(8, quads, quads)
 
 
 def mindeg7_block_drawing() -> OnePlanarDrawing:
@@ -290,11 +280,7 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
                 b1, b2 = [x for x in range(3) if x != a]
                 edgesq.append([vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)])
     squares = axial + edgesq
-    d = _Builder(drawing_from_faces(24, tri + squares))
-    fs = _face_orbits(d)
-    for q in squares:
-        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
-    return d.freeze()
+    return _with_crossed_quads(24, tri + squares, squares)
 
 
 def _hub_family(

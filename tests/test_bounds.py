@@ -281,6 +281,34 @@ def test_charging_holds_for_every_admissible_t():
             assert report.ok, (seed, sorted(t), report.violations)
 
 
+# ledger corruptions the auditor must report (not crash on): each maps a
+# valid ledger to the replaced fields and to the edge or vertex that one
+# of the violations must name
+LEDGER_MUTATIONS = {
+    "charge-outside-2-3-6": lambda lg: (
+        {"charge_class": ((0, 5),) + lg.charge_class[1:]}, "edge 0 charged 5"),
+    "charge-edge-id-unknown": lambda lg: (
+        {"charge_class": lg.charge_class + ((len(lg.final.edges), 6),)},
+        f"edge {len(lg.final.edges)} "),
+    "charge-entry-dropped": lambda lg: ({"charge_class": lg.charge_class[1:]}, "edge 0 "),
+    "t-vertex-uncharged": lambda lg: ({"vertex_charge": lg.vertex_charge[1:]}, "c(5)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEDGER_MUTATIONS))
+def test_charge_verify_reports_corrupted_ledgers(kind):
+    import dataclasses
+
+    inst = family_delta3(5)
+    ledger = charging_run(inst.drawing, inst.witness, frozenset(range(5, 23)))
+    assert charge_verify(ledger).ok
+    assert ledger.charge_class[0] == (0, 6) and ledger.vertex_charge[0][0] == 5
+    changes, names = LEDGER_MUTATIONS[kind](ledger)
+    report = charge_verify(dataclasses.replace(ledger, **changes))
+    assert report.violations
+    assert any(names in v for v in report.violations), report.violations
+
+
 # --- deficiency bounds ----------------------------------------------------
 
 

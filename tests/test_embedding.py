@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -39,10 +40,13 @@ from oneplanar.errors import (
 )
 from oneplanar.generators import (
     family_delta3,
+    family_delta4,
+    family_delta4_k5,
     k6_drawing,
     random_oneplanar,
     stacked_triangulation,
 )
+from oneplanar.rng import SplitMix64
 
 from conftest import c4_drawing, corpus_params, k4_drawing
 
@@ -437,6 +441,73 @@ def test_corpus_drawings_are_valid(n, x, seed):
     assert len(crossed) == 2 * x
 
 
+def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
+    """d with exactly one field corrupted: a pvertex id, a segment end, edge
+    id or part, a swap or replacement within one rotation, an edge
+    endpoint, or n_real.  New values come from [-1, bound] minus the old."""
+
+    def other(x: int, bound: int) -> int:
+        choices = [y for y in range(-1, bound + 1) if y != x]
+        return choices[rng.below(len(choices))]
+
+    def put(seq, i, item):
+        return tuple(seq[:i]) + (item,) + tuple(seq[i + 1:])
+
+    kind = rng.below(5)
+    if kind == 0:
+        pid = rng.below(d.n_p)
+        pv = d.pvertices[pid]
+        if isinstance(pv, RealV):
+            pv = RealV(other(pv.vid, d.n_real))
+        elif rng.below(2):
+            pv = DummyV(other(pv.eid_a, len(d.edges)), pv.eid_b)
+        else:
+            pv = DummyV(pv.eid_a, other(pv.eid_b, len(d.edges)))
+        return dataclasses.replace(d, pvertices=put(d.pvertices, pid, pv))
+    if kind == 1:
+        sid = rng.below(d.m_p)
+        (a, b), eid, part = d.segments[sid]
+        seg = [
+            Segment((other(a, d.n_p), b), eid, part),
+            Segment((a, other(b, d.n_p)), eid, part),
+            Segment((a, b), other(eid, len(d.edges)), part),
+            Segment((a, b), eid, other(part, 2)),
+        ][rng.below(4)]
+        return dataclasses.replace(d, segments=put(d.segments, sid, seg))
+    if kind == 2:
+        pid = rng.below(d.n_p)
+        rot = list(d.rotations[pid])
+        i = rng.below(len(rot))
+        if rng.below(2):
+            j = (i + 1 + rng.below(len(rot) - 1)) % len(rot)
+            rot[i], rot[j] = rot[j], rot[i]
+        else:
+            new = Dart(rng.below(d.m_p + 1), rng.below(2))
+            rot[i] = new if new != rot[i] else Dart(d.m_p, 0)
+        return dataclasses.replace(d, rotations=put(d.rotations, pid, tuple(rot)))
+    if kind == 3:
+        eid = rng.below(len(d.edges))
+        u, v = d.edges[eid]
+        e = (other(u, d.n_real), v) if rng.below(2) else (u, other(v, d.n_real))
+        return dataclasses.replace(d, edges=put(d.edges, eid, e))
+    return dataclasses.replace(d, n_real=other(d.n_real, d.n_real + 1))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: family_delta4(6).drawing, lambda: random_oneplanar(10, 3, 4),
+             lambda: family_delta4_k5(3).drawing],
+    ids=["delta4", "random", "delta4-k5"],
+)
+def test_validate_flags_every_one_field_mutation(make):
+    d = make()
+    assert validate(d).valid
+    assert min(len(rot) for rot in d.rotations) >= 3  # a swap changes every rotation
+    for seed in range(1000):
+        mutant = _one_field_mutant(d, SplitMix64(seed))
+        assert mutant != d
+        assert not validate(mutant).valid, seed
+
+
 def test_random_surgery_chains_stay_valid():
     # alternate chord additions and vertex insertions wherever legal;
     # validity and the face-count deltas must hold at every step
@@ -465,7 +536,9 @@ def test_random_surgery_chains_stay_valid():
 
 
 def test_1pg_round_trip_byte_exact():
-    for d in (c4_drawing(), k6_drawing(), random_oneplanar(9, 2, 5)):
+    # the last drawing has isolated vertices, whose rotations are empty
+    isolated, _ = delete_edges(c4_drawing(), [0, 1])
+    for d in (c4_drawing(), k6_drawing(), random_oneplanar(9, 2, 5), isolated):
         text = write_drawing(d)
         d2 = parse_drawing(text)
         assert write_drawing(d2) == text

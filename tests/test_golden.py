@@ -4,11 +4,12 @@ outputs and deficiency/matching checks, byte for byte.
 The generate and charge digests were computed before the local-surgery
 rewrite of `embedding`, the solve and check digests before the per-delta
 bound table and the single witness writer, the order-seed-11 and
-greedy-S ledgers before the surgeries returned the faces they create;
-any drift in a generator, a surgery, the PRNG, the face order, a bound
-or a text format changes one of them.  To inspect a mismatch, rerun the
-failing command by hand and diff its output against a checkout that
-still passes.
+greedy-S ledgers before the surgeries returned the faces they create,
+and the manifest digests and the obs1/lemma5/lemma6 lines before the
+validation report carried the faces; any drift in a generator, a
+surgery, the PRNG, the face order, a bound or a text format changes one
+of them.  To inspect a mismatch, rerun the failing command by hand and
+diff its output against a checkout that still passes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from conftest import greedy_independent_t
 
 from oneplanar.cli import main
+from oneplanar.embedding import drawing_from_faces, write_drawing
 from oneplanar.graph import parse_graph
 
 GENERATE = {
@@ -88,6 +90,23 @@ CHECK = {
     ("theorem1", "delta4-s8", "--delta", "3"): "703b9d0cf2747e01ea16a2cc6d72cd4d7d8727864cb37164633a4087364cdabc",
     ("theorem1", "delta5-g4", "--delta", "5"): "7d7ebad635bb2e6281642147dd1fee15bf6b553ef19271bac7faa9a25d701722",
     ("theorem1", "delta5-g2", "--delta", "5"): "7b329205480d0896907367049e7ab7379a96a6bf8e4c55370adcc87758825575",
+}
+
+# generate argv -> digest of the `--manifest` JSON bytes, written from the
+# working directory with `-o g`, so that every recorded path is relative
+MANIFEST = {
+    ("delta3", "--s", "5"): "45f3f85010641735918eeb6a71b1ad76060ab2784191f24a6da8f4ed9aabbe2f",
+    ("random", "--n", "14", "--x", "2", "--seed", "4"): "5a304971ee999d475282c0fa07f6fab7ac67bd8b81cc41b75cc07620ff166820",
+}
+
+# (drawing, check argv) -> (exit code, stdout) of `check <argv>` on the
+# drawing written as a .1pg: the hexagon (two faces), or the delta7 g=1 block
+HEXAGON = [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]
+CHECK_LINES = {
+    ("hexagon", "obs1"): (0, "lhs=6 rhs=8 holds\n"),
+    ("hexagon", "obs1", "--side0", "0,1,2"): (3, ""),
+    ("delta7-g1", "lemma5", "--T", "0"): (0, "lhs=15 rhs=252 holds\n"),
+    ("delta7-g1", "lemma6", "--T", "0"): (0, "lhs=21 rhs=252 holds\n"),
 }
 
 
@@ -168,3 +187,22 @@ def test_solve_golden(tmp_path, capsys, key):
 def test_check_golden(tmp_path, capsys, key):
     what, stem, *extra = key
     assert check_digest(tmp_path, capsys, what, stem, tuple(extra)) == CHECK[key]
+
+
+@pytest.mark.parametrize("argv", sorted(MANIFEST), ids="-".join)
+def test_generate_manifest_golden(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *argv, "-o", "g", "--manifest", "m.json"]) == 0
+    assert _sha((tmp_path / "m.json").read_bytes()) == MANIFEST[argv]
+
+
+@pytest.mark.parametrize("key", sorted(CHECK_LINES), ids="-".join)
+def test_check_lines_golden(tmp_path, capsys, key):
+    stem, what, *extra = key
+    if stem == "hexagon":
+        (tmp_path / "hexagon.1pg").write_text(write_drawing(drawing_from_faces(6, HEXAGON)))
+    else:
+        assert main(["generate", "delta7", "--g", "1", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["check", what, str(tmp_path / f"{stem}.1pg"), *extra])
+    assert (code, capsys.readouterr().out) == CHECK_LINES[key]

@@ -20,19 +20,14 @@ from .bounds import (
 from .embedding import (
     Face,
     OnePlanarDrawing,
-    add_chord_in_face,
-    add_crossed_edge,
     bigons,
     check_bipartite_edge_budget,
     crossing_partition,
     crossing_weighted_degree,
-    delete_edges,
     drawing_from_faces,
     faces,
-    insert_vertex_in_face,
     parse_drawing,
     validate,
-    wedge_at_vertex,
     write_drawing,
 )
 from .generators import (

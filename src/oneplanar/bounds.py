@@ -25,6 +25,7 @@ from .embedding import (
     OnePlanarDrawing,
     _Builder,
     _Planarization,
+    _darts_text,
     _require_valid,
     crossing_weighted_degree,
     validate,
@@ -317,12 +318,12 @@ def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
     gp = ledger.gamma_prime
     crossed = gp.crossed_eids()
     bad = []
-    for tv in sorted(ledger.t):
+    for tv in sorted(v for v in ledger.t if v in gp.real_pid):  # charge_verify names the rest
         rot = gp.rotations[gp.real_pid[tv]]
         k = len(rot)
         if k < 3:
             continue
-        flags = [gp.segments[x.sid].eid in crossed for x in rot]
+        flags = [gp.segments[x >> 1].eid in crossed for x in rot]
         for i in range(k):
             if flags[i] and flags[(i + 1) % k] and flags[(i + 2) % k]:
                 bad.append(tv)
@@ -415,6 +416,9 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
     # per-vertex lower bounds
     g_base = base.graph()
     for tv in sorted(ledger.t):
+        if not (0 <= tv < base.n_real):
+            bad.append(f"T-vertex {tv} is not a vertex of the drawing")
+            continue
         uncrossed_gp = sum(1 for eid in gp.incident_eids(tv) if eid not in crossed_gp)
         c = vc.get(tv)
         if c is None:
@@ -437,7 +441,7 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
     for tv in _three_consecutive_crossed(ledger):
         bad.append(f"T-vertex {tv} keeps three consecutive crossed edges")
     for face, _ in _t_heavy_faces(final, validate(final).faces, ledger.t):
-        bad.append(f"face with >=3 T-corners survived: {face.darts}")
+        bad.append(f"face with >=3 T-corners survived: {_darts_text(face.darts)}")
 
     return ChargeReport(tuple(bad))
 

@@ -7,16 +7,19 @@ are no coordinates anywhere; planarity is checked through Euler's formula
 on the face orbits of the rotation system.
 
 Conventions:
-  * a dart (sid, end) leaves segment `sid` from its endpoint `end`;
+  * a dart is the int 2*sid + end: it leaves segment `sid = x >> 1` from
+    its endpoint `end = x & 1`, so its reversal is x ^ 1 and darts sort
+    like (sid, end); the `1pg` text writes it as `sid.end`;
   * rotations[p] lists, in cyclic order, the darts leaving p;
   * the face walk successor of a dart is the rotation successor of its
     reversal at the head vertex.
 
-Surgeries (chord, vertex and crossed-edge insertion, deletion, wedge) edit
-one mutable `_Builder` in place and walk only the faces they touch, as in
-edge-addition planarity testing; the public functions thaw a drawing into
-a builder, apply one surgery and freeze the result.  Generators keep one
-builder for a whole construction.
+Surgeries (chord, vertex and crossed-edge insertion, deletion, wedge) are
+methods of the one mutable drawing, `_Builder`: they edit it in place and
+walk only the faces they touch, as in edge-addition planarity testing.
+`_Builder(d)` thaws a drawing and `freeze()` returns the edited one;
+generators and the charging engine keep one builder for a whole
+construction.
 """
 
 from __future__ import annotations
@@ -39,26 +42,20 @@ from .errors import (
 from .graph import Graph
 
 __all__ = [
-    "Dart",
     "DummyV",
     "Face",
     "OnePlanarDrawing",
     "RealV",
     "Segment",
     "ValidationReport",
-    "add_chord_in_face",
-    "add_crossed_edge",
     "bigons",
     "check_bipartite_edge_budget",
     "crossing_partition",
     "crossing_weighted_degree",
-    "delete_edges",
     "drawing_from_faces",
     "faces",
-    "insert_vertex_in_face",
     "parse_drawing",
     "validate",
-    "wedge_at_vertex",
     "write_drawing",
 ]
 
@@ -78,11 +75,6 @@ class Segment(NamedTuple):
     part: int  # 0, or 1 for the second half of a crossed edge
 
 
-class Dart(NamedTuple):
-    sid: int
-    end: int  # which endpoint of the segment the dart leaves from
-
-
 PVertex = RealV | DummyV
 
 
@@ -97,8 +89,8 @@ class _Planarization:
     def m_p(self) -> int:
         return len(self.segments)
 
-    def origin(self, d: Dart) -> int:
-        return self.segments[d.sid].ends[d.end]
+    def origin(self, x: int) -> int:
+        return self.segments[x >> 1].ends[x & 1]
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ class OnePlanarDrawing(_Planarization):
     edges: tuple[tuple[int, int], ...]  # original edges, (u, v) with u < v
     pvertices: tuple[PVertex, ...]
     segments: tuple[Segment, ...]
-    rotations: tuple[tuple[Dart, ...], ...]
+    rotations: tuple[tuple[int, ...], ...]
     multi_allowed: bool = False
 
     # -- basic lookups ------------------------------------------------
@@ -167,7 +159,7 @@ class OnePlanarDrawing(_Planarization):
 
 @dataclass(frozen=True)
 class Face:
-    darts: tuple[Dart, ...]  # boundary walk, canonically rotated
+    darts: tuple[int, ...]  # boundary walk, canonically rotated
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -185,10 +177,15 @@ class Face:
         return tuple([vid for _, vid in self.real_corner_positions(d)])
 
 
-def _canonical_walk(walk: Sequence[Dart]) -> tuple[Dart, ...]:
+def _canonical_walk(walk: Sequence[int]) -> tuple[int, ...]:
     """The walk rotated to start at its first smallest dart; empty stays empty."""
     k = walk.index(min(walk)) if walk else 0
     return tuple(walk[k:]) + tuple(walk[:k])
+
+
+def _darts_text(darts: Iterable[int]) -> str:
+    """The `1pg` text of darts: `sid.end`, space separated."""
+    return " ".join(f"{x >> 1}.{x & 1}" for x in darts)
 
 
 # ---------------------------------------------------------------------
@@ -226,10 +223,10 @@ def _rotation_tables(d: OnePlanarDrawing) -> list[str]:
         return bad
     if bad:
         return bad
-    expected: list[set[Dart]] = [set() for _ in range(n_p)]
+    expected: list[set[int]] = [set() for _ in range(n_p)]
     for sid, seg in enumerate(d.segments):
-        expected[seg.ends[0]].add(Dart(sid, 0))
-        expected[seg.ends[1]].add(Dart(sid, 1))
+        expected[seg.ends[0]].add(2 * sid)
+        expected[seg.ends[1]].add(2 * sid + 1)
     for p in range(n_p):
         rot = d.rotations[p]
         if len(set(rot)) != len(rot) or set(rot) != expected[p]:
@@ -237,44 +234,39 @@ def _rotation_tables(d: OnePlanarDrawing) -> list[str]:
     return bad
 
 
-def _walk_face(start: Dart, successor) -> Face:
-    walk = [start]
-    cur = successor(start)
-    while cur != start:
-        walk.append(cur)
-        cur = successor(cur)
-    return Face(_canonical_walk(walk))
-
-
 def _face_orbits(d: _Planarization) -> list[Face]:
     """All face walks of the rotation system, canonically ordered."""
     # the successor of a dart is the rotation successor of its reversal
-    successor: dict[tuple[int, int], Dart] = {}
+    successor = [0] * (2 * d.m_p)
     for rot in d.rotations:
-        for i, (sid, end) in enumerate(rot):
-            successor[sid, 1 - end] = rot[(i + 1) % len(rot)]
+        for x, y in zip(rot, rot[1:] + rot[:1]):
+            successor[x ^ 1] = y
 
-    seen: set[Dart] = set()
+    # darts are taken in ascending order, so each walk starts at its
+    # smallest dart and the faces come out canonically rotated and sorted
+    seen = [False] * len(successor)
     out: list[Face] = []
-    for sid in range(d.m_p):
-        for end in (0, 1):
-            if Dart(sid, end) not in seen:
-                face = _walk_face(Dart(sid, end), successor.__getitem__)
-                seen.update(face.darts)
-                out.append(face)
-    out.sort(key=lambda f: f.darts)
+    for start in range(len(successor)):
+        walk, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            walk.append(x)
+            x = successor[x]
+        if walk:
+            out.append(Face(tuple(walk)))
     return out
 
 
-def _face_at(d: _Planarization, start: Dart) -> Face:
+def _face_at(d: _Planarization, start: int) -> Face:
     """The canonical orbit through `start`, found by walking that face alone."""
-
-    def successor(x: Dart) -> Dart:
-        sid, end = x  # the reversal (sid, 1 - end) is compared as a plain tuple
-        rot = d.rotations[d.segments[sid].ends[1 - end]]
-        return rot[(rot.index((sid, 1 - end)) + 1) % len(rot)]
-
-    return _walk_face(start, successor)
+    walk = [start]
+    while True:
+        r = walk[-1] ^ 1
+        rot = d.rotations[d.origin(r)]
+        x = rot[(rot.index(r) + 1) % len(rot)]
+        if x == start:
+            return Face(_canonical_walk(walk))
+        walk.append(x)
 
 
 def _planarization_components(d: OnePlanarDrawing) -> list[list[int]]:
@@ -396,7 +388,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         if len(rot) != 4:
             bad.append(f"dummy {pid} degree != 4")
             continue
-        eids = [d.segments[x.sid].eid for x in rot]
+        eids = [d.segments[x >> 1].eid for x in rot]
         if set(eids) != {pv.eid_a, pv.eid_b} or pv.eid_a == pv.eid_b:
             bad.append(f"dummy {pid} incident edges {sorted(set(eids))} mismatch")
         elif eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
@@ -430,7 +422,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     # bigons are forbidden in both modes (simple mode cannot have them anyway)
     if not bad:
         for face in _bigon_faces(d, orbits):
-            bad.append(f"bigon face {face.darts}")
+            bad.append(f"bigon face {_darts_text(face.darts)}")
     if bad:
         return ValidationReport(tuple(bad))
     return ValidationReport((), tuple(orbits), len(comps))
@@ -456,12 +448,9 @@ def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
     for face in orbit_list:
         if len(face.darts) != 2:
             continue
-        s0, s1 = (d.segments[x.sid] for x in face.darts)
-        if face.darts[0].sid == face.darts[1].sid:
-            continue  # one segment walked twice (a bridge), not a bigon
-        if s0.eid == s1.eid:
-            continue
-        if d.edges[s0.eid] == d.edges[s1.eid]:
+        # a segment walked twice (a bridge) or two halves of one edge are no bigon
+        s0, s1 = (d.segments[x >> 1] for x in face.darts)
+        if s0.eid != s1.eid and d.edges[s0.eid] == d.edges[s1.eid]:
             out.append(face)
     return out
 
@@ -533,7 +522,7 @@ class _Builder(_Planarization):
         self.edges: list[tuple[int, int]] = edges
         self.pvertices: list[PVertex] = pvertices
         self.segments: list[Segment] = segments
-        self.rotations: list[list[Dart]] = rotations
+        self.rotations: list[list[int]] = rotations
         self.real_pid = {pv.vid: pid for pid, pv in enumerate(pvertices) if isinstance(pv, RealV)}
         # reversed, so that the first of several parallel copies wins
         self.eid_of = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
@@ -577,7 +566,7 @@ class _Builder(_Planarization):
         self.edge_sids[eid].append(len(self.segments) - 1)
         return len(self.segments) - 1
 
-    def insert_before(self, pid: int, anchor: Dart, new: Dart) -> None:
+    def insert_before(self, pid: int, anchor: int, new: int) -> None:
         """Insert `new` into the rotation at pid, directly before `anchor`."""
         rot = self.rotations[pid]
         rot.insert(rot.index(anchor), new)
@@ -587,7 +576,8 @@ class _Builder(_Planarization):
     def add_chord(
         self, face: Face, u: int, v: int, occurrences: tuple[int, int] | None = None
     ) -> tuple[Face, Face]:
-        """Split `face` by chord (u, v); returns the two pieces of `face`."""
+        """Split `face` by chord (u, v) between the first (or the given walk
+        positions') corner occurrences; returns the two pieces of `face`."""
         walk = _check_face(self, face)
         if u == v:
             raise NotOnFace("chord endpoints must differ")
@@ -608,9 +598,9 @@ class _Builder(_Planarization):
         eid = self.new_edge(u, v)
         pu, pv = self.origin(walk[i]), self.origin(walk[j])
         sid = self.new_segment((pu, pv), eid, 0)
-        self.insert_before(pu, walk[i], Dart(sid, 0))
-        self.insert_before(pv, walk[j], Dart(sid, 1))
-        return _face_at(self, Dart(sid, 0)), _face_at(self, Dart(sid, 1))
+        self.insert_before(pu, walk[i], 2 * sid)
+        self.insert_before(pv, walk[j], 2 * sid + 1)
+        return _face_at(self, 2 * sid), _face_at(self, 2 * sid + 1)
 
     def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
         """Join new real vertex n_real to k >= 2 corners of `face`; returns the k pieces of `face`."""
@@ -627,17 +617,18 @@ class _Builder(_Planarization):
         z = self.n_real
         self.n_real += 1
         pz = self.new_pvertex(RealV(z))
-        spoke_darts: list[Dart] = []
+        spoke_darts: list[int] = []
         for pos, vid in pairs:
             eid = self.new_edge(vid, z)
             pu = self.origin(walk[pos])
             sid = self.new_segment((pu, pz), eid, 0)
-            self.insert_before(pu, walk[pos], Dart(sid, 0))
-            spoke_darts.append(Dart(sid, 1))
+            self.insert_before(pu, walk[pos], 2 * sid)
+            spoke_darts.append(2 * sid + 1)
         self.rotations[pz] = spoke_darts[::-1]
         return [_face_at(self, x) for x in self.rotations[pz]]
 
     def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
+        """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its two sides."""
         cross_eid = self.eid_of.get(tuple(sorted(cross)))
         if cross_eid is None:
             raise NotOnFace(f"edge {cross} not in drawing")
@@ -645,8 +636,8 @@ class _Builder(_Planarization):
         if len(sids) != 1:
             raise NotOnFace(f"edge {cross} is already crossed")
         sid_c = sids[0]
-        side_a = _face_at(self, Dart(sid_c, 0)).real_corners(self)
-        side_b = _face_at(self, Dart(sid_c, 1)).real_corners(self)
+        side_a = _face_at(self, 2 * sid_c).real_corners(self)
+        side_b = _face_at(self, 2 * sid_c + 1).real_corners(self)
         if u in side_a and v in side_b:
             pass
         elif u in side_b and v in side_a:
@@ -664,13 +655,13 @@ class _Builder(_Planarization):
         sid_c2 = self.new_segment((pD, pb), cross_eid, 1 - part_a)
         # splice: at pb the old dart is renamed to the new segment
         rot_b = self.rotations[pb]
-        rot_b[rot_b.index(Dart(sid_c, 1))] = Dart(sid_c2, 1)
-        self.rotations[pD] = [Dart(sid_c, 1), Dart(sid_c2, 0)]
+        rot_b[rot_b.index(2 * sid_c + 1)] = 2 * sid_c2 + 1
+        self.rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
 
         # the old faces now run through pD; each piece is attached on its own side:
         # u's side runs pa -> pD -> pb, v's side runs pb -> pD -> pa
         part_u = 0 if u <= v else 1
-        for vert, through, part in ((u, Dart(sid_c, 0), part_u), (v, Dart(sid_c2, 1), 1 - part_u)):
+        for vert, through, part in ((u, 2 * sid_c, part_u), (v, 2 * sid_c2 + 1, 1 - part_u)):
             walk = _face_at(self, through).darts
             pos_v = _walk_positions(self, walk, vert)
             pos_d = [i for i, x in enumerate(walk) if self.origin(x) == pD]
@@ -678,10 +669,11 @@ class _Builder(_Planarization):
                 raise NotOnFace(f"vertex {vert} lost sight of the crossing")
             p_vert = self.real_pid[vert]
             sid = self.new_segment((p_vert, pD), new_eid, part)
-            self.insert_before(p_vert, walk[pos_v[0]], Dart(sid, 0))
-            self.insert_before(pD, walk[pos_d[0]], Dart(sid, 1))
+            self.insert_before(p_vert, walk[pos_v[0]], 2 * sid)
+            self.insert_before(pD, walk[pos_d[0]], 2 * sid + 1)
 
     def delete_edges(self, eids: Iterable[int]) -> dict[int, int]:
+        """Remove edges, uncrossing their partners; returns old -> new eid of kept edges."""
         removed = set(eids)
         for eid in removed:
             if not (0 <= eid < len(self.edges)):
@@ -718,7 +710,7 @@ class _Builder(_Planarization):
                 new_pvs.append(pv)
 
         new_segments: list[Segment] = []
-        dart_map: dict[Dart, Dart] = {}
+        dart_map: dict[int, int] = {}
         for old_eid in sorted(eid_map):
             sids = self.edge_sids[old_eid]
             if old_eid in merge_partner:
@@ -733,7 +725,7 @@ class _Builder(_Planarization):
                     for end in (0, 1):
                         p = seg.ends[end]
                         if p != dummy:
-                            dart_map[Dart(old_sid, end)] = Dart(sid_new, 0 if p == pu else 1)
+                            dart_map[2 * old_sid + end] = 2 * sid_new + (p != pu)
             else:
                 for old_sid in sorted(sids, key=lambda s: self.segments[s].part):
                     seg = self.segments[old_sid]
@@ -741,8 +733,8 @@ class _Builder(_Planarization):
                     new_segments.append(
                         Segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), eid_map[old_eid], seg.part)
                     )
-                    dart_map[Dart(old_sid, 0)] = Dart(sid_new, 0)
-                    dart_map[Dart(old_sid, 1)] = Dart(sid_new, 1)
+                    dart_map[2 * old_sid] = 2 * sid_new
+                    dart_map[2 * old_sid + 1] = 2 * sid_new + 1
 
         new_rotations = [
             [dart_map[x] for x in self.rotations[pid] if x in dart_map] for pid in sorted(pid_map)
@@ -751,7 +743,10 @@ class _Builder(_Planarization):
         return eid_map
 
     def wedge(self, b: OnePlanarDrawing, va: int, vb: int) -> None:
-        """Glue drawing b on by identifying its vertex vb with va (see wedge_at_vertex)."""
+        """Glue drawing b on by identifying its vb with va, merging one face of each.
+
+        b's other vertices become n_real, n_real+1, ... in ascending order of
+        their old ids; b's fan at vb is spliced into one corner at va."""
         vid_map: dict[int, int] = {vb: va}
         for v in range(b.n_real):
             if v != vb:
@@ -776,83 +771,26 @@ class _Builder(_Planarization):
             self.new_segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), seg.eid + eid_off, seg.part)
 
         for pid, rot in enumerate(b.rotations):
-            mapped = [Dart(x.sid + sid_off, x.end) for x in rot]
+            mapped = [x + 2 * sid_off for x in rot]
             if pid == pid_shared_b:
                 mapped += self.rotations[pid_shared_a]
             self.rotations[pid_map[pid]] = mapped
 
 
-def _walk_positions(d: _Planarization, walk: Sequence[Dart], vid: int) -> list[int]:
+def _walk_positions(d: _Planarization, walk: Sequence[int], vid: int) -> list[int]:
     """Positions on the walk whose corner is the real vertex vid."""
     pid = d.real_pid.get(vid)
     return [i for i, x in enumerate(walk) if d.origin(x) == pid]
 
 
-def _check_face(d: _Planarization, face: Face) -> tuple[Dart, ...]:
+def _check_face(d: _Planarization, face: Face) -> tuple[int, ...]:
     """Verify that `face` is an actual orbit of d, canonically rotated, and return its walk.
 
     Only the face through the walk's first dart is walked.
     """
-    if face.darts:
-        sid, end = face.darts[0]
-        if 0 <= sid < d.m_p and end in (0, 1) and _face_at(d, Dart(sid, end)) == face:
-            return face.darts
+    if face.darts and 0 <= face.darts[0] < 2 * d.m_p and _face_at(d, face.darts[0]) == face:
+        return face.darts
     raise NotOnFace("face is not a face of this drawing")
-
-
-def add_chord_in_face(
-    d: OnePlanarDrawing,
-    face: Face,
-    u: int,
-    v: int,
-    occurrences: tuple[int, int] | None = None,
-) -> OnePlanarDrawing:
-    """Add uncrossed edge (u, v) inside `face`, splitting it in two.
-
-    By default the first corner occurrences of u and v are joined;
-    explicit walk positions may be given instead.  Raises
-    WouldCreateBigon when the two occurrences are walk-adjacent (the
-    split would leave a two-sided face of parallel edges).
-    """
-    b = _Builder(d)
-    b.add_chord(face, u, v, occurrences)
-    return b.freeze()
-
-
-def insert_vertex_in_face(
-    d: OnePlanarDrawing, face: Face, attach: Sequence[int]
-) -> OnePlanarDrawing:
-    """Insert one new vertex joined to exactly three distinct real corners of `face`."""
-    if len(attach) != 3 or len(set(attach)) != 3:
-        raise BadAttachment("need three distinct attachment vertices")
-    b = _Builder(d)
-    b.insert_vertex(face, attach)
-    return b.freeze()
-
-
-def add_crossed_edge(
-    d: OnePlanarDrawing, u: int, v: int, cross: tuple[int, int]
-) -> OnePlanarDrawing:
-    """Add edge (u, v) drawn with a single crossing over the uncrossed edge `cross`.
-
-    u must be a corner of a face bounded by `cross`, and v a corner of
-    the face on the other side.
-    """
-    b = _Builder(d)
-    b.add_crossed(u, v, cross)
-    return b.freeze()
-
-
-def delete_edges(
-    d: OnePlanarDrawing, eids: Iterable[int]
-) -> tuple[OnePlanarDrawing, dict[int, int]]:
-    """Remove original edges; crossing partners of removed edges become uncrossed.
-
-    Returns the new drawing and the old-eid -> new-eid map for kept edges.
-    """
-    b = _Builder(d)
-    eid_map = b.delete_edges(eids)
-    return b.freeze(), eid_map
 
 
 # ---------------------------------------------------------------------
@@ -866,6 +804,8 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
     exactly two face sides.  Face orientations are reconciled
     automatically (the input may mix clockwise and counterclockwise).
     """
+    if not face_cycles:
+        raise InvalidDrawing("no face cycles given")
     incidence: dict[frozenset[int], list[int]] = {}
     for fi, cyc in enumerate(face_cycles):
         for i in range(len(cyc)):
@@ -923,7 +863,7 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
     eid_of = {pair: i for i, pair in enumerate(edges)}
     edge_list = [tuple(sorted(p)) for p in edges]
 
-    rotations: list[tuple[Dart, ...]] = []
+    rotations: list[tuple[int, ...]] = []
     for v in range(n):
         nbrs = succ[v]
         if not nbrs:
@@ -942,7 +882,7 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
         for w in order:
             eid = eid_of[frozenset((v, w))]
             a, _ = edge_list[eid]
-            rot.append(Dart(eid, 0 if v == a else 1))
+            rot.append(2 * eid + (v != a))
         rotations.append(tuple(rot))
 
     segments = tuple(
@@ -955,19 +895,6 @@ def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlana
         segments=segments,
         rotations=tuple(rotations),
     )
-
-
-def wedge_at_vertex(a: OnePlanarDrawing, b: OnePlanarDrawing, va: int, vb: int) -> OnePlanarDrawing:
-    """Glue drawing b onto drawing a by identifying vb with va.
-
-    b's other real vertices are renumbered to a.n_real, a.n_real+1, ...
-    in ascending order of their old ids.  b's edge fan at the shared
-    vertex is spliced into one corner of a's rotation there, merging one
-    face of each drawing.
-    """
-    builder = _Builder(a)
-    builder.wedge(b, va, vb)
-    return builder.freeze()
 
 
 # ---------------------------------------------------------------------
@@ -985,8 +912,7 @@ def write_drawing(d: OnePlanarDrawing) -> str:
     for sid, seg in enumerate(d.segments):
         lines.append(f"seg {sid} {seg.ends[0]} {seg.ends[1]} {seg.eid} {seg.part}")
     for pid, rot in enumerate(d.rotations):
-        darts = " ".join(f"{x.sid}.{x.end}" for x in _canonical_walk(rot))
-        lines.append(f"rot {pid}: {darts}".rstrip())
+        lines.append(f"rot {pid}: {_darts_text(_canonical_walk(rot))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -1002,7 +928,7 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
 
     pvs: dict[int, PVertex] = {}
     segs: dict[int, Segment] = {}
-    rots: dict[int, tuple[Dart, ...]] = {}
+    rots: dict[int, tuple[int, ...]] = {}
     for ln in lines[1:]:
         parts = ln.split()
         try:
@@ -1023,8 +949,11 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
                 pid = int(parts[1].rstrip(":"))
                 darts = []
                 for tok in parts[2:]:
-                    s, e = tok.split(".")
-                    darts.append(Dart(int(s), int(e)))
+                    s, e = (int(x) for x in tok.split("."))
+                    # a dart is 2*sid + end, so `6.2` would alias `7.0`
+                    if s < 0 or e not in (0, 1):
+                        raise ParseError(f"bad dart {tok!r} in line {ln!r}")
+                    darts.append(2 * s + e)
                 rots[pid] = tuple(darts)
             else:
                 raise ParseError(f"unknown record: {ln!r}")

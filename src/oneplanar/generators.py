@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .embedding import (
-    Dart,
     Face,
     OnePlanarDrawing,
     _Builder,
@@ -208,7 +207,7 @@ def family_delta4_k5(k: int) -> FamilyInstance:
         raise TooSmall(f"family delta4-k5 needs k >= 1, got {k}")
     d = _Builder(drawing_from_faces(2, [[0, 1]]))
     # each block grows on the side of the (0,1) segment's first dart
-    side01 = Dart(d.edge_sids[0][0], 0)
+    side01 = 2 * d.edge_sids[0][0]
     for i in range(k):
         p1, p3, p2 = 3 * i + 2, 3 * i + 3, 3 * i + 4
         d.insert_vertex(_face_at(d, side01), [0, 1])  # p1

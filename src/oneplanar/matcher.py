@@ -210,7 +210,7 @@ def check_matching(g: Graph, m: Matching) -> list[str]:
         if uu in seen or vv in seen:
             bad.append(f"({uu},{vv}) shares an endpoint")
         seen.update((uu, vv))
-    exposed = [v for v in range(g.n) if v not in seen]
+    exposed = {v for v in range(g.n) if v not in seen}
     for u, v in g.edges:
         if u in exposed and v in exposed and u != v:
             bad.append(f"not maximal: ({u},{v}) joins two exposed vertices")

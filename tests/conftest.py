@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oneplanar.embedding import OnePlanarDrawing, drawing_from_faces
+from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces
 from oneplanar.graph import Graph, build_graph
 from oneplanar.generators import random_oneplanar
 from oneplanar.rng import SplitMix64
@@ -29,6 +29,13 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return build_graph(10, outer + inner + spokes)
+
+
+def edit(d: OnePlanarDrawing, surgery: str, *args) -> OnePlanarDrawing:
+    """d after one `_Builder` surgery, e.g. edit(d, "add_chord", face, 0, 2)."""
+    b = _Builder(d)
+    getattr(b, surgery)(*args)
+    return b.freeze()
 
 
 def c4_drawing() -> OnePlanarDrawing:

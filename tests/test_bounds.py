@@ -15,12 +15,7 @@ from oneplanar.bounds import (
     reduce_components,
     write_ledger,
 )
-from oneplanar.embedding import (
-    add_crossed_edge,
-    drawing_from_faces,
-    insert_vertex_in_face,
-    faces,
-)
+from oneplanar.embedding import _Builder, _face_orbits, drawing_from_faces
 from oneplanar.errors import (
     DegreeTooLow,
     EmptyT,
@@ -42,12 +37,12 @@ from conftest import cube_drawing, greedy_independent_t, make_k
 
 def hexagon_center_all_crossed():
     """Hexagon with a center vertex whose three spokes are all crossed."""
-    d = drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
-    d = insert_vertex_in_face(d, faces(d)[0], [0, 2, 4])
-    d = add_crossed_edge(d, 1, 5, (0, 6))
-    d = add_crossed_edge(d, 1, 3, (2, 6))
-    d = add_crossed_edge(d, 3, 5, (4, 6))
-    return d
+    b = _Builder(drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]))
+    b.insert_vertex(_face_orbits(b)[0], [0, 2, 4])
+    b.add_crossed(1, 5, (0, 6))
+    b.add_crossed(1, 3, (2, 6))
+    b.add_crossed(3, 5, (4, 6))
+    return b.freeze()
 
 
 DELTA3_T = frozenset(range(4, 16))
@@ -292,6 +287,7 @@ LEDGER_MUTATIONS = {
         f"edge {len(lg.final.edges)} "),
     "charge-entry-dropped": lambda lg: ({"charge_class": lg.charge_class[1:]}, "edge 0 "),
     "t-vertex-uncharged": lambda lg: ({"vertex_charge": lg.vertex_charge[1:]}, "c(5)"),
+    "t-vertex-unknown": lambda lg: ({"t": lg.t | {999}}, "T-vertex 999 "),
 }
 
 

@@ -5,25 +5,19 @@ from fractions import Fraction
 import pytest
 
 from oneplanar.embedding import (
-    Dart,
     DummyV,
     Face,
     OnePlanarDrawing,
     RealV,
     Segment,
-    add_chord_in_face,
-    add_crossed_edge,
     bigons,
     check_bipartite_edge_budget,
     crossing_partition,
     crossing_weighted_degree,
-    delete_edges,
     drawing_from_faces,
     faces,
-    insert_vertex_in_face,
     parse_drawing,
     validate,
-    wedge_at_vertex,
     write_drawing,
     _Builder,
     _face_at,
@@ -48,7 +42,7 @@ from oneplanar.generators import (
 )
 from oneplanar.rng import SplitMix64
 
-from conftest import c4_drawing, corpus_params, k4_drawing
+from conftest import c4_drawing, corpus_params, edit, k4_drawing
 
 
 def k33_one_crossing():
@@ -57,7 +51,7 @@ def k33_one_crossing():
     d = drawing_from_faces(
         6, [[0, 5, 1, 3], [0, 3, 2, 4], [4, 2, 3, 1], [1, 5, 0, 4]]
     )
-    return add_crossed_edge(d, 2, 5, (0, 3))
+    return edit(d, "add_crossed", 2, 5, (0, 3))
 
 
 def doubled_edge_drawing():
@@ -69,11 +63,7 @@ def doubled_edge_drawing():
         Segment((0, 2), 2, 0),  # s2
         Segment((1, 2), 3, 0),  # s3
     )
-    rotations = (
-        (Dart(1, 0), Dart(0, 0), Dart(2, 0)),
-        (Dart(0, 1), Dart(1, 1), Dart(3, 0)),
-        (Dart(3, 1), Dart(2, 1)),
-    )
+    rotations = ((2, 0, 4), (1, 3, 6), (7, 5))  # dart 2*sid + end
     return OnePlanarDrawing(
         n_real=3,
         edges=((0, 1), (0, 1), (0, 2), (1, 2)),
@@ -107,12 +97,7 @@ def test_dummy_degree_violation_is_reported():
             Segment((3, 1), 0, 1),
             Segment((0, 2), 1, 0),
         ),
-        rotations=(
-            (Dart(0, 0), Dart(2, 0)),
-            (Dart(1, 1),),
-            (Dart(2, 1),),
-            (Dart(0, 1), Dart(1, 0)),
-        ),
+        rotations=((0, 4), (3,), (5,), (1, 2)),
     )
     report = validate(d)
     assert not report.valid
@@ -137,16 +122,21 @@ def test_doubled_edge_has_one_bigon():
     d = doubled_edge_drawing()
     found = bigons(d)
     assert len(found) == 1
-    # and the validator rejects it
-    assert any("bigon" in v for v in validate(d).violations)
+    # and the validator rejects it, naming the lens by its darts as `1pg` writes them
+    assert validate(d).violations == ("bigon face 0.0 1.1",)
 
 
 def test_crossed_parallel_copy_is_not_a_bigon():
     d = doubled_edge_drawing()
     # crossing one copy of (0,1) with a new edge removes the lens
-    d2 = add_crossed_edge(d, 2, 0, (0, 1))
+    d2 = edit(d, "add_crossed", 2, 0, (0, 1))
     assert bigons(d2) == []
     assert validate(d2).valid
+
+
+def test_drawing_from_no_faces_is_invalid():
+    with pytest.raises(InvalidDrawing):
+        drawing_from_faces(3, [])
 
 
 def test_crossing_partition_counts_dummies():
@@ -168,13 +158,7 @@ def test_single_crossing_pair_drawing():
             Segment((1, 4), 1, 0),
             Segment((4, 3), 1, 1),
         ),
-        rotations=(
-            (Dart(0, 0),),
-            (Dart(2, 0),),
-            (Dart(1, 1),),
-            (Dart(3, 1),),
-            (Dart(0, 1), Dart(2, 1), Dart(1, 0), Dart(3, 0)),
-        ),
+        rotations=((0,), (4,), (3,), (7,), (1, 5, 2, 6)),
     )
     assert validate(d).valid
     crossed, uncrossed = crossing_partition(d)
@@ -228,7 +212,7 @@ def test_cw_degree_all_crossed():
 def test_add_chord_splits_face():
     d = c4_drawing()
     f = faces(d)[0]
-    d2 = add_chord_in_face(d, f, 0, 2)
+    d2 = edit(d, "add_chord", f, 0, 2)
     assert validate(d2).valid
     assert len(faces(d2)) == 3
 
@@ -237,7 +221,7 @@ def test_add_chord_rejects_bigon():
     d = c4_drawing()
     f = faces(d)[0]
     with pytest.raises(WouldCreateBigon):
-        add_chord_in_face(d, f, 0, 1)
+        edit(d, "add_chord", f, 0, 1)
 
 
 def test_add_chord_rejects_corner_not_on_face():
@@ -246,7 +230,7 @@ def test_add_chord_rejects_corner_not_on_face():
     missing = (set(range(4)) - set(f.real_corners(d))).pop()
     present = f.real_corners(d)[0]
     with pytest.raises(NotOnFace):
-        add_chord_in_face(d, f, present, missing)
+        edit(d, "add_chord", f, present, missing)
 
 
 def test_add_chord_between_dummy_separated_corners():
@@ -264,7 +248,7 @@ def test_add_chord_between_dummy_separated_corners():
                 break
     assert target is not None
     f, (u, v) = target
-    d2 = add_chord_in_face(d, f, u, v)
+    d2 = edit(d, "add_chord", f, u, v)
     assert validate(d2).valid
     assert len(faces(d2)) == len(faces(d)) + 1
 
@@ -272,7 +256,7 @@ def test_add_chord_between_dummy_separated_corners():
 def test_insert_vertex_in_face():
     d = c4_drawing()
     f = faces(d)[0]
-    d2 = insert_vertex_in_face(d, f, [0, 1, 2])
+    d2 = edit(d, "insert_vertex", f, [0, 1, 2])
     assert validate(d2).valid
     assert len(faces(d2)) == len(faces(d)) + 2
     assert d2.n_real == 5
@@ -282,7 +266,7 @@ def test_insert_vertex_in_face():
 def test_insert_vertex_hexagonal_face_alternating():
     hexagon = drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
     f = faces(hexagon)[0]
-    d2 = insert_vertex_in_face(hexagon, f, [0, 2, 4])
+    d2 = edit(hexagon, "insert_vertex", f, [0, 2, 4])
     assert validate(d2).valid
     assert len(faces(d2)) == 4  # three new faces replace one
 
@@ -291,24 +275,23 @@ def test_insert_vertex_rejects_repeats():
     d = c4_drawing()
     f = faces(d)[0]
     with pytest.raises(BadAttachment):
-        insert_vertex_in_face(d, f, [0, 1, 1])
-    with pytest.raises(BadAttachment):
-        insert_vertex_in_face(d, f, [0, 1])
+        edit(d, "insert_vertex", f, [0, 1, 1])
 
 
 def _bogus_faces():
     """(drawing, not-a-face) pairs; each walk must be rejected, not crash."""
     d = k4_drawing()
     f = faces(d)[0]
-    split = add_chord_in_face(c4_drawing(), faces(c4_drawing())[0], 0, 2)
+    split = edit(c4_drawing(), "add_chord", faces(c4_drawing())[0], 0, 2)
     stale = faces(c4_drawing())[0]
     return {
         "stale-split-face": (split, stale),
         "rotated": (d, Face(f.darts[1:] + f.darts[:1])),
         "doubled": (d, Face(f.darts * 2)),
-        "sid-too-large": (d, Face((Dart(d.m_p + 3, 0),) + f.darts[1:])),
-        "sid-negative": (d, Face((Dart(-1, 0),) + f.darts[1:])),
-        "end-out-of-range": (d, Face((Dart(f.darts[0].sid, 2),) + f.darts[1:])),
+        "sid-too-large": (d, Face((2 * (d.m_p + 3),) + f.darts[1:])),
+        "sid-negative": (d, Face((-2,) + f.darts[1:])),
+        # (sid, 2) as an int is the next segment's first dart
+        "end-out-of-range": (d, Face((2 * (f.darts[0] >> 1) + 2,) + f.darts[1:])),
         "empty": (d, Face(())),
     }
 
@@ -317,9 +300,9 @@ def _bogus_faces():
 def test_surgeries_reject_walks_that_are_not_faces(case):
     d, bogus = _bogus_faces()[case]
     with pytest.raises(NotOnFace):
-        add_chord_in_face(d, bogus, 0, 2)
+        edit(d, "add_chord", bogus, 0, 2)
     with pytest.raises(NotOnFace):
-        insert_vertex_in_face(d, bogus, [0, 1, 2])
+        edit(d, "insert_vertex", bogus, [0, 1, 2])
 
 
 def test_local_face_walk_matches_full_enumeration():
@@ -390,7 +373,7 @@ def test_faces_reject_disconnected():
             Segment((a + 3, b + 3), eid + 3, 0) for (a, b), eid, _ in tri.segments
         ),
         rotations=tri.rotations
-        + tuple(tuple(Dart(x.sid + 3, x.end) for x in rot) for rot in tri.rotations),
+        + tuple(tuple(x + 6 for x in rot) for rot in tri.rotations),
     )
     assert validate(two).valid  # per-component Euler holds
     with pytest.raises(InvalidDrawing):
@@ -399,11 +382,12 @@ def test_faces_reject_disconnected():
 
 def test_delete_edges_restores_partner():
     d = c4_drawing()
-    f = faces(d)[0]
-    d = add_chord_in_face(d, f, 0, 2)
-    d = add_crossed_edge(d, 1, 3, (0, 2))
+    d = edit(d, "add_chord", faces(d)[0], 0, 2)
+    d = edit(d, "add_crossed", 1, 3, (0, 2))
     eid = d.edges.index((1, 3))
-    d2, remap = delete_edges(d, [eid])
+    b = _Builder(d)
+    remap = b.delete_edges([eid])
+    d2 = b.freeze()
     assert validate(d2).valid
     assert crossing_partition(d2)[0] == set()
     assert len(d2.edges) == len(d.edges) - 1
@@ -412,7 +396,7 @@ def test_delete_edges_restores_partner():
 
 def test_wedge_merges_one_face():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
-    w = wedge_at_vertex(tri, tri, 0, 0)
+    w = edit(tri, "wedge", tri, 0, 0)
     assert validate(w).valid
     assert w.n_real == 5
     assert len(faces(w)) == 3
@@ -421,12 +405,12 @@ def test_wedge_merges_one_face():
 def test_surgery_chain_keeps_euler():
     d = c4_drawing()
     f = faces(d)[0]
-    d = insert_vertex_in_face(d, f, [0, 1, 2])
+    d = edit(d, "insert_vertex", f, [0, 1, 2])
     for f in faces(d):
         if len(set(f.real_corners(d))) >= 2:
             u, v = sorted(set(f.real_corners(d)))[:2]
             try:
-                d = add_chord_in_face(d, f, u, v)
+                d = edit(d, "add_chord", f, u, v)
             except Exception:
                 continue
             break
@@ -482,8 +466,8 @@ def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
             j = (i + 1 + rng.below(len(rot) - 1)) % len(rot)
             rot[i], rot[j] = rot[j], rot[i]
         else:
-            new = Dart(rng.below(d.m_p + 1), rng.below(2))
-            rot[i] = new if new != rot[i] else Dart(d.m_p, 0)
+            new = 2 * rng.below(d.m_p + 1) + rng.below(2)
+            rot[i] = new if new != rot[i] else 2 * d.m_p
         return dataclasses.replace(d, rotations=put(d.rotations, pid, tuple(rot)))
     if kind == 3:
         eid = rng.below(len(d.edges))
@@ -521,11 +505,11 @@ def test_random_surgery_chains_stay_valid():
             reals = sorted(set(f.real_corners(d)))
             before = len(fs)
             if step % 2 == 0 and len(reals) >= 3:
-                d2 = insert_vertex_in_face(d, f, reals[:3])
+                d2 = edit(d, "insert_vertex", f, reals[:3])
                 assert len(faces(d2)) == before + 2
             elif len(reals) >= 2:
                 try:
-                    d2 = add_chord_in_face(d, f, reals[0], reals[1])
+                    d2 = edit(d, "add_chord", f, reals[0], reals[1])
                 except OnePlanarError:
                     continue
                 assert len(faces(d2)) == before + 1
@@ -537,7 +521,7 @@ def test_random_surgery_chains_stay_valid():
 
 def test_1pg_round_trip_byte_exact():
     # the last drawing has isolated vertices, whose rotations are empty
-    isolated, _ = delete_edges(c4_drawing(), [0, 1])
+    isolated = edit(c4_drawing(), "delete_edges", [0, 1])
     for d in (c4_drawing(), k6_drawing(), random_oneplanar(9, 2, 5), isolated):
         text = write_drawing(d)
         d2 = parse_drawing(text)
@@ -553,6 +537,9 @@ def test_1pg_parse_rejects_garbage():
         "1pg 2 0 1\npv 0 real 0\n",
         pvs + "seg 5 0 1 0 0\nrot 0: 5.0\nrot 1: 5.1\n",  # segment id beyond the header count
         pvs + "seg 0 0 1 0 0\nrot 0: 0.0\nrot 1: 0.1\nrot 7:\n",  # rotation of no pvertex
+        # a dart's end is 0 or 1 and its sid non-negative; as 2*sid + end,
+        # 6.2 would alias 7.0 and -1.2 the valid 0.0
+        *(pvs + f"seg 0 0 1 0 0\nrot 0: {tok}\nrot 1: 0.1\n" for tok in ("6.2", "8.-2", "-1.1", "-1.2")),
     ):
         with pytest.raises(ParseError):
             parse_drawing(text)

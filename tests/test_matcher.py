@@ -5,6 +5,7 @@ from oneplanar.errors import BadVertex, ParseError, TooLarge
 from oneplanar.generators import family_delta3, family_delta4, family_delta5, family_delta6
 from oneplanar.graph import build_graph
 from oneplanar.matcher import (
+    Matching,
     check_matching,
     matching_upper_from_witness,
     maximum_matching,
@@ -99,6 +100,16 @@ def test_matching_invariants_and_maximality():
         g = random_graph(seed)
         m = maximum_matching(g)
         assert check_matching(g, m) == []
+
+
+def test_check_matching_names_each_violation():
+    p3 = make_path(3)  # edges (0,1), (1,2)
+    assert check_matching(p3, Matching(frozenset({(0, 2)}))) == ["(0,2) not an edge of the graph"]
+    # (1,0) is (0,1) again, so whichever comes second shares both endpoints
+    assert check_matching(p3, Matching(frozenset({(0, 1), (1, 0)}))) == ["(0,1) shares an endpoint"]
+    assert check_matching(make_path(4), Matching(frozenset({(0, 1)}))) == [
+        "not maximal: (2,3) joins two exposed vertices"
+    ]
 
 
 @settings(max_examples=150, deadline=None)

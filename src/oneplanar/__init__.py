@@ -63,7 +63,6 @@ from .matcher import (
     matching_upper_from_witness,
     maximum_matching,
     tutte_berge_bruteforce,
-    verify_duality,
 )
 
 __version__ = "0.1.0"

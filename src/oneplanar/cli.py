@@ -149,13 +149,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m = matcher.maximum_matching(g)
         sys.stdout.write(matcher.write_matching(m))
         return EXIT_OK
+    # The size limit fires before any blossom work.  A checked matching M
+    # bounds every deficiency by n - 2|M| (weak duality), so the oracle may
+    # stop at the first subset that reaches it; an unchecked M bounds nothing.
+    matcher.check_brute_force_size(g, args.limit)
+    m = matcher.maximum_matching(g)
+    target = None if matcher.check_matching(g, m) else g.n - 2 * len(m)
+    w = matcher.tutte_berge_bruteforce(g, args.limit, target=target)
     if args.mode == "oracle":
-        w = matcher.tutte_berge_bruteforce(g, args.limit)
         sys.stdout.write(generators.write_witness(w.s, w.deficiency, (g.n - w.deficiency) // 2))
         return EXIT_OK
     # duality
-    w = matcher.tutte_berge_bruteforce(g, args.limit)
-    m = matcher.maximum_matching(g)
     if 2 * len(m) == g.n - w.deficiency:
         print("equal")
         return EXIT_OK

@@ -925,6 +925,9 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
         n_real, n_dummy, n_seg = (int(x) for x in head[1:4])
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad header: {lines[0]!r}") from exc
+    # a negative count could offset a huge one in n_real + n_dummy below
+    if min(n_real, n_dummy, n_seg) < 0:
+        raise ParseError(f"negative count in header: {lines[0]!r}")
 
     pvs: dict[int, PVertex] = {}
     segs: dict[int, Segment] = {}

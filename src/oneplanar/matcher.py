@@ -149,21 +149,29 @@ def _odd_count_mask(masks: list[int], remaining: int) -> int:
             nxt &= remaining & ~comp
             comp |= nxt
             frontier = nxt
-        if bin(comp).count("1") % 2 == 1:
-            odd += 1
+        odd += comp.bit_count() & 1
         remaining &= ~comp
     return odd
 
 
-def tutte_berge_bruteforce(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> DeficiencyWitness:
+def tutte_berge_bruteforce(
+    g: Graph, n_limit: int = BRUTE_FORCE_LIMIT, target: int | None = None
+) -> DeficiencyWitness:
     """Exhaustive search for the vertex set maximizing odd(G-S) - |S|.
 
     Subsets are enumerated in ascending size, then lexicographically, so
     ties resolve to the smallest witness.  Sizes that can no longer beat
     the incumbent (deficiency <= n - 2|S|) are pruned.
+
+    `target` must be an upper bound on every deficiency, such as n - 2|M|
+    for a matching M that passes `check_matching` (weak duality).  The
+    search then returns as soon as the incumbent reaches it: that subset
+    is the one the full search would return.  With no target the search
+    always runs to the end.
     """
-    if g.n > n_limit:
-        raise TooLarge(f"n={g.n} exceeds brute-force limit {n_limit}")
+    check_brute_force_size(g, n_limit)
+    # no deficiency exceeds n, so n + 1 is never reached
+    stop = g.n + 1 if target is None else target
     masks = _neighbor_masks(g)
     full = (1 << g.n) - 1
     best = -g.n - 1
@@ -179,8 +187,15 @@ def tutte_berge_bruteforce(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> Defici
             if deficiency > best:
                 best = deficiency
                 best_set = combo
-    odd = best + len(best_set)
-    return DeficiencyWitness(frozenset(best_set), odd, best)
+                if best >= stop:
+                    return DeficiencyWitness(frozenset(best_set), best + size, best)
+    return DeficiencyWitness(frozenset(best_set), best + len(best_set), best)
+
+
+def check_brute_force_size(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> None:
+    """Raise `TooLarge` unless the exhaustive search may run on `g`."""
+    if g.n > n_limit:
+        raise TooLarge(f"n={g.n} exceeds brute-force limit {n_limit}")
 
 
 def matching_upper_from_witness(g: Graph, s: Iterable[int]) -> int:
@@ -191,12 +206,6 @@ def matching_upper_from_witness(g: Graph, s: Iterable[int]) -> int:
             raise BadVertex(f"vertex {v} out of range")
     count, _ = odd_components(g, members)
     return (g.n - (count - len(members))) // 2
-
-
-def verify_duality(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> bool:
-    """True iff blossom size equals (n - brute-force deficiency) / 2."""
-    witness = tutte_berge_bruteforce(g, n_limit)
-    return 2 * len(maximum_matching(g)) == g.n - witness.deficiency
 
 
 def check_matching(g: Graph, m: Matching) -> list[str]:

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from oneplanar import matcher
 from oneplanar.cli import main
+from oneplanar.graph import parse_graph
 
 
 def run(capsys, *argv):
@@ -68,6 +73,75 @@ def test_solve_oracle_and_duality(tmp_path, capsys):
     code, out = run(capsys, "solve", path, "--mode", "duality")
     assert code == 0
     assert out.strip() == "equal"
+
+
+# delta3 s=4: n=16, a maximum matching of 4 edges and the witness S = {0,1,2,3}
+DELTA3_S4_WITNESS = "S: 0 1 2 3\ndeficiency: 8\nmatching_upper: 4\n"
+
+
+@pytest.fixture
+def delta3_s4(tmp_path, capsys):
+    run(capsys, "generate", "delta3", "--s", "4", "-o", str(tmp_path))
+    return str(tmp_path / "delta3-s4.graph")
+
+
+def patch_blossom(monkeypatch, change, path):
+    """Make `solve` see change(g, M) for the blossom matching M; return it for `path`."""
+    blossom = matcher.maximum_matching
+    monkeypatch.setattr(matcher, "maximum_matching", lambda g: change(g, blossom(g)))
+    return matcher.maximum_matching(parse_graph(Path(path).read_text()))
+
+
+def drop_one_edge(g, m):
+    return matcher.Matching(m.edges - {min(m.edges)})
+
+
+def add_non_edges(g, m):
+    # pair up the exposed vertices, at least one pair of them not adjacent
+    matched = {v for e in m.edges for v in e}
+    free = [v for v in range(g.n) if v not in matched]
+    pairs = set(zip(free[::2], free[1::2]))
+    assert any(not g.has_edge(u, v) for u, v in pairs)
+    return matcher.Matching(m.edges | pairs)
+
+
+def add_shared_endpoints(g, m):
+    # M is maximal, so every other edge shares an endpoint with it
+    others = [e for e in g.edges if e not in m.edges]
+    return matcher.Matching(m.edges | set(others[: g.n // 2 - len(m)]))
+
+
+def test_duality_reports_a_matching_that_is_not_maximum(delta3_s4, capsys, monkeypatch):
+    assert run(capsys, "solve", delta3_s4, "--mode", "oracle") == (0, DELTA3_S4_WITNESS)
+    m = patch_blossom(monkeypatch, drop_one_edge, delta3_s4)
+    code, out = run(capsys, "solve", delta3_s4, "--mode", "duality")
+    assert code == 4
+    assert out == (
+        "MISMATCH matching=3 deficiency=8 n=16\n" + matcher.write_matching(m) + DELTA3_S4_WITNESS
+    )
+
+
+@pytest.mark.parametrize("change", [add_non_edges, add_shared_endpoints])
+def test_a_non_matching_never_sets_the_oracle_target(delta3_s4, capsys, monkeypatch, change):
+    m = patch_blossom(monkeypatch, change, delta3_s4)
+    # claiming a perfect matching, its n - 2|M| = 0 would stop the search at S = {}
+    assert len(m) == 8
+    assert run(capsys, "solve", delta3_s4, "--mode", "oracle") == (0, DELTA3_S4_WITNESS)
+    code, out = run(capsys, "solve", delta3_s4, "--mode", "duality")
+    assert code == 4
+    assert out == (
+        "MISMATCH matching=8 deficiency=8 n=16\n" + matcher.write_matching(m) + DELTA3_S4_WITNESS
+    )
+
+
+@pytest.mark.parametrize("mode", ["oracle", "duality"])
+def test_oracle_limit_fires_before_the_blossom(delta3_s4, capsys, monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr(matcher, "maximum_matching", calls.append)
+    assert main(["solve", delta3_s4, "--mode", mode, "--limit", "15"]) == 3
+    err = capsys.readouterr().err
+    assert err == "precondition: TooLarge: n=16 exceeds brute-force limit 15\n"
+    assert calls == []
 
 
 def test_check_matching_certificate(tmp_path, capsys):

@@ -548,8 +548,10 @@ def test_1pg_parse_rejects_garbage():
 def test_1pg_parse_header_counts_allocate_nothing():
     tracemalloc.start()
     try:
-        with pytest.raises(ParseError):
-            parse_drawing("1pg 1000000 0 0\npv 0 real 0\n")
+        # a negative dummy count must not let n_real pass the record count
+        for text in ("1pg 1000000 0 0\npv 0 real 0\n", "1pg 1000000 -999999 0\npv 0 real 0\n"):
+            with pytest.raises(ParseError):
+                parse_drawing(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

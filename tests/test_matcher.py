@@ -1,9 +1,19 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oneplanar import matcher
 from oneplanar.errors import BadVertex, ParseError, TooLarge
-from oneplanar.generators import family_delta3, family_delta4, family_delta5, family_delta6
-from oneplanar.graph import build_graph
+from oneplanar.generators import (
+    FAMILIES,
+    family_delta3,
+    family_delta4,
+    family_delta5,
+    family_delta6,
+    random_oneplanar,
+)
+from oneplanar.graph import Graph, build_graph
 from oneplanar.matcher import (
     Matching,
     check_matching,
@@ -11,11 +21,15 @@ from oneplanar.matcher import (
     maximum_matching,
     parse_matching,
     tutte_berge_bruteforce,
-    verify_duality,
     write_matching,
 )
 
 from conftest import make_cycle, make_k, make_path, petersen, random_graph
+
+
+def verify_duality(g: Graph) -> bool:
+    """Blossom size equals (n - deficiency) / 2, the deficiency by the full search."""
+    return 2 * len(maximum_matching(g)) == g.n - tutte_berge_bruteforce(g).deficiency
 
 
 def test_k4_perfect_matching():
@@ -140,7 +154,7 @@ def test_duality_on_flower_chains():
             edges += [(c[j], c[(j + 1) % 5]) for j in range(5)]
             base += 4
         g = build_graph(4 * k + 1, sorted({(min(a, b), max(a, b)) for a, b in edges}))
-        assert verify_duality(g, n_limit=20)
+        assert verify_duality(g)
         assert len(maximum_matching(g)) == 2 * k
 
 
@@ -173,3 +187,54 @@ def test_matching_format_round_trip():
     for text in ("matching 2\nm 0 1\n", "matching 1\nm a b\n"):
         with pytest.raises(ParseError):
             parse_matching(text)
+
+
+# Every family instance small enough for the oracle (n <= 18).
+ORACLE_FAMILIES = [
+    ("delta3", 4), ("delta4", 4), ("delta4", 6),
+    ("delta4-k5", 1), ("delta4-k5", 2), ("delta4-k5", 3), ("delta4-k5", 4), ("delta4-k5", 5),
+    ("delta5", 1), ("delta5", 2), ("delta5", 3), ("delta6", 1), ("delta6", 2),
+]
+
+
+def assert_target_keeps_witness(g: Graph) -> None:
+    """Weak-duality targets, reachable or not, give the full search's witness."""
+    full = tutte_berge_bruteforce(g)
+    m = maximum_matching(g)
+    assert tutte_berge_bruteforce(g, target=g.n - 2 * len(m)) == full
+    if len(m):
+        # M minus one edge is still a matching, but no subset reaches its bound
+        assert tutte_berge_bruteforce(g, target=g.n - 2 * (len(m) - 1)) == full
+
+
+@pytest.mark.parametrize("family, value", ORACLE_FAMILIES)
+def test_targeted_oracle_matches_full_search_on_families(family, value):
+    fn, _ = FAMILIES[family]
+    assert_target_keeps_witness(fn(value).graph)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 100000))
+def test_targeted_oracle_matches_full_search_on_random_graphs(seed):
+    assert_target_keeps_witness(random_graph(seed, max_n=16))
+
+
+def test_targeted_oracle_stops_at_the_first_subset(monkeypatch):
+    visited = 0
+    original = matcher._odd_count_mask
+
+    def counting(masks, remaining):
+        nonlocal visited
+        visited += 1
+        return original(masks, remaining)
+
+    monkeypatch.setattr(matcher, "_odd_count_mask", counting)
+    g = random_oneplanar(14, 2, 3).graph()
+    assert g.n == 18
+    target = g.n - 2 * len(maximum_matching(g))
+    w = tutte_berge_bruteforce(g, target=target)
+    assert (w.s, w.deficiency, visited) == (frozenset(), 0, 1)
+    visited = 0
+    assert tutte_berge_bruteforce(g) == w
+    # the full search proves the optimum by every subset of up to 8 vertices
+    assert visited == sum(comb(18, k) for k in range(9))

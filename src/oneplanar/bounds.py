@@ -41,7 +41,7 @@ from .errors import (
 )
 from .generators import FamilyInstance
 from .graph import Graph, build_graph, is_independent, min_degree, odd_components
-from .matcher import maximum_matching
+from .matcher import check_matching, matching_upper_from_witness, maximum_matching
 from .rng import SplitMix64
 
 
@@ -536,6 +536,14 @@ class CertReport:
     applicable: bool
     holds: bool | None
     tight: bool | None
+    barrier: frozenset[int]
+    barrier_bound: int  # the matching-size upper bound the barrier gives
+    violations: tuple[str, ...]  # check_matching's findings on M
+
+    @property
+    def certified(self) -> bool:
+        """M is a matching and the barrier bounds every matching by |M|."""
+        return not self.violations and self.barrier_bound == self.matching_size
 
 
 def certify_matching_bound(
@@ -546,7 +554,8 @@ def certify_matching_bound(
     The bound (n - (a*n - b)/c)/2 from BOUNDS is (n+12)/7, (n+4)/3 and
     (2n+3)/5 for minimum degree 3, 4, 5, applicable from n >= 7, 20, 21
     respectively.  Below the threshold the report comes back
-    not-applicable instead of failing.
+    not-applicable instead of failing.  The matching is proved maximum,
+    in O(n + m), by its Gallai-Edmonds barrier (see `certified`).
     """
     a, b, c, _, threshold = _bound_row(delta)
     if min_degree(g) < delta:
@@ -554,9 +563,12 @@ def certify_matching_bound(
     _check_provenance(g, provenance)
     n = g.n
     bound = (n - Fraction(a * n - b, c)) / 2
-    size = len(maximum_matching(g))
-    if n < threshold:
-        return CertReport(delta, n, size, bound, threshold, False, None, None)
+    m = maximum_matching(g)
+    size = len(m)
+    applicable = n >= threshold
     return CertReport(
-        delta, n, size, bound, threshold, True, size >= bound, Fraction(size) == bound
+        delta, n, size, bound, threshold, applicable,
+        size >= bound if applicable else None,
+        Fraction(size) == bound if applicable else None,
+        m.barrier, matching_upper_from_witness(g, m.barrier), tuple(check_matching(g, m)),
     )

@@ -235,6 +235,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.delta not in bounds.BOUNDS:
             raise _UsageError(f"check theorem1 needs --delta in {sorted(bounds.BOUNDS)}")
         rep = bounds.certify_matching_bound(g, args.delta, _load_provenance(args))
+        if not rep.certified:
+            barrier = ",".join(map(str, sorted(rep.barrier)))
+            print(
+                f"|M|={rep.matching_size} not certified: barrier A={{{barrier}}} "
+                f"gives |M|<={rep.barrier_bound}" + "".join(f"; {v}" for v in rep.violations[:1])
+            )
+            return EXIT_VIOLATION
         if not rep.applicable:
             print(
                 f"|M|={rep.matching_size} bound={_fmt(rep.bound)} "

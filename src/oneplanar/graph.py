@@ -124,6 +124,10 @@ def min_degree(g: Graph) -> int:
 # First line `graph <n> <m>`, then m lines `e <u> <v>` with u < v,
 # ordered by (u, v); ASCII, LF line endings.
 
+# A graph costs memory per vertex even with no edges, so the parser
+# refuses a header above this many vertices.
+MAX_GRAPH_VERTICES = 10**6
+
 
 def write_graph(g: Graph) -> str:
     lines = [f"graph {g.n} {g.m}"]
@@ -136,12 +140,15 @@ def parse_graph(text: str, simple: bool = True) -> Graph:
     if not lines:
         raise ParseError("empty graph file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "graph":
+    # plain ASCII decimal only: int() alone also takes "+3", "1_0" and "٣"
+    if len(head) != 3 or head[0] != "graph" or not all(t.isascii() and t.isdigit() for t in head[1:]):
         raise ParseError(f"bad header: {lines[0]!r}")
     try:
         n, m = int(head[1]), int(head[2])
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"bad header: {lines[0]!r}") from exc
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(f"n={n} exceeds the limit of {MAX_GRAPH_VERTICES} vertices")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges: list[Edge] = []

@@ -9,7 +9,7 @@ certifies the other through the matching duality
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -22,6 +22,9 @@ BRUTE_FORCE_LIMIT = 20
 @dataclass(frozen=True)
 class Matching:
     edges: frozenset[tuple[int, int]]
+    # a vertex set A with floor((n - odd(G-A) + |A|) / 2) = |M| when M is
+    # maximum; not part of the matching's identity or its text
+    barrier: frozenset[int] = field(default=frozenset(), compare=False)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -38,7 +41,9 @@ def maximum_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching via blossom contraction.
 
     Deterministic: vertices are scanned in ascending id order and the
-    search explores neighbors in ascending order.
+    search explores neighbors in ascending order.  The result carries
+    the Gallai-Edmonds barrier A of its failed searches, with
+    odd(G-A) - |A| = n - 2|M|, which proves M maximum.
     """
     n = g.n
     adj = g.adj
@@ -54,67 +59,87 @@ def maximum_matching(g: Graph) -> Matching:
 
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n  # outer in the current search
+    dead = [False] * n  # in the Hungarian tree of a failed search
+    barrier: list[int] = []
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        seen = set()
         x = base[a]
         while True:
-            used[x] = True
+            seen.add(x)
             if match[x] == -1:
                 break
             x = base[p[match[x]]]
         y = base[b]
-        while not used[y]:
+        while y not in seen:
             y = base[p[match[y]]]
         return y
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
+    # A search resets only the vertices it touched, so it costs the size of
+    # its tree.  A failed search leaves a Hungarian tree that no later
+    # augmenting path enters (Edmonds 1965), so later searches skip it, and
+    # its inner vertices join the barrier.  The edges stay the same only
+    # while the visiting order stays ascending: a contraction relabels the
+    # touched vertices in id order, as a scan of all n would (an untouched
+    # vertex is its own base and in no blossom); another order can change
+    # which augmenting path is found.
     def try_augment(root: int) -> bool:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
+        touched = [root]
         used[root] = True
         q: deque[int] = deque([root])
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: contract the blossom
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # augment along the alternating path to the root
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
+        try:
+            while q:
+                v = q.popleft()
+                for to in adj[v]:
+                    if dead[to] or base[v] == base[to] or match[v] == to:
+                        continue
+                    if to == root or (match[to] != -1 and p[match[to]] != -1):
+                        # odd cycle: contract the blossom
+                        curbase = lca(v, to)
+                        blossom: set[int] = set()
+                        mark_path(v, curbase, to, blossom)
+                        mark_path(to, curbase, v, blossom)
+                        for i in sorted(touched):
+                            if base[i] in blossom:
+                                base[i] = curbase
+                                if not used[i]:
+                                    used[i] = True
+                                    q.append(i)
+                    elif p[to] == -1:
+                        p[to] = v
+                        touched.append(to)
+                        if match[to] == -1:
+                            # augment along the alternating path to the root
+                            u = to
+                            while u != -1:
+                                pv = p[u]
+                                ppv = match[pv]
+                                match[u] = pv
+                                match[pv] = u
+                                u = ppv
+                            return True
+                        used[match[to]] = True
+                        touched.append(match[to])
+                        q.append(match[to])
+            for i in touched:
+                dead[i] = True
+                if not used[i]:
+                    barrier.append(i)
+            return False
+        finally:
+            for i in touched:
+                p[i] = -1
+                base[i] = i
+                used[i] = False
 
     for v in range(n):
         if match[v] == -1:
@@ -123,7 +148,7 @@ def maximum_matching(g: Graph) -> Matching:
     edges = frozenset(
         (v, match[v]) for v in range(n) if match[v] > v
     )
-    return Matching(edges)
+    return Matching(edges, frozenset(barrier))
 
 
 def _neighbor_masks(g: Graph) -> list[int]:

@@ -69,6 +69,12 @@ def random_graph(seed: int, max_n: int = 10) -> Graph:
     return build_graph(n, sorted(edges))
 
 
+def gnp(n: int, percent: int, seed: int) -> Graph:
+    """Seeded G(n, p) with p = percent / 100."""
+    rng = SplitMix64(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.below(100) < percent])
+
+
 def corpus_params() -> list[tuple[int, int, int]]:
     """(n_triangulation, crossings, seed) for the drawing corpus; final n <= 12."""
     out = []

@@ -31,6 +31,7 @@ from oneplanar.generators import (
     random_oneplanar,
 )
 from oneplanar.graph import build_graph, odd_components
+from oneplanar.matcher import Matching
 
 from conftest import cube_drawing, greedy_independent_t, make_k
 
@@ -411,3 +412,29 @@ def test_certify_nontight_instance():
     assert rep.applicable and rep.holds and not rep.tight
     assert rep.matching_size == 5
     assert rep.bound == Fraction(23, 7)
+
+
+def test_certify_carries_the_barrier_proof():
+    inst = family_delta3(4)  # n = 16, |M| = 4: the failed trees' inner vertices are S = 0..3
+    rep = certify_matching_bound(inst.graph, 3, inst)
+    assert rep.certified
+    assert (rep.barrier, rep.barrier_bound, rep.violations) == (frozenset(range(4)), 4, ())
+
+
+def test_certify_rejects_a_matching_its_barrier_does_not_prove(monkeypatch):
+    blossom = bounds.maximum_matching
+    inst = family_delta3(4)
+
+    def certify(change):
+        monkeypatch.setattr(bounds, "maximum_matching", lambda g: change(blossom(g)))
+        return certify_matching_bound(inst.graph, 3, inst)
+
+    # one edge dropped, the barrier kept: |M| = 3 < 4
+    rep = certify(lambda m: Matching(m.edges - {min(m.edges)}, m.barrier))
+    assert not rep.certified
+    assert (rep.matching_size, rep.barrier_bound) == (3, 4)
+    assert rep.violations[0] == "not maximal: (0,4) joins two exposed vertices"
+    # a maximum matching with the wrong barrier proves nothing either
+    rep = certify(lambda m: Matching(m.edges))
+    assert not rep.certified
+    assert (rep.matching_size, rep.barrier_bound, rep.violations) == (4, 8, ())

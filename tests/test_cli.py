@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oneplanar import matcher
+from oneplanar import bounds, matcher
 from oneplanar.cli import main
 from oneplanar.graph import parse_graph
 
@@ -93,7 +93,7 @@ def patch_blossom(monkeypatch, change, path):
 
 
 def drop_one_edge(g, m):
-    return matcher.Matching(m.edges - {min(m.edges)})
+    return matcher.Matching(m.edges - {min(m.edges)}, m.barrier)
 
 
 def add_non_edges(g, m):
@@ -102,7 +102,7 @@ def add_non_edges(g, m):
     free = [v for v in range(g.n) if v not in matched]
     pairs = set(zip(free[::2], free[1::2]))
     assert any(not g.has_edge(u, v) for u, v in pairs)
-    return matcher.Matching(m.edges | pairs)
+    return matcher.Matching(m.edges | pairs, m.barrier)
 
 
 def add_shared_endpoints(g, m):
@@ -152,6 +152,30 @@ def test_check_matching_certificate(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "|M|=8 bound=8 holds tight"
+
+
+def test_theorem1_names_the_barrier_that_does_not_prove_the_matching(
+    delta3_s4, capsys, monkeypatch
+):
+    blossom = bounds.maximum_matching
+    provenance = delta3_s4.replace(".graph", ".1pg")
+    argv = ["check", "theorem1", delta3_s4, "--delta", "3", "--provenance", provenance]
+    assert run(capsys, *argv) == (0, "|M|=4 bound=4 holds tight\n")
+    monkeypatch.setattr(
+        bounds, "maximum_matching", lambda g: drop_one_edge(g, blossom(g))
+    )
+    assert run(capsys, *argv) == (4, (
+        "|M|=3 not certified: barrier A={0,1,2,3} gives |M|<=4;"
+        " not maximal: (0,4) joins two exposed vertices\n"
+    ))
+    # a claimed matching with a non-edge: the line names the first violation
+    monkeypatch.setattr(
+        bounds, "maximum_matching", lambda g: add_non_edges(g, blossom(g))
+    )
+    code, out = run(capsys, *argv)
+    assert code == 4
+    assert out.startswith("|M|=8 not certified: barrier A={0,1,2,3} gives |M|<=4; (")
+    assert out.endswith(" not an edge of the graph\n") and out.count("\n") == 1
 
 
 def test_check_matching_certificate_not_applicable(tmp_path, capsys):
@@ -276,3 +300,12 @@ def test_theorem1_rejects_delta_without_a_bound(tmp_path, capsys):
 def test_missing_file_is_parse_error(capsys):
     assert main(["solve", "/nonexistent/file.graph"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header", ["graph 1_0 0", "graph +3 0", "graph \u0663 0", "graph 3 +0",
+                                    "graph 1000001 0"])
+def test_graph_header_outside_plain_decimal_or_the_limit_exits_2(tmp_path, capsys, header):
+    path = tmp_path / "bad.graph"
+    path.write_text(header + "\n", encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")

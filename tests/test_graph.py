@@ -9,6 +9,7 @@ from oneplanar.errors import (
     ParseError,
 )
 from oneplanar.graph import (
+    MAX_GRAPH_VERTICES,
     build_graph,
     is_independent,
     min_degree,
@@ -127,3 +128,18 @@ def test_parse_rejects_garbage():
                  "graph 2 1\ne 1 0\n", "graph 2 1\ne 0 3\n"):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+def test_parse_header_takes_plain_ascii_decimal_only():
+    # int() alone reads these as 10, 3 and 3
+    for head in ("1_0 0", "+3 0", "\u0663 0", "3 +0", "3 0_0", "-1 0"):
+        with pytest.raises(ParseError, match="bad header"):
+            parse_graph(f"graph {head}\n")
+    with pytest.raises(ParseError):  # beyond int()'s digit limit on Python >= 3.11
+        parse_graph("graph " + "9" * 5000 + " 0\n")
+    assert parse_graph("graph 03 1\ne 0 2\n").n == 3
+
+
+def test_parse_bounds_the_vertex_count():
+    with pytest.raises(ParseError, match="exceeds the limit of 1000000 vertices"):
+        parse_graph(f"graph {MAX_GRAPH_VERTICES + 1} 0\n")

@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from oneplanar.matcher import (
     write_matching,
 )
 
-from conftest import make_cycle, make_k, make_path, petersen, random_graph
+from conftest import gnp, make_cycle, make_k, make_path, petersen, random_graph
 
 
 def verify_duality(g: Graph) -> bool:
@@ -238,3 +239,64 @@ def test_targeted_oracle_stops_at_the_first_subset(monkeypatch):
     assert tutte_berge_bruteforce(g) == w
     # the full search proves the optimum by every subset of up to 8 vertices
     assert visited == sum(comb(18, k) for k in range(9))
+
+
+# --- search-local blossom and its barrier ---------------------------------
+
+
+def assert_barrier_certifies(g: Graph, m: Matching) -> None:
+    """check_matching plus the barrier's Tutte-Berge bound prove M maximum."""
+    assert check_matching(g, m) == []
+    assert matching_upper_from_witness(g, m.barrier) == len(m)
+
+
+def digest_corpus():
+    """Seeded G(n,p) graphs, n = 4..60 (blossom-heavy), and random 1-planar drawings."""
+    for seed in range(300):
+        yield gnp(4 + seed % 57, (5, 10, 20, 40)[seed % 4], seed)
+    for seed in range(40):
+        yield random_oneplanar(12 + 7 * seed, seed % 5 * (1 + seed // 4), seed).graph()
+
+
+# SHA-256 of `write_matching` over digest_corpus(): pins which maximum
+# matching the deterministic search returns, edge for edge, not only its size
+DIGEST_CORPUS_SHA256 = "524c97e0e61137d6709424313ff5bd1763e3bb3f0bd32172de03903728e36799"
+
+
+def test_matchings_keep_their_pinned_edges():
+    h = hashlib.sha256()
+    for g in digest_corpus():
+        m = maximum_matching(g)
+        assert_barrier_certifies(g, m)
+        h.update(write_matching(m).encode())
+    assert h.hexdigest() == DIGEST_CORPUS_SHA256
+
+
+def test_barrier_is_not_part_of_the_matching():
+    m = maximum_matching(make_path(3))  # exposed root 2 fails; its tree is 2 - 1 = 0
+    assert (m.edges, m.barrier) == (frozenset({(0, 1)}), frozenset({1}))
+    bare = Matching(m.edges)
+    assert bare == m and hash(bare) == hash(m)
+    assert write_matching(bare) == write_matching(m)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(4, 14), st.integers(40, 90), st.integers(0, 10**6))
+def test_dense_graphs_meet_the_full_oracle(n, percent, seed):
+    g = gnp(n, percent, seed)
+    assert 2 * len(maximum_matching(g)) == g.n - tutte_berge_bruteforce(g).deficiency
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 80), st.integers(1, 50), st.integers(0, 10**6))
+def test_barrier_certifies_gnp(n, percent, seed):
+    g = gnp(n, percent, seed)
+    assert_barrier_certifies(g, maximum_matching(g))
+
+
+def test_barrier_certifies_the_largest_delta3():
+    g = family_delta3(640).graph
+    assert g.n == 4468
+    m = maximum_matching(g)
+    assert len(m) == (g.n + 12) // 7
+    assert_barrier_certifies(g, m)

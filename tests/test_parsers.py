@@ -39,7 +39,7 @@ KEYWORDS = [
 TOKENS = st.one_of(st.sampled_from(KEYWORDS), st.integers(-3, 30).map(str))
 
 # `parse_graph` allocates one adjacency list per vertex of a valid header
-# (there is no size limit yet), so numbers stay below five digits.
+# (up to `MAX_GRAPH_VERTICES`), so numbers stay below five digits.
 _LONG_NUMBER = re.compile(r"[\d_]{5,}")
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)

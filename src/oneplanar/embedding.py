@@ -39,7 +39,7 @@ from .errors import (
     TooSmall,
     WouldCreateBigon,
 )
-from .graph import Graph
+from .graph import Graph, header_counts
 
 __all__ = [
     "DummyV",
@@ -116,20 +116,19 @@ class OnePlanarDrawing(_Planarization):
             self.__dict__["_real_pid"] = cached
         return cached
 
-    def edge_segments(self) -> dict[int, list[int]]:
-        cached = self.__dict__.get("_edge_segments")
+    def edge_derivation(self) -> _EdgeDerivation:
+        """Each edge as its segments make it (see `_derive_edges`)."""
+        cached = self.__dict__.get("_edge_derivation")
         if cached is None:
-            cached = {eid: [] for eid in range(len(self.edges))}
-            for sid, seg in enumerate(self.segments):
-                cached[seg.eid].append(sid)
-            self.__dict__["_edge_segments"] = cached
+            cached = _derive_edges(self.pvertices, self.segments, len(self.edges))
+            self.__dict__["_edge_derivation"] = cached
         return cached
 
     def crossed_eids(self) -> frozenset[int]:
         cached = self.__dict__.get("_crossed_eids")
         if cached is None:
             cached = frozenset(
-                eid for eid, sids in self.edge_segments().items() if len(sids) == 2
+                eid for eid, sids in enumerate(self.edge_derivation().segments) if len(sids) == 2
             )
             self.__dict__["_crossed_eids"] = cached
         return cached
@@ -206,32 +205,100 @@ class ValidationReport:
         return not self.violations
 
 
-def _rotation_tables(d: OnePlanarDrawing) -> list[str]:
-    """Structural pre-checks needed before faces can be traversed at all."""
+class _EdgeDerivation(NamedTuple):
+    segments: list[list[int]]  # edge id -> its segment ids
+    edges: list[tuple[int, int] | None]  # the endpoints they join, None if they join none
+    violations: list[str]
+
+
+def _derive_edges(
+    pvertices: Sequence[PVertex], segments: Sequence[Segment], n_edges: int
+) -> _EdgeDerivation:
+    """Each edge's segments and the real endpoints they join.
+
+    An uncrossed edge is one segment, part 0, between two real pvertices.
+    A crossed edge runs, as part 0, from its smaller endpoint to a dummy
+    recording it and on, as part 1, to its larger endpoint.
+    `parse_drawing` takes its edges from here and `validate` checks a
+    drawing's edges against them.
+    """
+    n_p = len(pvertices)
+    groups: list[list[int]] = [[] for _ in range(n_edges)]
     bad: list[str] = []
-    n_p, m_p = d.n_p, d.m_p
-    for sid, seg in enumerate(d.segments):
-        for p in seg.ends:
+    for sid, ((a, b), eid, _) in enumerate(segments):
+        for p in (a, b):
             if not (0 <= p < n_p):
                 bad.append(f"segment {sid} endpoint {p} out of range")
-        if not (0 <= seg.eid < len(d.edges)):
-            bad.append(f"segment {sid} edge id {seg.eid} out of range")
-        if seg.ends[0] == seg.ends[1]:
-            bad.append(f"segment {sid} is a loop at pvertex {seg.ends[0]}")
-    if len(d.rotations) != n_p:
-        bad.append("rotation table size differs from pvertex count")
-        return bad
+        if a == b:
+            bad.append(f"segment {sid} is a loop at pvertex {a}")
+        if 0 <= eid < n_edges:
+            groups[eid].append(sid)
+        else:
+            bad.append(f"segment {sid} edge id {eid} out of range")
     if bad:
-        return bad
-    expected: list[set[int]] = [set() for _ in range(n_p)]
-    for sid, seg in enumerate(d.segments):
-        expected[seg.ends[0]].add(2 * sid)
-        expected[seg.ends[1]].add(2 * sid + 1)
-    for p in range(n_p):
-        rot = d.rotations[p]
-        if len(set(rot)) != len(rot) or set(rot) != expected[p]:
-            bad.append(f"rotation at pvertex {p} inconsistent with incident segments")
-    return bad
+        return _EdgeDerivation(groups, [], bad)
+
+    edges: list[tuple[int, int] | None] = [None] * n_edges
+    for eid, sids in enumerate(groups):
+        if len(sids) == 1:
+            (a, b), _, part = segments[sids[0]]
+            if part != 0:
+                bad.append(f"edge {eid} single segment has part {part}")
+            elif isinstance(pvertices[a], RealV) and isinstance(pvertices[b], RealV):
+                u, v = pvertices[a].vid, pvertices[b].vid
+                edges[eid] = (u, v) if u < v else (v, u)
+            else:
+                bad.append(f"edge {eid} segment does not join two real vertices")
+        elif len(sids) == 2:
+            s0, s1 = segments[sids[0]], segments[sids[1]]
+            if s0.part > s1.part:
+                s0, s1 = s1, s0
+            (a0, d0), (a1, d1) = s0.ends, s1.ends
+            # turn each segment to run real end -> dummy
+            if isinstance(pvertices[a0], DummyV):
+                a0, d0 = d0, a0
+            if isinstance(pvertices[a1], DummyV):
+                a1, d1 = d1, a1
+            if (s0.part, s1.part) != (0, 1):
+                bad.append(f"edge {eid} segment parts are {[s0.part, s1.part]}, want [0, 1]")
+            elif d0 != d1 or [type(pvertices[p]) for p in (a0, d0, a1)] != [RealV, DummyV, RealV]:
+                bad.append(f"edge {eid} segments do not share one dummy")
+            elif eid not in pvertices[d0]:
+                bad.append(f"edge {eid} crosses at a dummy not recording it")
+            elif pvertices[a0].vid > pvertices[a1].vid:
+                bad.append(f"edge {eid} part 0 is not at its smaller endpoint")
+            else:
+                edges[eid] = (pvertices[a0].vid, pvertices[a1].vid)
+        else:
+            bad.append(f"edge {eid} has {len(sids)} segments, not 1 or 2")
+    return _EdgeDerivation(groups, edges, bad)
+
+
+def _dart_origins(d: _Planarization) -> list[int]:
+    """The origin pvertex of every dart, indexed by dart."""
+    return [p for seg in d.segments for p in seg.ends]
+
+
+def _rotation_faults(d: OnePlanarDrawing, origin: list[int]) -> list[str]:
+    """Faults that stop a face walk: each dart must sit exactly once in the
+    rotation at its origin."""
+    if len(d.rotations) != d.n_p:
+        return ["rotation table size differs from pvertex count"]
+    placed = [False] * len(origin)
+    bad: set[int] = set()
+    for p, rot in enumerate(d.rotations):
+        for x in rot:
+            if 0 <= x < len(origin) and origin[x] == p and not placed[x]:
+                placed[x] = True
+            else:
+                bad.add(p)
+    if not all(placed):
+        bad.update(origin[x] for x, ok in enumerate(placed) if not ok)
+    return [
+        f"rotation at pvertex {p} inconsistent with incident segments"
+        for p in sorted(bad)
+        if 0 <= p < d.n_p  # an out-of-range origin is a segment fault
+    ]
 
 
 def _face_orbits(d: _Planarization) -> list[Face]:
@@ -269,28 +336,23 @@ def _face_at(d: _Planarization, start: int) -> Face:
         walk.append(x)
 
 
-def _planarization_components(d: OnePlanarDrawing) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(d.n_p)]
-    for seg in d.segments:
-        a, b = seg.ends
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
-    comps = []
+def _component_count(d: OnePlanarDrawing, origin: list[int]) -> int:
+    """The number of connected components of the planarization."""
+    seen = [False] * d.n_p
+    k = 0
     for start in range(d.n_p):
-        if start in seen:
+        if seen[start]:
             continue
-        stack, comp = [start], [start]
-        seen.add(start)
+        k += 1
+        seen[start] = True
+        stack = [start]
         while stack:
-            p = stack.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    comp.append(q)
+            for x in d.rotations[stack.pop()]:
+                q = origin[x ^ 1]
+                if not seen[q]:
+                    seen[q] = True
                     stack.append(q)
-        comps.append(sorted(comp))
-    return comps
+    return k
 
 
 def validate(d: OnePlanarDrawing) -> ValidationReport:
@@ -308,19 +370,10 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
 def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     bad: list[str] = []
+    if not d.multi_allowed and len(set(d.edges)) != len(d.edges):
+        bad.append("parallel edges present in simple mode")
 
-    for eid, (u, v) in enumerate(d.edges):
-        if u == v:
-            bad.append(f"edge {eid} is a loop")
-        if not (0 <= u < d.n_real and 0 <= v < d.n_real):
-            bad.append(f"edge {eid} endpoint out of range")
-        if u > v:
-            bad.append(f"edge {eid} endpoints not ascending")
-    if not d.multi_allowed:
-        if len(set(d.edges)) != len(d.edges):
-            bad.append("parallel edges present in simple mode")
-
-    real_seen: dict[int, int] = {}
+    real_seen: set[int] = set()
     for pid, pv in enumerate(d.pvertices):
         if isinstance(pv, RealV):
             if not (0 <= pv.vid < d.n_real):
@@ -328,57 +381,29 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
             elif pv.vid in real_seen:
                 bad.append(f"real vertex {pv.vid} has two pvertices")
             else:
-                real_seen[pv.vid] = pid
+                real_seen.add(pv.vid)
         else:
             for eid in (pv.eid_a, pv.eid_b):
                 if not (0 <= eid < len(d.edges)):
                     bad.append(f"dummy {pid} references bad edge {eid}")
-    missing = set(range(d.n_real)) - set(real_seen)
+    missing = set(range(d.n_real)) - real_seen
     if missing:
         bad.append(f"real vertices without pvertex: {sorted(missing)}")
+
+    # each edge must be the one its segments join, which also puts its
+    # endpoints in range and in order; a parsed drawing keeps the derivation
+    # its parser made
+    derived = d.edge_derivation()
+    bad.extend(derived.violations)
+    bad.extend(
+        f"edge {eid} segments do not join its endpoints"
+        for eid, e in enumerate(derived.edges)
+        if e is not None and e != d.edges[eid]
+    )
+    origin = _dart_origins(d)
+    bad.extend(_rotation_faults(d, origin))
     if bad:
         return ValidationReport(tuple(bad))
-
-    bad.extend(_rotation_tables(d))
-    if bad:
-        return ValidationReport(tuple(bad))
-
-    # per-edge segment structure
-    for eid, sids in d.edge_segments().items():
-        u, v = d.edges[eid]
-        pu, pv = d.real_pid[u], d.real_pid[v]
-        if len(sids) == 1:
-            seg = d.segments[sids[0]]
-            if set(seg.ends) != {pu, pv}:
-                bad.append(f"edge {eid} segment does not join its endpoints")
-            if seg.part != 0:
-                bad.append(f"edge {eid} single segment has part {seg.part}")
-        elif len(sids) == 2:
-            s0, s1 = (d.segments[s] for s in sids)
-            parts = sorted((s0.part, s1.part))
-            if parts != [0, 1]:
-                bad.append(f"edge {eid} segment parts are {parts}, want [0, 1]")
-            dummies = [
-                p
-                for s in (s0, s1)
-                for p in s.ends
-                if isinstance(d.pvertices[p], DummyV)
-            ]
-            if len(set(dummies)) != 1 or len(dummies) != 2:
-                bad.append(f"edge {eid} segments do not share one dummy")
-            else:
-                dummy = d.pvertices[dummies[0]]
-                if eid not in (dummy.eid_a, dummy.eid_b):
-                    bad.append(f"edge {eid} crosses at a dummy not recording it")
-            reals = {p for s in (s0, s1) for p in s.ends} - set(dummies)
-            if reals != {pu, pv}:
-                bad.append(f"edge {eid} segments do not join its endpoints")
-            else:
-                part0 = s0 if s0.part == 0 else s1
-                if pu not in part0.ends:
-                    bad.append(f"edge {eid} part 0 not incident to endpoint {u}")
-        else:
-            bad.append(f"edge {eid} has {len(sids)} segments (more than one crossing)")
 
     # dummies: degree four, alternating between the two crossing edges
     for pid, pv in enumerate(d.pvertices):
@@ -393,31 +418,17 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
             bad.append(f"dummy {pid} incident edges {sorted(set(eids))} mismatch")
         elif eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
             bad.append(f"dummy {pid} rotation does not alternate (a,b,a,b)")
-
     if bad:
         return ValidationReport(tuple(bad))
 
-    # planarity: Euler's formula per planarization component
+    # planarity: a component has n - m + f = 2 - 2g for its genus g, and an
+    # isolated pvertex (no faces) has 1, so all are planar iff the sums
+    # reach 2 per component less 1 per isolated pvertex
     orbits = _face_orbits(d)
-    comp_of: dict[int, int] = {}
-    comps = _planarization_components(d)
-    for ci, comp in enumerate(comps):
-        for p in comp:
-            comp_of[p] = ci
-    n_c = [len(c) for c in comps]
-    m_c = [0] * len(comps)
-    f_c = [0] * len(comps)
-    for seg in d.segments:
-        m_c[comp_of[seg.ends[0]]] += 1
-    for face in orbits:
-        f_c[comp_of[d.origin(face.darts[0])]] += 1
-    for ci in range(len(comps)):
-        if m_c[ci] == 0:
-            continue  # isolated pvertex: sphere with one face
-        if n_c[ci] - m_c[ci] + f_c[ci] != 2:
-            bad.append(
-                f"component {ci} fails Euler: n={n_c[ci]} m={m_c[ci]} f={f_c[ci]}"
-            )
+    k = _component_count(d, origin)
+    planar = 2 * k - sum(1 for rot in d.rotations if not rot)
+    if d.n_p - d.m_p + len(orbits) != planar:
+        bad.append(f"fails Euler: n={d.n_p} m={d.m_p} f={len(orbits)} in {k} components, want n - m + f = {planar}")
 
     # bigons are forbidden in both modes (simple mode cannot have them anyway)
     if not bad:
@@ -425,7 +436,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
             bad.append(f"bigon face {_darts_text(face.darts)}")
     if bad:
         return ValidationReport(tuple(bad))
-    return ValidationReport((), tuple(orbits), len(comps))
+    return ValidationReport((), tuple(orbits), k)
 
 
 def _require_valid(d: OnePlanarDrawing) -> ValidationReport:
@@ -457,7 +468,7 @@ def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
 
 def bigons(d: OnePlanarDrawing) -> list[Face]:
     """Faces bounded by two parallel copies of the same vertex pair."""
-    bad = _rotation_tables(d)
+    bad = d.edge_derivation().violations + _rotation_faults(d, _dart_origins(d))
     if bad:
         raise InvalidDrawing("; ".join(bad))
     return _bigon_faces(d, _face_orbits(d))
@@ -917,92 +928,69 @@ def write_drawing(d: OnePlanarDrawing) -> str:
 
 
 def parse_drawing(text: str) -> OnePlanarDrawing:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("1pg "):
-        raise ParseError("missing 1pg header")
-    head = lines[0].split()
-    try:
-        n_real, n_dummy, n_seg = (int(x) for x in head[1:4])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad header: {lines[0]!r}") from exc
-    # a negative count could offset a huge one in n_real + n_dummy below
-    if min(n_real, n_dummy, n_seg) < 0:
-        raise ParseError(f"negative count in header: {lines[0]!r}")
-
-    pvs: dict[int, PVertex] = {}
-    segs: dict[int, Segment] = {}
-    rots: dict[int, tuple[int, ...]] = {}
+    """Read a `1pg` text: records in any order, each id exactly once."""
+    lines = [ln for ln in text.split("\n") if ln and not ln.isspace()]
+    n_real, n_dummy, n_seg = header_counts(lines[0].split() if lines else [], "1pg", 3)
+    n_p = n_real + n_dummy
+    # the slots below are allocated only once the text has a line for each
+    if len(lines) - 1 < n_p + n_seg:
+        raise ParseError(f"header counts {n_p} pvertices and {n_seg} segments, text has fewer records")
+    pvs: list[PVertex | None] = [None] * n_p
+    segs: list[Segment | None] = [None] * n_seg
+    rots: list[tuple[int, ...] | None] = [None] * n_p
     for ln in lines[1:]:
         parts = ln.split()
+        kind = parts[0]
         try:
-            if parts[0] == "pv":
-                pid = int(parts[1])
-                if parts[2] == "real":
-                    pvs[pid] = RealV(int(parts[3]))
-                elif parts[2] == "dummy":
-                    pvs[pid] = DummyV(int(parts[3]), int(parts[4]))
-                else:
-                    raise ParseError(f"bad pv line: {ln!r}")
-            elif parts[0] == "seg":
-                sid = int(parts[1])
-                segs[sid] = Segment(
-                    (int(parts[2]), int(parts[3])), int(parts[4]), int(parts[5])
-                )
-            elif parts[0] == "rot":
-                pid = int(parts[1].rstrip(":"))
+            if kind == "seg":
+                _, sid, a, b, eid, part = parts
+                slots, i, record = segs, int(sid), Segment((int(a), int(b)), int(eid), int(part))
+            elif kind == "rot":
+                _, tag, *tokens = parts
+                if tag[-1:] != ":":
+                    raise ValueError("rot id without colon")
                 darts = []
-                for tok in parts[2:]:
-                    s, e = (int(x) for x in tok.split("."))
+                for tok in tokens:
+                    s, e = tok.split(".")
+                    s, e = int(s), int(e)
                     # a dart is 2*sid + end, so `6.2` would alias `7.0`
                     if s < 0 or e not in (0, 1):
-                        raise ParseError(f"bad dart {tok!r} in line {ln!r}")
+                        raise ValueError(f"bad dart {tok!r}")
                     darts.append(2 * s + e)
-                rots[pid] = tuple(darts)
+                slots, i, record = rots, int(tag[:-1]), tuple(darts)
+            elif kind == "pv" and len(parts) == 4 and parts[2] == "real":
+                slots, i, record = pvs, int(parts[1]), RealV(int(parts[3]))
+            elif kind == "pv" and len(parts) == 5 and parts[2] == "dummy":
+                slots, i, record = pvs, int(parts[1]), DummyV(int(parts[3]), int(parts[4]))
             else:
-                raise ParseError(f"unknown record: {ln!r}")
-        except (ValueError, IndexError) as exc:
+                raise ValueError("unknown record")
+        except ValueError as exc:
             raise ParseError(f"bad line: {ln!r}") from exc
-
-    n_p = n_real + n_dummy
-    # counts first, so that a header alone cannot make the ranges below large
-    counts_ok = (len(pvs), len(segs)) == (n_p, n_seg)
-    if not counts_ok or sorted(pvs) != list(range(n_p)) or sorted(segs) != list(range(n_seg)):
+        if not (0 <= i < len(slots)):
+            raise ParseError(f"{kind} id {i} out of range: {ln!r}")
+        if slots[i] is not None:
+            raise ParseError(f"repeated {kind} record: {ln!r}")
+        slots[i] = record
+    if None in pvs or None in segs:
         raise ParseError("record ids disagree with header counts")
-    if not set(rots) <= set(pvs):
-        raise ParseError(f"rotation for missing pvertex {min(set(rots) - set(pvs))}")
-    for pid in range(n_p):
-        rots.setdefault(pid, ())
 
-    # recover the edge list from segment endpoints
-    eids = {seg.eid for seg in segs.values()}
-    if eids and eids != set(range(max(eids) + 1)):
+    # edge ids are dense, so there are at most as many edges as segments
+    n_edges = 1 + max((seg.eid for seg in segs), default=-1)
+    if n_edges > n_seg:
         raise ParseError("edge ids are not dense")
-    edge_of: dict[int, tuple[int, int]] = {}
-    pvs_t = tuple(pvs[p] for p in range(n_p))
-    for seg in segs.values():
-        for p in seg.ends:
-            if not (0 <= p < n_p):
-                raise ParseError(f"segment endpoint {p} out of range")
-        reals = [pvs_t[p].vid for p in seg.ends if isinstance(pvs_t[p], RealV)]
-        edge_of.setdefault(seg.eid, tuple())
-        for r in reals:
-            if r not in edge_of[seg.eid]:
-                edge_of[seg.eid] = tuple(sorted(edge_of[seg.eid] + (r,)))
-    edges = []
-    for eid in range(len(eids)):
-        if len(edge_of.get(eid, ())) != 2:
-            raise ParseError(f"edge {eid} endpoints not recoverable")
-        edges.append(edge_of[eid])
-
-    multi = len(set(edges)) != len(edges)
+    derived = _derive_edges(pvs, segs, n_edges)
+    if derived.violations:
+        raise ParseError("invalid drawing: " + "; ".join(derived.violations))
+    edges = tuple(derived.edges)
     d = OnePlanarDrawing(
         n_real=n_real,
-        edges=tuple(edges),
-        pvertices=pvs_t,
-        segments=tuple(segs[s] for s in range(n_seg)),
-        rotations=tuple(rots[p] for p in range(n_p)),
-        multi_allowed=multi,
+        edges=edges,
+        pvertices=tuple(pvs),
+        segments=tuple(segs),
+        rotations=tuple([r or () for r in rots]),
+        multi_allowed=len(set(edges)) != len(edges),
     )
+    d.__dict__["_edge_derivation"] = derived
     report = validate(d)
     if not report.valid:
         raise ParseError("invalid drawing: " + "; ".join(report.violations))

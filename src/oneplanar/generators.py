@@ -361,26 +361,24 @@ def write_witness(s: Iterable[int], deficiency: int, matching_upper: int) -> str
 
 
 def parse_witness(text: str) -> tuple[frozenset[int], int, int]:
-    s: frozenset[int] | None = None
-    deficiency = upper = None
+    fields: dict[str, str] = {}
     for ln in text.split("\n"):
         ln = ln.strip()
         if not ln:
             continue
-        try:
-            if ln.startswith("S:"):
-                s = frozenset(int(x) for x in ln[2:].split())
-            elif ln.startswith("deficiency:"):
-                deficiency = int(ln.split(":", 1)[1])
-            elif ln.startswith("matching_upper:"):
-                upper = int(ln.split(":", 1)[1])
-            else:
-                raise ParseError(f"unknown witness line: {ln!r}")
-        except ValueError as exc:
-            raise ParseError(f"bad witness line: {ln!r}") from exc
-    if s is None or deficiency is None or upper is None:
+        key, colon, value = ln.partition(":")
+        if not colon or key not in ("S", "deficiency", "matching_upper"):
+            raise ParseError(f"unknown witness line: {ln!r}")
+        if key in fields:
+            raise ParseError(f"repeated witness line: {ln!r}")
+        fields[key] = value
+    if len(fields) != 3:
         raise ParseError("witness file incomplete")
-    return s, deficiency, upper
+    try:
+        s = frozenset(int(x) for x in fields["S"].split())
+        return s, int(fields["deficiency"]), int(fields["matching_upper"])
+    except ValueError as exc:
+        raise ParseError(f"bad witness line: {exc}") from exc
 
 
 def check_instance(inst: FamilyInstance) -> list[str]:

@@ -135,18 +135,25 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def header_counts(head: list[str], keyword: str, k: int) -> list[int]:
+    """The k counts of a split header line `<keyword> <count> ...`.
+
+    Counts are plain ASCII decimal only: int() alone also takes "+3", "1_0"
+    and "٣".  Shared by the `graph`, `1pg` and `matching` parsers.
+    """
+    try:
+        if len(head) != k + 1 or head[0] != keyword or not all(t.isascii() and t.isdigit() for t in head[1:]):
+            raise ValueError("not a header")
+        return [int(t) for t in head[1:]]  # also fails on more digits than int() converts
+    except ValueError as exc:
+        raise ParseError(f"bad header {' '.join(head)!r}, want {keyword!r} and {k} plain decimal counts") from exc
+
+
 def parse_graph(text: str, simple: bool = True) -> Graph:
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ParseError("empty graph file")
-    head = lines[0].split()
-    # plain ASCII decimal only: int() alone also takes "+3", "1_0" and "٣"
-    if len(head) != 3 or head[0] != "graph" or not all(t.isascii() and t.isdigit() for t in head[1:]):
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"bad header: {lines[0]!r}") from exc
+    n, m = header_counts(lines[0].split(), "graph", 2)
     if n > MAX_GRAPH_VERTICES:
         raise ParseError(f"n={n} exceeds the limit of {MAX_GRAPH_VERTICES} vertices")
     if len(lines) - 1 != m:

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BadVertex, ParseError, TooLarge
-from .graph import Graph, odd_components
+from .graph import Graph, header_counts, odd_components
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -262,21 +262,21 @@ def write_matching(m: Matching) -> str:
 
 def parse_matching(text: str) -> Matching:
     lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("matching "):
-        raise ParseError("missing matching header")
-    try:
-        k = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad header {lines[0]!r}") from exc
-    edges = []
+    (k,) = header_counts(lines[0].split() if lines else [], "matching", 1)
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "m":
             raise ParseError(f"bad matching line {ln!r}")
         try:
-            edges.append((int(parts[1]), int(parts[2])))
+            u, v = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ParseError(f"bad matching line {ln!r}") from exc
+        if u >= v:
+            raise ParseError(f"matching line not ascending: {ln!r}")
+        if (u, v) in edges:
+            raise ParseError(f"repeated matching line {ln!r}")
+        edges.add((u, v))
     if len(edges) != k:
         raise ParseError("edge count disagrees with header")
     return Matching(frozenset(edges))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces
 from oneplanar.graph import Graph, build_graph
@@ -10,6 +11,11 @@ from oneplanar.generators import random_oneplanar
 from oneplanar.rng import SplitMix64
 
 CORPUS_SIZE = 200
+
+# With `pytest --hypothesis-profile=deep`, a property test that sets no
+# example count of its own runs 2,000 examples, not hypothesis' default
+# 100.  CI runs the parser fuzz (tests/test_parsers.py) this way.
+settings.register_profile("deep", max_examples=2000)
 
 
 def make_k(n: int) -> Graph:

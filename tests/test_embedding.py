@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -164,6 +166,29 @@ def test_single_crossing_pair_drawing():
     crossed, uncrossed = crossing_partition(d)
     assert (len(crossed), len(uncrossed)) == (2, 0)
     assert len(faces(d)) == 1
+
+
+def test_crossed_edge_part_0_starts_at_its_smaller_endpoint():
+    # edge (0, 3) of k33_one_crossing runs 0 -> dummy 6 (seg 0) -> 3 (seg 8)
+    text = write_drawing(k33_one_crossing())
+    swapped = text.replace("seg 0 0 6 0 0\n", "seg 0 0 6 0 1\n").replace("seg 8 6 3 0 1\n", "seg 8 6 3 0 0\n")
+    assert swapped != text
+    with pytest.raises(ParseError, match="part 0"):
+        parse_drawing(swapped)
+    # the same, hand-built with the edge written from its part-0 end
+    d = OnePlanarDrawing(
+        n_real=4,
+        edges=((2, 0), (1, 3)),
+        pvertices=(RealV(0), RealV(1), RealV(2), RealV(3), DummyV(0, 1)),
+        segments=(
+            Segment((0, 4), 0, 1),
+            Segment((4, 2), 0, 0),
+            Segment((1, 4), 1, 0),
+            Segment((4, 3), 1, 1),
+        ),
+        rotations=((0,), (4,), (3,), (7,), (1, 5, 2, 6)),
+    )
+    assert not validate(d).valid
 
 
 def test_edge_budget_c4_tight():
@@ -477,13 +502,16 @@ def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
     return dataclasses.replace(d, n_real=other(d.n_real, d.n_real + 1))
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: family_delta4(6).drawing, lambda: random_oneplanar(10, 3, 4),
-             lambda: family_delta4_k5(3).drawing],
-    ids=["delta4", "random", "delta4-k5"],
-)
-def test_validate_flags_every_one_field_mutation(make):
-    d = make()
+MUTATION_DRAWINGS = {
+    "delta4": lambda: family_delta4(6).drawing,
+    "random": lambda: random_oneplanar(10, 3, 4),
+    "delta4-k5": lambda: family_delta4_k5(3).drawing,
+}
+
+
+@pytest.mark.parametrize("name", MUTATION_DRAWINGS)
+def test_validate_flags_every_one_field_mutation(name):
+    d = MUTATION_DRAWINGS[name]()
     assert validate(d).valid
     assert min(len(rot) for rot in d.rotations) >= 3  # a swap changes every rotation
     for seed in range(1000):
@@ -529,7 +557,30 @@ def test_1pg_round_trip_byte_exact():
         assert d2.edges == d.edges and d2.n_real == d.n_real
 
 
+TRIANGLE_1PG = (
+    "1pg 3 0 3\npv 0 real 0\npv 1 real 1\npv 2 real 2\nseg 0 0 1 0 0\nseg 1 0 2 1 0\n"
+    "seg 2 1 2 2 0\nrot 0: 0.0 1.0\nrot 1: 0.1 2.0\nrot 2: 1.1 2.1\n"
+)
+# (old, new) edits of TRIANGLE_1PG that each make it a parse error
+TRIANGLE_EDITS = [
+    # each id exactly once: a repeated record is an error, even a copy
+    ("rot 0: 0.0 1.0\n", "rot 0: 0.0\nrot 0: 0.0 1.0\n"),
+    ("rot 0: 0.0 1.0\n", "rot 0: 0.0 1.0\nrot 0: 0.0 1.0\n"),
+    ("pv 1 real 1\n", "pv 1 real 1\npv 1 real 1\n"),
+    ("seg 1 0 2 1 0\n", "seg 1 0 2 1 0\nseg 1 0 2 1 0\n"),
+    # header counts are plain ASCII decimal, and there are three of them
+    *(("1pg 3 0 3", head) for head in ("1pg +3 0 3", "1pg 0_3 0 3", "1pg \u0663 0 3", "1pg 3 0 3 junk")),
+    # every record kind has an exact token count, and `rot <pid>:` its colon
+    ("pv 0 real 0", "pv 0 real 0 99"),
+    ("pv 0 real 0", "pv 0 real"),
+    ("seg 0 0 1 0 0", "seg 0 0 1 0 0 7"),
+    ("rot 0: 0.0 1.0", "rot 0 0.0 1.0"),
+    ("rot 0: 0.0 1.0", "rot 0:: 0.0 1.0"),
+]
+
+
 def test_1pg_parse_rejects_garbage():
+    assert parse_drawing(TRIANGLE_1PG)
     pvs = "1pg 2 0 1\npv 0 real 0\npv 1 real 1\n"
     for text in (
         "",
@@ -540,9 +591,61 @@ def test_1pg_parse_rejects_garbage():
         # a dart's end is 0 or 1 and its sid non-negative; as 2*sid + end,
         # 6.2 would alias 7.0 and -1.2 the valid 0.0
         *(pvs + f"seg 0 0 1 0 0\nrot 0: {tok}\nrot 1: 0.1\n" for tok in ("6.2", "8.-2", "-1.1", "-1.2")),
+        *(TRIANGLE_1PG.replace(old, new, 1) for old, new in TRIANGLE_EDITS),
     ):
+        assert text != TRIANGLE_1PG
         with pytest.raises(ParseError):
             parse_drawing(text)
+
+
+def _one_number_edits(text: str, count: int):
+    """`count` seeded copies of text, each with one integer token changed;
+    the `:` and `.` around it stay."""
+    spans = [m.span() for m in re.finditer(r"\b\d+\b", text)]
+    hi = max(int(text[a:b]) for a, b in spans) + 1
+    for seed in range(count):
+        rng = SplitMix64(seed)
+        a, b = spans[rng.below(len(spans))]
+        old = int(text[a:b])
+        new = old + 2 * rng.below(2) - 1 if rng.below(2) else rng.below(hi + 2) - 1
+        yield text[:a] + str(new if new != old else hi + 1) + text[b:]
+
+
+@pytest.mark.parametrize("name", MUTATION_DRAWINGS)
+def test_1pg_one_number_edits_keep_their_outcomes(name):
+    # The digest over the 1,000 outcomes (`reject`, or the parsed drawing
+    # written back) was taken with the earlier two-pass parser.  Every one of
+    # these edits breaks the drawing, so it is the digest of 1,000 rejections:
+    # the gate holds that no one-number edit gets through.
+    h = hashlib.sha256()
+    for text in _one_number_edits(write_drawing(MUTATION_DRAWINGS[name]()), 1000):
+        try:
+            outcome = write_drawing(parse_drawing(text))
+        except ParseError:
+            outcome = "reject"
+        h.update(outcome.encode() + b"\0")
+    assert h.hexdigest() == "f8a8725a01af973307c338ffa6b29016ddcdc5b09ed19d26a3b0091fa14d9fcd"
+
+
+@pytest.mark.parametrize("name", MUTATION_DRAWINGS)
+def test_1pg_records_parse_in_any_order(name):
+    # shuffled records, each rotation written from a seeded dart, and blank
+    # lines all give back the same drawing
+    text = write_drawing(MUTATION_DRAWINGS[name]())
+    head, *records = text.splitlines()
+    for seed in range(100):
+        rng = SplitMix64(seed)
+        lines = list(records)
+        for i in range(len(lines) - 1, 0, -1):
+            j = rng.below(i + 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        for i, ln in enumerate(lines):
+            if ln.startswith("rot "):
+                tag, *darts = ln.split(" ")[1:]
+                k = rng.below(len(darts))
+                lines[i] = " ".join(["rot", tag] + darts[k:] + darts[:k])
+        lines.insert(rng.below(len(lines)), " ")
+        assert write_drawing(parse_drawing("\n".join([head] + lines))) == text
 
 
 def test_1pg_parse_header_counts_allocate_nothing():

@@ -1,7 +1,7 @@
 import pytest
 
 from oneplanar.embedding import _face_orbits, validate, write_drawing
-from oneplanar.errors import BadParity, TooManyCrossings, TooSmall
+from oneplanar.errors import BadParity, ParseError, TooManyCrossings, TooSmall
 from oneplanar.generators import (
     check_instance,
     cube_block_drawing,
@@ -200,3 +200,14 @@ def test_witness_round_trip():
     assert s == inst.witness
     assert deficiency == inst.predicted_deficiency
     assert upper == inst.predicted_matching_upper
+
+
+def test_witness_takes_each_line_once():
+    text = "S: 1 2\ndeficiency: 1\nmatching_upper: 4\n"
+    assert parse_witness(text) == (frozenset({1, 2}), 1, 4)
+    for extra in ("S: 3\n", "deficiency: 7\n", "matching_upper: 4\n"):
+        with pytest.raises(ParseError):
+            parse_witness(text + extra)
+    for text in ("S: 1\ndeficiency: 1\n", "S: 1\ndeficiency: x\nmatching_upper: 4\n", "T: 1\n"):
+        with pytest.raises(ParseError):
+            parse_witness(text)

@@ -190,6 +190,19 @@ def test_matching_format_round_trip():
             parse_matching(text)
 
 
+def test_matching_format_takes_each_edge_once_ascending():
+    for text in (
+        "matching 2\nm 0 1\nm 0 1\n",  # repeated
+        "matching 2\nm 0 1\nm 1 0\n",  # the same edge, once reversed
+        "matching 1\nm 1 0\n",  # write_matching writes u < v
+        "matching 1\nm 2 2\n",
+        "matching +1\nm 0 1\n",  # the header follows the graph format's rule
+        "matching 1 2\nm 0 1\n",
+    ):
+        with pytest.raises(ParseError):
+            parse_matching(text)
+
+
 # Every family instance small enough for the oracle (n <= 18).
 ORACLE_FAMILIES = [
     ("delta3", 4), ("delta4", 4), ("delta4", 6),

@@ -42,7 +42,8 @@ TOKENS = st.one_of(st.sampled_from(KEYWORDS), st.integers(-3, 30).map(str))
 # (up to `MAX_GRAPH_VERTICES`), so numbers stay below five digits.
 _LONG_NUMBER = re.compile(r"[\d_]{5,}")
 
-SETTINGS = settings(max_examples=100, deadline=None, database=None)
+# the example count comes from the hypothesis profile (see conftest.py)
+SETTINGS = settings(deadline=None, database=None)
 
 
 def parses_or_rejects(parse, text: str) -> None:

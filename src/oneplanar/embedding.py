@@ -218,7 +218,8 @@ def _derive_edges(
 
     An uncrossed edge is one segment, part 0, between two real pvertices.
     A crossed edge runs, as part 0, from its smaller endpoint to a dummy
-    recording it and on, as part 1, to its larger endpoint.
+    recording it and on, as part 1, to its larger endpoint.  The two real
+    endpoints differ, so no derived edge is a loop.
     `parse_drawing` takes its edges from here and `validate` checks a
     drawing's edges against them.
     """
@@ -244,11 +245,13 @@ def _derive_edges(
             (a, b), _, part = segments[sids[0]]
             if part != 0:
                 bad.append(f"edge {eid} single segment has part {part}")
-            elif isinstance(pvertices[a], RealV) and isinstance(pvertices[b], RealV):
+            elif not (isinstance(pvertices[a], RealV) and isinstance(pvertices[b], RealV)):
+                bad.append(f"edge {eid} segment does not join two real vertices")
+            elif pvertices[a].vid == pvertices[b].vid:
+                bad.append(f"edge {eid} is a loop")
+            else:
                 u, v = pvertices[a].vid, pvertices[b].vid
                 edges[eid] = (u, v) if u < v else (v, u)
-            else:
-                bad.append(f"edge {eid} segment does not join two real vertices")
         elif len(sids) == 2:
             s0, s1 = segments[sids[0]], segments[sids[1]]
             if s0.part > s1.part:
@@ -265,6 +268,8 @@ def _derive_edges(
                 bad.append(f"edge {eid} segments do not share one dummy")
             elif eid not in pvertices[d0]:
                 bad.append(f"edge {eid} crosses at a dummy not recording it")
+            elif pvertices[a0].vid == pvertices[a1].vid:
+                bad.append(f"edge {eid} is a loop")
             elif pvertices[a0].vid > pvertices[a1].vid:
                 bad.append(f"edge {eid} part 0 is not at its smaller endpoint")
             else:

@@ -191,6 +191,34 @@ def test_crossed_edge_part_0_starts_at_its_smaller_endpoint():
     assert not validate(d).valid
 
 
+# edge 0 crosses edge 1 at dummy 3, leaving and re-entering real vertex 0:
+# the dummy alternates, Euler holds and there is no bigon, but edge 0 is a loop
+LOOP_1PG = (
+    "1pg 3 1 4\npv 0 real 0\npv 1 real 1\npv 2 real 2\npv 3 dummy 0 1\n"
+    "seg 0 0 3 0 0\nseg 1 3 0 0 1\nseg 2 1 3 1 0\nseg 3 3 2 1 1\n"
+    "rot 0: 0.0 1.1\nrot 1: 2.0\nrot 2: 3.1\nrot 3: 0.1 2.1 1.0 3.0\n"
+)
+
+
+def test_crossed_edge_back_to_its_start_is_a_loop():
+    with pytest.raises(ParseError, match="edge 0 is a loop"):
+        parse_drawing(LOOP_1PG)
+    # the same, hand-built
+    d = OnePlanarDrawing(
+        n_real=3,
+        edges=((0, 0), (1, 2)),
+        pvertices=(RealV(0), RealV(1), RealV(2), DummyV(0, 1)),
+        segments=(
+            Segment((0, 3), 0, 0),
+            Segment((3, 0), 0, 1),
+            Segment((1, 3), 1, 0),
+            Segment((3, 2), 1, 1),
+        ),
+        rotations=((0, 3), (4,), (7,), (1, 5, 2, 6)),
+    )
+    assert "edge 0 is a loop" in validate(d).violations
+
+
 def test_edge_budget_c4_tight():
     lhs, rhs, holds = check_bipartite_edge_budget(c4_drawing(), ({0, 2}, {1, 3}))
     assert (lhs, rhs, holds) == (Fraction(4), 4, True)
@@ -592,23 +620,78 @@ def test_1pg_parse_rejects_garbage():
         # 6.2 would alias 7.0 and -1.2 the valid 0.0
         *(pvs + f"seg 0 0 1 0 0\nrot 0: {tok}\nrot 1: 0.1\n" for tok in ("6.2", "8.-2", "-1.1", "-1.2")),
         *(TRIANGLE_1PG.replace(old, new, 1) for old, new in TRIANGLE_EDITS),
+        LOOP_1PG,
     ):
         assert text != TRIANGLE_1PG
         with pytest.raises(ParseError):
             parse_drawing(text)
 
 
-def _one_number_edits(text: str, count: int):
-    """`count` seeded copies of text, each with one integer token changed;
-    the `:` and `.` around it stay."""
+def _one_number_edit(text: str, seed: int) -> str:
+    """A seeded copy of text with one integer token changed; the `:` and `.`
+    around it stay."""
     spans = [m.span() for m in re.finditer(r"\b\d+\b", text)]
     hi = max(int(text[a:b]) for a, b in spans) + 1
-    for seed in range(count):
-        rng = SplitMix64(seed)
-        a, b = spans[rng.below(len(spans))]
-        old = int(text[a:b])
-        new = old + 2 * rng.below(2) - 1 if rng.below(2) else rng.below(hi + 2) - 1
-        yield text[:a] + str(new if new != old else hi + 1) + text[b:]
+    rng = SplitMix64(seed)
+    a, b = spans[rng.below(len(spans))]
+    old = int(text[a:b])
+    new = old + 2 * rng.below(2) - 1 if rng.below(2) else rng.below(hi + 2) - 1
+    return text[:a] + str(new if new != old else hi + 1) + text[b:]
+
+
+def _shuffled(items: list, rng: SplitMix64) -> list:
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _relabelled(text: str, rng: SplitMix64) -> str:
+    """The same drawing as the `1pg` text under new ids: pvertex, segment,
+    edge and real vertex ids permuted, each segment written from either end,
+    each dummy's edge pair in either order, and the records shuffled.  A
+    crossed edge's part 0 stays the segment at its smaller endpoint."""
+    head, *records = text.splitlines()
+    rows = [ln.split() for ln in records]
+    n_real, n_dummy, n_seg = (int(x) for x in head.split()[1:])
+    segs = {int(r[1]): [int(x) for x in r[2:]] for r in rows if r[0] == "seg"}
+    pids = _shuffled(range(n_real + n_dummy), rng)
+    sids = _shuffled(range(n_seg), rng)
+    eids = _shuffled(range(1 + max(eid for _, _, eid, _ in segs.values())), rng)
+    vids = _shuffled(range(n_real), rng)
+    flip = [rng.below(2) for _ in range(n_seg)]
+    vid = {int(r[1]): vids[int(r[3])] for r in rows if r[:3:2] == ["pv", "real"]}
+    # the new id of each segment's real end; a crossed edge's segments have one each
+    real_end = {sid: min(vid.get(a, n_real), vid.get(b, n_real)) for sid, (a, b, _, _) in segs.items()}
+    crossed = {}
+    for sid, (_, _, eid, _) in segs.items():
+        crossed.setdefault(eid, []).append(real_end[sid])
+    out = []
+    for r in rows:
+        if r[:3:2] == ["pv", "real"]:
+            out.append(f"pv {pids[int(r[1])]} real {vid[int(r[1])]}")
+        elif r[0] == "pv":
+            pair = [eids[int(r[3])], eids[int(r[4])]]
+            out.append(f"pv {pids[int(r[1])]} dummy {' '.join(map(str, _shuffled(pair, rng)))}")
+        elif r[0] == "seg":
+            sid, (a, b, eid, part) = int(r[1]), segs[int(r[1])]
+            a, b = (b, a) if flip[sid] else (a, b)
+            if len(crossed[eid]) == 2:
+                part = int(real_end[sid] > min(crossed[eid]))
+            out.append(f"seg {sids[sid]} {pids[a]} {pids[b]} {eids[eid]} {part}")
+        else:
+            darts = [tok.split(".") for tok in r[2:]]
+            new = [f"{sids[int(s)]}.{int(e) ^ flip[int(s)]}" for s, e in darts]
+            out.append(" ".join(["rot", f"{pids[int(r[1][:-1])]}:", *new]))
+    return "\n".join([head, *_shuffled(out, rng)]) + "\n"
+
+
+def _outcome(text: str) -> str:
+    try:
+        return write_drawing(parse_drawing(text))
+    except ParseError:
+        return "reject"
 
 
 @pytest.mark.parametrize("name", MUTATION_DRAWINGS)
@@ -617,14 +700,34 @@ def test_1pg_one_number_edits_keep_their_outcomes(name):
     # written back) was taken with the earlier two-pass parser.  Every one of
     # these edits breaks the drawing, so it is the digest of 1,000 rejections:
     # the gate holds that no one-number edit gets through.
+    text = write_drawing(MUTATION_DRAWINGS[name]())
     h = hashlib.sha256()
-    for text in _one_number_edits(write_drawing(MUTATION_DRAWINGS[name]()), 1000):
-        try:
-            outcome = write_drawing(parse_drawing(text))
-        except ParseError:
-            outcome = "reject"
-        h.update(outcome.encode() + b"\0")
+    for seed in range(1000):
+        h.update(_outcome(_one_number_edit(text, seed)).encode() + b"\0")
     assert h.hexdigest() == "f8a8725a01af973307c338ffa6b29016ddcdc5b09ed19d26a3b0091fa14d9fcd"
+
+
+RELABEL_DIGESTS = {
+    "delta4": "5114269c23aa4b76e8c7fda08c5e58e86bb2a11f53d469cb92ea55f0c12a23b2",
+    "random": "b782791779efd101f6cf7153917c49ff6cbcf7ea6038bd18c320be4f813cf08e",
+    "delta4-k5": "0efdc1c2f98bc70a7f8f9be6982d05d7bd56809c727c03bb86913cc4232c3547",
+}
+
+
+@pytest.mark.parametrize("name", MUTATION_DRAWINGS)
+def test_1pg_relabelled_texts_keep_their_outcomes(name):
+    # Each seed relabels the drawing (a valid text, which must parse to the
+    # relabelled drawing) and then makes one one-number edit of it.  The
+    # digest over the outcomes was taken with the earlier two-pass parser, so
+    # the relabelled drawings pin that both parsers read valid texts alike.
+    text = write_drawing(MUTATION_DRAWINGS[name]())
+    h = hashlib.sha256()
+    for seed in range(200):
+        relabelled = _relabelled(text, SplitMix64(seed))
+        drawn = _outcome(relabelled)
+        assert drawn != "reject", seed
+        h.update(drawn.encode() + b"\0" + _outcome(_one_number_edit(relabelled, seed)).encode() + b"\0")
+    assert h.hexdigest() == RELABEL_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", MUTATION_DRAWINGS)
@@ -635,10 +738,7 @@ def test_1pg_records_parse_in_any_order(name):
     head, *records = text.splitlines()
     for seed in range(100):
         rng = SplitMix64(seed)
-        lines = list(records)
-        for i in range(len(lines) - 1, 0, -1):
-            j = rng.below(i + 1)
-            lines[i], lines[j] = lines[j], lines[i]
+        lines = _shuffled(records, rng)
         for i, ln in enumerate(lines):
             if ln.startswith("rot "):
                 tag, *darts = ln.split(" ")[1:]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .embedding import (
     Face,
@@ -166,40 +166,63 @@ class ChargeLedger:
     totals: tuple[int, int]  # (sum of charges, 12|S| + 12|T| - 24)
 
 
-def _first_addable_chord(
-    d: _Planarization,
-    faces: list[Face],
-    s: frozenset[int],
-    t: frozenset[int],
-    rng: SplitMix64 | None,
-) -> tuple[Face, int, int, int, int] | None:
-    """First S-T chord addable without a bigon, over `faces` in order or shuffled."""
-    if rng is not None:
-        faces = list(faces)
-        rng.shuffle(faces)
-    for face in faces:
-        k = len(face.darts)
-        occ = face.real_corner_positions(d)
-        s_occ: dict[int, list[int]] = {}
-        t_occ: dict[int, list[int]] = {}
-        for pos, vid in occ:
-            (s_occ if vid in s else t_occ).setdefault(vid, []).append(pos)
-        pairs = [(sv, tv) for sv in sorted(s_occ) for tv in sorted(t_occ)]
-        if rng is not None:
-            rng.shuffle(pairs)
-        for sv, tv in pairs:
-            for pi in s_occ[sv]:
-                for pj in t_occ[tv]:
-                    if (pj - pi) % k != 1 and (pi - pj) % k != 1:
-                        return face, sv, tv, pi, pj
+class _FaceRecord(NamedTuple):
+    """What the charging engine reads of one face, once, when the face appears."""
+
+    s_occ: dict[int, list[int]]  # S-corner -> its walk positions
+    t_occ: dict[int, list[int]]  # T-corner -> its walk positions
+    pairs: list[tuple[int, int]]  # every (S-corner, T-corner), sorted
+    chord: tuple[int, int, int, int] | None  # first bigon-free (sv, tv, pi, pj) in pair order
+
+
+def _face_record(d: _Planarization, face: Face, s: frozenset[int], t: frozenset[int]) -> _FaceRecord:
+    s_occ: dict[int, list[int]] = {}
+    t_occ: dict[int, list[int]] = {}
+    for pos, vid in face.real_corner_positions(d):
+        if vid in s:
+            s_occ.setdefault(vid, []).append(pos)
+        elif vid in t:
+            t_occ.setdefault(vid, []).append(pos)
+    pairs = [(sv, tv) for sv in sorted(s_occ) for tv in sorted(t_occ)]
+    k = len(face.darts)
+    chord = next(
+        ((sv, tv, *occ) for sv, tv in pairs if (occ := _bigon_free(s_occ[sv], t_occ[tv], k))),
+        None,
+    )
+    return _FaceRecord(s_occ, t_occ, pairs, chord)
+
+
+def _bigon_free(s_pos: list[int], t_pos: list[int], k: int) -> tuple[int, int] | None:
+    """The first pair of walk positions, one from each list, not adjacent on a k-walk."""
+    for pi in s_pos:
+        for pj in t_pos:
+            if (pj - pi) % k != 1 and (pi - pj) % k != 1:
+                return pi, pj
     return None
 
 
-def _replace_face(fs: list[Face], split: Face, pieces: Iterable[Face]) -> None:
-    """Keep the canonically ordered face list fs current after `split` became `pieces`."""
-    fs.remove(split)
-    for f in pieces:
-        bisect.insort(fs, f, key=lambda x: x.darts)
+def _next_chord(
+    queue: list[Face], records: dict[Face, _FaceRecord], rng: SplitMix64 | None
+) -> tuple[Face, tuple[int, int, int, int]] | None:
+    """The next chord of step 1 and its face.  In canonical order `queue`
+    holds the faces with a chord and the first one wins; under a seed it
+    holds every face, and the faces and each visited face's pairs are
+    shuffled."""
+    if rng is None:
+        return (queue[0], records[queue[0]].chord) if queue else None
+    faces = list(queue)
+    rng.shuffle(faces)
+    for face in faces:
+        rec = records[face]
+        pairs = list(rec.pairs)
+        rng.shuffle(pairs)
+        if rec.chord is None:  # no pair has a bigon-free occurrence
+            continue
+        for sv, tv in pairs:
+            occ = _bigon_free(rec.s_occ[sv], rec.t_occ[tv], len(face))
+            if occ:
+                return face, (sv, tv, *occ)
+    return None
 
 
 def charging_run(
@@ -219,6 +242,15 @@ def charging_run(
     With order_seed=None faces and chord candidates are processed in
     canonical order; a seed shuffles both (the structural claims must
     hold for any maximal order).
+
+    Steps 1 and 2 read each face's corners once, when the face appears,
+    into a `_FaceRecord`: the walk positions of its S- and T-corners,
+    its sorted S-T pairs and the first pair's bigon-free chord, if any.
+    Only the split face's pieces are new after an edit, so only they are
+    read.  In canonical order step 1 takes the first face with a chord
+    and step 2 the first with three or more T-corners; under a seed,
+    step 1 still shuffles the whole face list and each visited face's
+    pairs, so the draws are those of a full rescan.
     """
     s_set = frozenset(s)
     t_set = frozenset(t)
@@ -237,34 +269,42 @@ def charging_run(
     base = work.freeze()
     work.multi_allowed = True
 
-    # step 1: chord saturation; fs is kept current, in canonical order
-    fs = list(_require_valid(base).faces)
+    # step 1: chord saturation.  `records` holds every current face's
+    # record; `queue` the faces step 1 may pick, in canonical order: every
+    # face under a seed, else the faces with a chord (a face without one
+    # never gains one, since its chords depend only on its own walk).
+    records = {f: _face_record(work, f, s_set, t_set) for f in _require_valid(base).faces}
     rng = SplitMix64(order_seed) if order_seed is not None else None
+    queue = [f for f, rec in records.items() if rng is not None or rec.chord]
     chords: list[tuple[int, int]] = []
     cap = 3 * (work.n_p + 1) ** 2
-    while True:
-        found = _first_addable_chord(work, fs, s_set, t_set, rng)
-        if found is None:
-            break
-        face, sv, tv, pi, pj = found
-        _replace_face(fs, face, work.add_chord(face, sv, tv, occurrences=(pi, pj)))
+    while (found := _next_chord(queue, records, rng)) is not None:
+        face, (sv, tv, pi, pj) = found
+        queue.remove(face)
+        del records[face]
+        for piece in work.add_chord(face, sv, tv, occurrences=(pi, pj)):
+            records[piece] = rec = _face_record(work, piece, s_set, t_set)
+            if rng is not None or rec.chord:
+                bisect.insort(queue, piece, key=lambda f: f.darts)
         chords.append((sv, tv))
         if len(chords) >= cap:
             raise InvalidDrawing(f"chord saturation did not terminate after {len(chords)} chords")
     gamma_prime = work.freeze()
 
-    # step 2: auxiliary vertices into T-heavy faces; the loop ends only
-    # when no face has three or more T-corners
+    # step 2: auxiliary vertices into T-heavy faces, first in canonical
+    # order; the loop ends only when no face has three or more T-corners.
+    # An insertion's pieces are its only new faces (its vertex is not in T).
+    heavy = sorted((f for f, rec in records.items() if len(rec.t_occ) >= 3), key=lambda f: f.darts)
     delta_vertices: list[int] = []
     delta_attach: list[tuple[int, tuple[int, int, int]]] = []
-    while True:
-        target = next(_t_heavy_faces(work, fs, t_set), None)
-        if target is None:
-            break
-        face, t_corners = target
-        attach = tuple(t_corners[:3])
+    while heavy:
+        face = heavy.pop(0)
+        attach = tuple(sorted(records.pop(face).t_occ)[:3])
         z = work.n_real
-        _replace_face(fs, face, work.insert_vertex(face, attach))
+        for piece in work.insert_vertex(face, attach):
+            records[piece] = rec = _face_record(work, piece, s_set, t_set)
+            if len(rec.t_occ) >= 3:
+                bisect.insort(heavy, piece, key=lambda f: f.darts)
         delta_vertices.append(z)
         delta_attach.append((z, attach))
     final = work.freeze()

@@ -65,6 +65,14 @@ def _parse_ids(text: str) -> frozenset[int]:
         raise ParseError(f"bad vertex list {text!r}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; a file that cannot be read or decoded is a parse error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_vertex_set(spec: str) -> frozenset[int]:
     """A vertex set given as a csv list or a witness-file path."""
     p = Path(spec)
@@ -73,7 +81,7 @@ def _load_vertex_set(spec: str) -> frozenset[int]:
     except OSError:  # e.g. a csv longer than a file name may be
         is_file = False
     if is_file:
-        s, _, _ = generators.parse_witness(p.read_text())
+        s, _, _ = generators.parse_witness(_read_text(spec))
         return s
     return _parse_ids(spec)
 
@@ -144,7 +152,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = parse_graph(Path(args.graph).read_text())
+    g = parse_graph(_read_text(args.graph))
     if args.mode == "matching":
         m = matcher.maximum_matching(g)
         sys.stdout.write(matcher.write_matching(m))
@@ -183,7 +191,7 @@ def _resolve_t(arg: str, d: embedding.OnePlanarDrawing) -> frozenset[int]:
 def _load_provenance(args: argparse.Namespace) -> embedding.OnePlanarDrawing | None:
     if not args.provenance:
         return None
-    return embedding.parse_drawing(Path(args.provenance).read_text())
+    return embedding.parse_drawing(_read_text(args.provenance))
 
 
 def _bound_line(chk: bounds.BoundCheck) -> str:
@@ -195,7 +203,7 @@ def _bound_line(chk: bounds.BoundCheck) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     what = args.what
     if what == "obs1":
-        d = embedding.parse_drawing(Path(args.input).read_text())
+        d = embedding.parse_drawing(_read_text(args.input))
         if args.side0:
             side0 = _parse_ids(args.side0)
             sides = (side0, frozenset(range(d.n_real)) - side0)
@@ -206,7 +214,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if chk.holds else EXIT_VIOLATION
 
     if what in ("lemma5", "lemma6"):
-        d = embedding.parse_drawing(Path(args.input).read_text())
+        d = embedding.parse_drawing(_read_text(args.input))
         if not args.T:
             raise _UsageError(f"check {what} needs --T")
         t = _resolve_t(args.T, d)
@@ -219,7 +227,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if chk.holds else EXIT_VIOLATION
 
     if what in ("lemma7", "lemma8"):
-        g = parse_graph(Path(args.input).read_text())
+        g = parse_graph(_read_text(args.input))
         if not args.S:
             raise _UsageError(f"check {what} needs --S")
         s = _load_vertex_set(args.S)
@@ -231,7 +239,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if chk.holds else EXIT_VIOLATION
 
     if what == "theorem1":
-        g = parse_graph(Path(args.input).read_text())
+        g = parse_graph(_read_text(args.input))
         if args.delta not in bounds.BOUNDS:
             raise _UsageError(f"check theorem1 needs --delta in {sorted(bounds.BOUNDS)}")
         rep = bounds.certify_matching_bound(g, args.delta, _load_provenance(args))
@@ -254,7 +262,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if rep.holds else EXIT_VIOLATION
 
     if what == "charge":
-        d = embedding.parse_drawing(Path(args.input).read_text())
+        d = embedding.parse_drawing(_read_text(args.input))
         if not args.S:
             raise _UsageError("check charge needs --S")
         s = _load_vertex_set(args.S)
@@ -339,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TooLarge, OnePlanarError) as exc:
         print(f"precondition: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # an output path in a missing directory (--manifest)
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

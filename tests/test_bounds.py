@@ -15,7 +15,7 @@ from oneplanar.bounds import (
     reduce_components,
     write_ledger,
 )
-from oneplanar.embedding import _Builder, _face_orbits, drawing_from_faces
+from oneplanar.embedding import Face, _Builder, _face_orbits, drawing_from_faces, validate
 from oneplanar.errors import (
     DegreeTooLow,
     EmptyT,
@@ -235,6 +235,31 @@ def test_charging_survives_step0_disconnection():
     ledger = charging_run(d, frozenset(range(6)), frozenset({6}))
     assert charge_verify(ledger).ok
     assert not ledger.base.crossed_eids()
+
+
+@pytest.mark.parametrize("which", ["delta3-s24", "random-n137"])
+def test_charging_reads_each_face_once(monkeypatch, which):
+    # every face is read once, when it appears: the base faces, the two
+    # pieces of each chord and the three of each auxiliary vertex
+    if which == "delta3-s24":
+        inst = family_delta3(24)
+        d, s = inst.drawing, inst.witness
+    else:
+        d = random_oneplanar(137, 3 * 137 // 16, 1)
+        s = frozenset(range(d.n_real)) - greedy_independent_t(d.graph())
+    reads = 0
+    real_corner_positions = Face.real_corner_positions
+
+    def counted(self, drawing):
+        nonlocal reads
+        reads += 1
+        return real_corner_positions(self, drawing)
+
+    monkeypatch.setattr(Face, "real_corner_positions", counted)
+    ledger = charging_run(d, s, frozenset(range(d.n_real)) - s)
+    assert ledger.added_chords or ledger.delta_vertices
+    created = 2 * len(ledger.added_chords) + 3 * len(ledger.delta_vertices)
+    assert reads <= len(validate(ledger.base).faces) + created
 
 
 def test_ledger_dump_shape():

@@ -309,3 +309,29 @@ def test_graph_header_outside_plain_decimal_or_the_limit_exits_2(tmp_path, capsy
     path.write_text(header + "\n", encoding="utf-8")
     assert main(["solve", str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+# each input file of the CLI, as an argv with BAD where the file goes
+UNREADABLE_INPUTS = {
+    "solve-graph": ("solve", "BAD"),
+    "lemma7-graph": ("check", "lemma7", "BAD", "--S", "0", "--delta", "3"),
+    "charge-1pg": ("check", "charge", "BAD", "--S", "0,1,2"),
+    "charge-S": ("check", "charge", "DRAWING", "--S", "BAD"),
+    "lemma5-T": ("check", "lemma5", "DRAWING", "--T", "BAD"),
+    "theorem1-provenance": ("check", "theorem1", "GRAPH", "--delta", "3", "--provenance", "BAD"),
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+@pytest.mark.parametrize("which", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, which, kind):
+    run(capsys, "generate", "delta3", "--s", "4", "-o", str(tmp_path))
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe")
+    paths = {"BAD": bad, "DRAWING": tmp_path / "delta3-s4.1pg", "GRAPH": tmp_path / "delta3-s4.graph"}
+    argv = [str(paths.get(a, a)) for a in UNREADABLE_INPUTS[which]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot read {bad}")

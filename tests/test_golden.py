@@ -19,9 +19,12 @@ import hashlib
 import pytest
 from conftest import greedy_independent_t
 
+from oneplanar.bounds import charging_run, write_ledger
 from oneplanar.cli import main
-from oneplanar.embedding import drawing_from_faces, write_drawing
+from oneplanar.embedding import OnePlanarDrawing, drawing_from_faces, write_drawing
+from oneplanar.generators import family_delta3, random_oneplanar
 from oneplanar.graph import parse_graph
+from oneplanar.rng import SplitMix64
 
 GENERATE = {
     ("delta3", "--s", "4"): "28faec676d72c63ccd3cb2fb43ba7ef380ab21bdde95382a8db4c39d27cb3b64",
@@ -206,3 +209,101 @@ def test_check_lines_golden(tmp_path, capsys, key):
     capsys.readouterr()
     code = main(["check", what, str(tmp_path / f"{stem}.1pg"), *extra])
     assert (code, capsys.readouterr().out) == CHECK_LINES[key]
+
+
+# In-process charging runs, larger than the CLI ledgers above: input ->
+# {order seed: (sha256 of write_ledger, SplitMix64.next_u64 calls)},
+# pinned before the charging engine kept one record per face.  The
+# delta3 inputs take S from the family witness; the random drawings are
+# random_oneplanar(n, 3n/16, seed) with T the greedy independent set.
+# The draw count catches draws added or lost after the last chord, which
+# the ledger cannot show.
+CHARGING_RUNS = {
+    ("delta3", 12): {
+        None: ("89edaf62f13729d3f700b4d1deeb32063ed7d119eb55ea0f923dd1a104dd3868", 0),
+        7: ("89edaf62f13729d3f700b4d1deeb32063ed7d119eb55ea0f923dd1a104dd3868", 169),
+        11: ("89edaf62f13729d3f700b4d1deeb32063ed7d119eb55ea0f923dd1a104dd3868", 169),
+        123: ("89edaf62f13729d3f700b4d1deeb32063ed7d119eb55ea0f923dd1a104dd3868", 169),
+    },
+    ("delta3", 24): {
+        None: ("92f7954dc918254945e0c4c4709d596b9d1d405c8657504a0e1441bb2d5e55b0", 0),
+        7: ("92f7954dc918254945e0c4c4709d596b9d1d405c8657504a0e1441bb2d5e55b0", 373),
+        11: ("92f7954dc918254945e0c4c4709d596b9d1d405c8657504a0e1441bb2d5e55b0", 373),
+        123: ("92f7954dc918254945e0c4c4709d596b9d1d405c8657504a0e1441bb2d5e55b0", 373),
+    },
+    ("delta3", 48): {
+        None: ("b553d9e5870b6c324211f08887e85bb359e33a8344a78718807e01588fed030e", 0),
+        7: ("b553d9e5870b6c324211f08887e85bb359e33a8344a78718807e01588fed030e", 781),
+        11: ("b553d9e5870b6c324211f08887e85bb359e33a8344a78718807e01588fed030e", 781),
+        123: ("b553d9e5870b6c324211f08887e85bb359e33a8344a78718807e01588fed030e", 781),
+    },
+    ("random", 40, 1): {
+        None: ("e7f0418c3059e5a11f3bd442a88dd9a73345b5323dae0768cdc67606b8da4ebf", 0),
+        7: ("5518bb8abbc7fb0cb66e8c990e5f2fed502ab835a2ed7e81f2f3294f0b8e4740", 1845),
+        11: ("02e4ace2e3262e4a02f8ae8f7f4e9dfb607e1749d6a984873d3aedb67be71fff", 1633),
+        123: ("f6620514ed52b50a2bddf566a08a94bcdbf444bc60453d2a5cf151322722cc03", 1619),
+    },
+    ("random", 40, 2): {
+        None: ("1d52ec061168236cb303d90ac37c84873deef287eb43743596a1d7325bf59788", 0),
+        7: ("386b749049b024c6daf2c1ce43a22a811088327fcf75a6a3aa465d345f69bdd6", 1664),
+        11: ("548609758259c5a406ba0c8c68861375fb66b4585d21a6548ea6eb7deccb7b80", 1663),
+        123: ("7ca5284373975734e8df603284cf3415b7fd15795005fbca2a2dce88e025eaa3", 1723),
+    },
+    ("random", 137, 1): {
+        None: ("01c1ca0b0a75565b78fe3aa812f6dd30c3b947c8bc55d7096a41cc940c6fd580", 0),
+        7: ("4cef9658866aa73a19ef0857de52d400e4feea64fbf35e23772a26d798201064", 15558),
+        11: ("3c1edc62bba36b9a83948f97d4a6eed8e55cd7f9d95786f75fddc7e94240f300", 15660),
+        123: ("1fecf92799c1aaafcab6ba9232bcf21010bf690e2fa141f3a004d3e6985a9895", 15564),
+    },
+    ("random", 137, 2): {
+        None: ("d19a4d826a25e98c9038d8992e5148386cf3bf5ed16a5b1d6445c06697d76ed1", 0),
+        7: ("6babfd09c0e1366c557871a451acbd8f8e9b5e528786eb148033c65fdbd86d0f", 16048),
+        11: ("c0c755afdd6ec0489683465a61cc5ca2b6f8025b0ee464467b04eb2daf8dc831", 16001),
+        123: ("940bc6c3fa476726db364df699f1cb95b4d81eaead89fd8c3b8f76ba28bf09fd", 15577),
+    },
+    ("random", 275, 1): {
+        None: ("473db2d5924178073f14c49af4cda1baa17a08c275e6e7795a74e3551f38ea49", 0),
+        7: ("73fc77a102fb5db6ff8418e8129c9bcf44e085dad035dcbf1537b45c94d677e9", 64256),
+        11: ("b68cb8b7baae56d24aebd05f2fd717d28986a7962995885efe8ade1c2123c5b4", 62513),
+        123: ("a31ef0fc34837bf368b88441734872f7af6e38c713048ee9608f4013d9b310e1", 63980),
+    },
+    ("random", 275, 2): {
+        None: ("8f5afc193c4037f4b93d01012c677c4bff6cd46e18fde44321c25211f9f75240", 0),
+        7: ("b77a6ca8c514b4b47b01ecb07bea68d784e9fc520bab32ba7cb651a3e01b9eee", 58203),
+        11: ("90584fcb3ca301e2a77d4c00632e91778675b4138e261378950570da59d2649f", 61023),
+        123: ("9adee5d848a3b62ebbec346610443e777d9e7c30e376cf0132e6181d586bb7b8", 60805),
+    },
+}
+ORDER_SEEDS = (None, 7, 11, 123)
+
+
+def charging_input(key: tuple) -> tuple[OnePlanarDrawing, frozenset[int], frozenset[int]]:
+    if key[0] == "delta3":
+        inst = family_delta3(key[1])
+        d, s = inst.drawing, inst.witness
+        return d, s, frozenset(range(d.n_real)) - s
+    _, n, seed = key
+    d = random_oneplanar(n, 3 * n // 16, seed)
+    t = greedy_independent_t(d.graph())
+    return d, frozenset(range(d.n_real)) - t, t
+
+
+def charging_digest(monkeypatch, key: tuple, order_seed: int | None) -> tuple[str, int]:
+    d, s, t = charging_input(key)
+    draws = 0
+    next_u64 = SplitMix64.next_u64
+
+    def counted(self):
+        nonlocal draws
+        draws += 1
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    ledger = charging_run(d, s, t, order_seed=order_seed)
+    return _sha(write_ledger(ledger).encode()), draws
+
+
+@pytest.mark.parametrize("key", sorted(CHARGING_RUNS, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_charging_run_golden(monkeypatch, key):
+    got = {seed: charging_digest(monkeypatch, key, seed) for seed in ORDER_SEEDS}
+    assert got == CHARGING_RUNS[key]

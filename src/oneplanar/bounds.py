@@ -40,7 +40,7 @@ from .errors import (
     STooSmall,
 )
 from .generators import FamilyInstance
-from .graph import Graph, build_graph, is_independent, min_degree, odd_components
+from .graph import Graph, is_independent, min_degree, odd_components
 from .matcher import check_matching, matching_upper_from_witness, maximum_matching
 from .rng import SplitMix64
 
@@ -56,19 +56,13 @@ class BoundCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class DegreeClassCount:
-    by_degree: dict[int, int]
-    by_cw_degree: dict[int, int]
-
-
 def _check_t_preconditions(d: OnePlanarDrawing, t: frozenset[int]) -> Graph:
     if not t:
         raise EmptyT("independent set T must be non-empty")
     _require_valid(d)
     if d.multi_allowed:
         raise InvalidDrawing("degree bounds require a simple-mode drawing")
-    g = d.graph()
+    g = d.graph
     for v in t:
         if not (0 <= v < g.n):
             raise BadVertex(f"vertex {v} out of range")
@@ -79,71 +73,26 @@ def _check_t_preconditions(d: OnePlanarDrawing, t: frozenset[int]) -> Graph:
     return g
 
 
-def degree_classes(d: OnePlanarDrawing, t: Iterable[int]) -> DegreeClassCount:
-    """Class sizes T_d (by degree) and W_d (by crossing-weighted degree)."""
-    members = frozenset(t)
-    g = d.graph()
-    by_degree: dict[int, int] = {}
-    by_cw: dict[int, int] = {}
-    for v in sorted(members):
-        by_degree[g.degree(v)] = by_degree.get(g.degree(v), 0) + 1
-        cw = crossing_weighted_degree(d, v)
-        by_cw[cw] = by_cw.get(cw, 0) + 1
-    return DegreeClassCount(by_degree, by_cw)
-
-
 def check_degree_bound(d: OnePlanarDrawing, t: Iterable[int]) -> BoundCheck:
     """Degree-class inequality 2|T_3| + sum_{d>=4} (3d-6)|T_d| <= 12|V-T| - 24."""
-    return _degree_class_bound(d, t, False, lambda deg: 2 if deg == 3 else 3 * deg - 6)
+    return _degree_class_bound(d, t, lambda v: d.graph.degree(v), lambda deg: 2 if deg == 3 else 3 * deg - 6)
 
 
 def check_cw_degree_bound(d: OnePlanarDrawing, t: Iterable[int]) -> BoundCheck:
     """Crossing-weighted variant 2|W_3| + 2|W_4| + sum_{d>=5} (3d-12)|W_d| <= 12|V-T| - 24."""
-    return _degree_class_bound(d, t, True, lambda deg: 2 if deg in (3, 4) else 3 * deg - 12)
+    return _degree_class_bound(
+        d, t, lambda v: crossing_weighted_degree(d, v), lambda deg: 2 if deg in (3, 4) else 3 * deg - 12
+    )
 
 
-def _degree_class_bound(d: OnePlanarDrawing, t: Iterable[int], cw: bool, weight) -> BoundCheck:
-    """sum of weight(deg) * |class| over T's classes by degree (by
-    crossing-weighted degree if cw) <= 12|V-T| - 24."""
+def _degree_class_bound(d: OnePlanarDrawing, t: Iterable[int], key, weight) -> BoundCheck:
+    """sum of weight(key(v)) over v in T <= 12|V-T| - 24, key the degree or
+    the crossing-weighted degree: per class of T, weight(deg) * |class|."""
     members = frozenset(t)
     g = _check_t_preconditions(d, members)
-    counts = degree_classes(d, members)
-    classes = counts.by_cw_degree if cw else counts.by_degree
-    lhs = sum(weight(deg) * cnt for deg, cnt in classes.items())
+    lhs = sum(weight(key(v)) for v in members)
     rhs = 12 * (g.n - len(members)) - 24
     return BoundCheck(Fraction(lhs), Fraction(rhs), lhs <= rhs)
-
-
-# ---------------------------------------------------------------------
-# component reduction
-
-
-def reduce_components(
-    g: Graph, s: Iterable[int], odd_threshold: int
-) -> tuple[Graph, dict[int, int]]:
-    """Drop S-S edges, even components, and odd components of >= odd_threshold vertices.
-
-    Threshold 3 keeps only singleton components; threshold 5 also keeps
-    size-3 components.  Returns the reduced graph plus old-id -> new-id map.
-    """
-    members = frozenset(s)
-    for v in members:
-        if not (0 <= v < g.n):
-            raise BadVertex(f"vertex {v} out of range")
-    _, comps = odd_components(g, members)
-    keep: set[int] = set(members)
-    for comp in comps:
-        if len(comp) % 2 == 1 and len(comp) < odd_threshold:
-            keep.update(comp)
-    kept = sorted(keep)
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = []
-    for u, v in g.edges:
-        if u in members and v in members:
-            continue
-        if u in keep and v in keep:
-            edges.append((remap[u], remap[v]))
-    return build_graph(len(kept), edges, simple=g.simple), remap
 
 
 # ---------------------------------------------------------------------
@@ -311,7 +260,7 @@ def charging_run(
 
     # step 3: assign charges
     delta_set = frozenset(delta_vertices)
-    crossed = final.crossed_eids()
+    crossed = final.crossed_eids
     charge_class: list[tuple[int, int]] = []
     delta_edges: list[tuple[int, int]] = []
     total = 0
@@ -356,7 +305,7 @@ def charging_run(
 def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
     """T-vertices with three cyclically consecutive crossed edges after step 1."""
     gp = ledger.gamma_prime
-    crossed = gp.crossed_eids()
+    crossed = gp.crossed_eids
     bad = []
     for tv in sorted(v for v in ledger.t if v in gp.real_pid):  # charge_verify names the rest
         rot = gp.rotations[gp.real_pid[tv]]
@@ -411,12 +360,12 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
             f"|E_delta| = {len(ledger.delta_edges)} != 3*{len(ledger.delta_vertices)}"
         )
 
-    crossed_final = final.crossed_eids()
+    crossed_final = final.crossed_eids
     delta_set = frozenset(ledger.delta_vertices)
     for eid, (u, v) in enumerate(final.edges):
         if (u in delta_set or v in delta_set) and eid in crossed_final:
             bad.append(f"auxiliary edge ({u},{v}) is crossed")
-    crossed_gp = gp.crossed_eids()
+    crossed_gp = gp.crossed_eids
     n_base_edges = len(base.edges)
     for eid in range(n_base_edges, len(gp.edges)):
         if eid in crossed_gp:
@@ -454,7 +403,7 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
         bad.append(f"sum of c(t) = {sum(vc.values())} != total {total}")
 
     # per-vertex lower bounds
-    g_base = base.graph()
+    g_base = base.graph
     for tv in sorted(ledger.t):
         if not (0 <= tv < base.n_real):
             bad.append(f"T-vertex {tv} is not a vertex of the drawing")
@@ -551,19 +500,6 @@ def check_deficiency(
     lhs = Fraction(count - len(members))
     rhs = Fraction(a * g.n - b, c)
     return BoundCheck(lhs, rhs, lhs <= rhs)
-
-
-def check_min_odd_component_size(g: Graph, s: Iterable[int], delta: int) -> bool:
-    """Every odd component of G-S has at least X vertices, X the smallest
-    odd integer >= delta + 1 - |S| (vacuous once X = 1)."""
-    if min_degree(g) < delta:
-        raise DegreeTooLow(f"min degree {min_degree(g)} < {delta}")
-    members = frozenset(s)
-    x = max(1, delta + 1 - len(members))
-    if x % 2 == 0:
-        x += 1
-    _, comps = odd_components(g, members)
-    return all(len(c) >= x for c in comps if len(c) % 2 == 1)
 
 
 @dataclass(frozen=True)

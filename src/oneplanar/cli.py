@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, embedding, generators, matcher
-from .errors import NotBipartite, OnePlanarError, ParseError, TooLarge
+from .errors import NotBipartite, OnePlanarError, ParseError
 from .graph import Graph, parse_graph, write_graph
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise _UsageError("random needs --n and --x")
         d = generators.random_oneplanar(args.n, args.x, args.seed)
         name = f"random-n{args.n}-x{args.x}-seed{args.seed}"
-        (out_dir / f"{name}.graph").write_text(write_graph(d.graph()))
+        (out_dir / f"{name}.graph").write_text(write_graph(d.graph))
         (out_dir / f"{name}.1pg").write_text(embedding.write_drawing(d))
         outputs = [str(out_dir / f"{name}.graph"), str(out_dir / f"{name}.1pg")]
     else:
@@ -183,7 +183,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _resolve_t(arg: str, d: embedding.OnePlanarDrawing) -> frozenset[int]:
     if arg in ("side0", "side1"):
-        side0, side1 = _two_coloring(d.graph())
+        side0, side1 = _two_coloring(d.graph)
         return side0 if arg == "side0" else side1
     return _load_vertex_set(arg)
 
@@ -208,7 +208,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             side0 = _parse_ids(args.side0)
             sides = (side0, frozenset(range(d.n_real)) - side0)
         else:
-            sides = _two_coloring(d.graph())
+            sides = _two_coloring(d.graph)
         chk = bounds.BoundCheck(*embedding.check_bipartite_edge_budget(d, sides))
         print(_bound_line(chk))
         return EXIT_OK if chk.holds else EXIT_VIOLATION
@@ -344,12 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (TooLarge, OnePlanarError) as exc:
+    except OnePlanarError as exc:
         print(f"precondition: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:  # an output path in a missing directory (--manifest)
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except OSError as exc:  # an output that cannot be written; inputs raise ParseError in _read_text
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,25 +41,6 @@ from .errors import (
     WouldCreateBigon,
 )
 from .graph import Graph, header_counts
-
-__all__ = [
-    "DummyV",
-    "Face",
-    "OnePlanarDrawing",
-    "RealV",
-    "Segment",
-    "ValidationReport",
-    "bigons",
-    "check_bipartite_edge_budget",
-    "crossing_partition",
-    "crossing_weighted_degree",
-    "drawing_from_faces",
-    "faces",
-    "parse_drawing",
-    "validate",
-    "write_drawing",
-]
-
 
 class RealV(NamedTuple):
     vid: int
@@ -102,58 +84,42 @@ class OnePlanarDrawing(_Planarization):
     rotations: tuple[tuple[int, ...], ...]
     multi_allowed: bool = False
 
-    # -- basic lookups ------------------------------------------------
+    # -- lookups, computed once per drawing ---------------------------
 
-    @property
+    @cached_property
     def real_pid(self) -> dict[int, int]:
-        cached = self.__dict__.get("_real_pid")
-        if cached is None:
-            cached = {
-                pv.vid: pid
-                for pid, pv in enumerate(self.pvertices)
-                if isinstance(pv, RealV)
-            }
-            self.__dict__["_real_pid"] = cached
-        return cached
+        return {pv.vid: pid for pid, pv in enumerate(self.pvertices) if isinstance(pv, RealV)}
 
+    @cached_property
     def edge_derivation(self) -> _EdgeDerivation:
         """Each edge as its segments make it (see `_derive_edges`)."""
-        cached = self.__dict__.get("_edge_derivation")
-        if cached is None:
-            cached = _derive_edges(self.pvertices, self.segments, len(self.edges))
-            self.__dict__["_edge_derivation"] = cached
-        return cached
+        return _derive_edges(self.pvertices, self.segments, len(self.edges))
 
+    @cached_property
     def crossed_eids(self) -> frozenset[int]:
-        cached = self.__dict__.get("_crossed_eids")
-        if cached is None:
-            cached = frozenset(
-                eid for eid, sids in enumerate(self.edge_derivation().segments) if len(sids) == 2
-            )
-            self.__dict__["_crossed_eids"] = cached
-        return cached
+        return frozenset(eid for eid, sids in enumerate(self.edge_derivation.segments) if len(sids) == 2)
 
+    @cached_property
     def graph(self) -> Graph:
-        cached = self.__dict__.get("_graph")
-        if cached is None:
-            cached = Graph(
-                self.n_real, tuple(sorted(self.edges)), simple=not self.multi_allowed
-            )
-            self.__dict__["_graph"] = cached
-        return cached
+        return Graph(self.n_real, tuple(sorted(self.edges)), simple=not self.multi_allowed)
+
+    @cached_property
+    def _incidence(self) -> list[list[int]]:
+        table: list[list[int]] = [[] for _ in range(self.n_real)]
+        for eid, (a, b) in enumerate(self.edges):
+            table[a].append(eid)
+            if b != a:
+                table[b].append(eid)
+        return table
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        return _validate_uncached(self)
 
     def incident_eids(self, v: int) -> list[int]:
         if not (0 <= v < self.n_real):
             raise BadVertex(f"vertex {v} not a real vertex (n={self.n_real})")
-        cached = self.__dict__.get("_incident_eids")
-        if cached is None:
-            cached = [[] for _ in range(self.n_real)]
-            for eid, (a, b) in enumerate(self.edges):
-                cached[a].append(eid)
-                if b != a:
-                    cached[b].append(eid)
-            self.__dict__["_incident_eids"] = cached
-        return cached[v]
+        return self._incidence[v]
 
 
 @dataclass(frozen=True)
@@ -365,12 +331,7 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
     Drawings are immutable, so the report is computed once per instance.
     """
-    cached = d.__dict__.get("_validation")
-    if cached is not None:
-        return cached
-    report = _validate_uncached(d)
-    d.__dict__["_validation"] = report
-    return report
+    return d._validation
 
 
 def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
@@ -398,7 +359,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     # each edge must be the one its segments join, which also puts its
     # endpoints in range and in order; a parsed drawing keeps the derivation
     # its parser made
-    derived = d.edge_derivation()
+    derived = d.edge_derivation
     bad.extend(derived.violations)
     bad.extend(
         f"edge {eid} segments do not join its endpoints"
@@ -471,17 +432,9 @@ def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
     return out
 
 
-def bigons(d: OnePlanarDrawing) -> list[Face]:
-    """Faces bounded by two parallel copies of the same vertex pair."""
-    bad = d.edge_derivation().violations + _rotation_faults(d, _dart_origins(d))
-    if bad:
-        raise InvalidDrawing("; ".join(bad))
-    return _bigon_faces(d, _face_orbits(d))
-
-
 def crossing_partition(d: OnePlanarDrawing) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Split original edges into (crossed, uncrossed) sets of vertex pairs."""
-    crossed_ids = d.crossed_eids()
+    crossed_ids = d.crossed_eids
     crossed = {d.edges[eid] for eid in crossed_ids}
     uncrossed = {e for eid, e in enumerate(d.edges) if eid not in crossed_ids}
     n_dummies = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
@@ -493,7 +446,7 @@ def crossing_partition(d: OnePlanarDrawing) -> tuple[set[tuple[int, int]], set[t
 def crossing_weighted_degree(d: OnePlanarDrawing, v: int) -> int:
     """Degree plus the number of incident uncrossed edges (uncrossed count double)."""
     eids = d.incident_eids(v)
-    crossed = d.crossed_eids()
+    crossed = d.crossed_eids
     return len(eids) + sum(1 for eid in eids if eid not in crossed)
 
 
@@ -555,7 +508,7 @@ class _Builder(_Planarization):
             rotations=tuple(tuple(r) for r in self.rotations),
             multi_allowed=self.multi_allowed,
         )
-        d.__dict__["_real_pid"] = dict(self.real_pid)
+        d.__dict__["real_pid"] = dict(self.real_pid)
         return d
 
     # -- appending --------------------------------------------------
@@ -995,7 +948,7 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
         rotations=tuple([r or () for r in rots]),
         multi_allowed=len(set(edges)) != len(edges),
     )
-    d.__dict__["_edge_derivation"] = derived
+    d.__dict__["edge_derivation"] = derived
     report = validate(d)
     if not report.valid:
         raise ParseError("invalid drawing: " + "; ".join(report.violations))

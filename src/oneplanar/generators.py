@@ -83,30 +83,15 @@ def _stacked(
     return d, [f for _, f in keyed]
 
 
-def stacked_triangulation(s: int, rng: SplitMix64 | None = None) -> OnePlanarDrawing:
-    """Planar triangulation on s vertices grown by repeated face splitting.
-
-    Deterministic (smallest-corner face first) unless an rng picks faces.
-    """
-    return _stacked_triangulation(s, rng)[0].freeze()
-
-
 def _stacked_triangulation(s: int, rng: SplitMix64 | None) -> tuple[_Builder, list[Face]]:
+    """Planar triangulation on s vertices; an rng, if given, picks the faces to split."""
     if s < 3:
         raise TooSmall(f"triangulation needs s >= 3, got {s}")
     return _stacked(3, s, lambda c: c, rng)
 
 
-def stacked_quadrangulation(s: int) -> OnePlanarDrawing:
-    """Planar quadrangulation on s vertices (s even) grown from C4.
-
-    Each step adds a vertex joined to two opposite corners of the
-    smallest-corner face, splitting one quad into two.
-    """
-    return _stacked_quadrangulation(s)[0].freeze()
-
-
 def _stacked_quadrangulation(s: int) -> tuple[_Builder, list[Face]]:
+    """Planar quadrangulation on s vertices (s even): each new vertex joins two opposite corners."""
     if s < 4:
         raise TooSmall(f"quadrangulation needs s >= 4, got {s}")
     if s % 2 != 0:
@@ -176,7 +161,7 @@ def _instance(
     if d.n_real != n:
         raise InvalidDrawing(f"{name}: built {d.n_real} vertices, expected {n}")
     drawing = d.freeze()
-    return FamilyInstance(name, drawing.graph(), drawing, delta, witness, deficiency, upper)
+    return FamilyInstance(name, drawing.graph, drawing, delta, witness, deficiency, upper)
 
 
 def family_delta3(s: int) -> FamilyInstance:
@@ -333,6 +318,8 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
     """
     if n < 4:
         raise TooSmall(f"random drawing needs n >= 4, got {n}")
+    if crossings < 0:
+        raise TooSmall(f"random drawing needs crossings >= 0, got {crossings}")
     rng = SplitMix64(seed)
     d, fs = _stacked_triangulation(n, rng)
     if crossings > len(fs):

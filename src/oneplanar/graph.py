@@ -7,6 +7,7 @@ construction; every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BadVertex, DuplicateEdge, EmptyGraph, InvalidEdge, ParseError
@@ -40,13 +41,9 @@ class Graph:
             u, v = v, u
         return (u, v) in self._edge_set
 
-    @property
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set_cache"] = cached
-        return cached
+        return frozenset(self.edges)
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]], simple: bool = True) -> Graph:

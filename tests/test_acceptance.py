@@ -20,6 +20,7 @@ from oneplanar.bounds import (
 )
 from oneplanar.embedding import check_bipartite_edge_budget, validate
 from oneplanar.generators import (
+    _stacked_quadrangulation,
     check_instance,
     family_delta3,
     family_delta4,
@@ -28,7 +29,6 @@ from oneplanar.generators import (
     family_delta6,
     family_delta7,
     mindeg7_block_drawing,
-    stacked_quadrangulation,
 )
 from oneplanar.graph import Graph, min_degree, odd_components
 from oneplanar.matcher import (
@@ -136,8 +136,8 @@ def test_criterion_6_degree_bound_sweeps(drawing_corpus):
     assert len(drawing_corpus) >= 200
     sets_checked = 0
     for d in drawing_corpus:
-        assert d.graph().n <= 12
-        for t in independent_sets_with_min_degree(d.graph()):
+        assert d.graph.n <= 12
+        for t in independent_sets_with_min_degree(d.graph):
             assert check_degree_bound(d, t).holds
             assert check_cw_degree_bound(d, t).holds
             sets_checked += 1
@@ -162,7 +162,7 @@ def test_criterion_7_charging_properties(drawing_corpus):
     t0 = time.time()
     runs = 0
     for d in drawing_corpus:
-        g = d.graph()
+        g = d.graph
         t = greedy_independent_t(g)
         s = frozenset(range(g.n)) - t
         assert t and len(s) >= 3, "corpus instance unusable for charging"
@@ -207,7 +207,7 @@ def test_criterion_8_deficiency_bounds(drawing_corpus):
     t0 = time.time()
     graphs_swept = 0
     for d in drawing_corpus:
-        g = d.graph()
+        g = d.graph
         if g.n <= 12 and min_degree(g) >= 3:
             _all_subsets_deficiency_ok(g, 3)
             graphs_swept += 1
@@ -253,9 +253,9 @@ def test_criterion_9_bipartite_edge_budget(drawing_corpus):
     checked = 0
     # explicit bipartite bigon-free drawings
     bipartite = [cube_drawing(), k33_one_crossing()]
-    bipartite.extend(stacked_quadrangulation(s) for s in (4, 6, 8, 10, 12))
+    bipartite.extend(_stacked_quadrangulation(s)[0].freeze() for s in (4, 6, 8, 10, 12))
     for d in bipartite:
-        g = d.graph()
+        g = d.graph
         side0 = _bfs_two_color(g)
         lhs, rhs, holds = check_bipartite_edge_budget(d, (side0, frozenset(range(g.n)) - side0))
         assert holds
@@ -263,7 +263,7 @@ def test_criterion_9_bipartite_edge_budget(drawing_corpus):
     # the bipartitized drawings produced by charging runs are exactly the
     # graphs the budget gets applied to; audit a sample of them
     for d in drawing_corpus[:25]:
-        g = d.graph()
+        g = d.graph
         t = greedy_independent_t(g)
         s = frozenset(range(g.n)) - t
         ledger = charging_run(d, s, t)
@@ -303,7 +303,7 @@ def _bfs_two_color(g: Graph) -> frozenset[int]:
 def test_criterion_10_delta7_family():
     block = mindeg7_block_drawing()
     assert validate(block).valid
-    assert min_degree(block.graph()) == 7
+    assert min_degree(block.graph) == 7
     for g_blocks in (1, 2, 3):
         inst = family_delta7(g_blocks)
         n = inst.graph.n

@@ -10,12 +10,9 @@ from oneplanar.bounds import (
     check_cw_degree_bound,
     check_degree_bound,
     check_deficiency,
-    check_min_odd_component_size,
-    degree_classes,
-    reduce_components,
     write_ledger,
 )
-from oneplanar.embedding import Face, _Builder, _face_orbits, drawing_from_faces, validate
+from oneplanar.embedding import Face, _Builder, _face_orbits, crossing_weighted_degree, drawing_from_faces, validate
 from oneplanar.errors import (
     DegreeTooLow,
     EmptyT,
@@ -30,7 +27,7 @@ from oneplanar.generators import (
     family_delta5,
     random_oneplanar,
 )
-from oneplanar.graph import build_graph, odd_components
+from oneplanar.graph import build_graph
 from oneplanar.matcher import Matching
 
 from conftest import cube_drawing, greedy_independent_t, make_k
@@ -103,60 +100,18 @@ def test_cw_bound_tight_on_cube():
 
 def test_cw_bound_all_crossed_vertex_contributes_two():
     d = hexagon_center_all_crossed()
-    classes = degree_classes(d, {6})
-    assert classes.by_cw_degree == {3: 1}
+    assert crossing_weighted_degree(d, 6) == 3
     chk = check_cw_degree_bound(d, {6})
     assert chk.lhs == 2
     assert chk.holds
 
 
 def test_cw_bound_on_delta3():
-    chk = check_cw_degree_bound(family_delta3(4).drawing, DELTA3_T)
+    d = family_delta3(4).drawing
+    chk = check_cw_degree_bound(d, DELTA3_T)
     assert chk.holds
     # every inserted vertex has cw-degree 4 in the canonical pattern
-    assert degree_classes(family_delta3(4).drawing, DELTA3_T).by_cw_degree == {4: 12}
-
-
-# --- component reduction -------------------------------------------------
-
-
-def test_reduce_drops_even_components():
-    g = build_graph(5, [(0, 1), (2, 3)])
-    g2, remap = reduce_components(g, {4}, 3)
-    assert g2.n == 1 and g2.m == 0
-    assert remap == {4: 0}
-
-
-def test_reduce_keeps_delta3_singletons():
-    inst = family_delta3(4)
-    g2, remap = reduce_components(inst.graph, inst.witness, 3)
-    assert g2.n == 16
-    assert g2.m == inst.graph.m - 6  # exactly the K4 witness edges dropped
-    assert len(remap) == 16
-
-
-def test_reduce_threshold_five_keeps_triples():
-    g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
-    kept, _ = reduce_components(g, {3}, 5)
-    assert kept.n == 4
-    dropped, _ = reduce_components(g, {3}, 3)
-    assert dropped.n == 1
-
-
-def test_reduce_accounting():
-    for seed in range(25):
-        d = random_oneplanar(5 + seed % 4, seed % 3, seed)
-        g = d.graph()
-        s = frozenset(v for v in range(g.n) if v % 3 == 0)
-        for threshold in (3, 5):
-            count_before, comps = odd_components(g, s)
-            removed_odd = sum(
-                1 for c in comps if len(c) % 2 == 1 and len(c) >= threshold
-            )
-            g2, remap = reduce_components(g, s, threshold)
-            s2 = {remap[v] for v in s}
-            count_after, _ = odd_components(g2, s2)
-            assert count_before == count_after + removed_odd
+    assert [crossing_weighted_degree(d, v) for v in sorted(DELTA3_T)] == [4] * 12
 
 
 # --- charging engine ------------------------------------------------------
@@ -194,7 +149,7 @@ def test_charging_case_two_vertices_get_exactly_fourteen():
     # 6 + 3 + 3 + 2, the last through an auxiliary edge
     inst = family_delta3(4)
     ledger = charging_run(inst.drawing, inst.witness, DELTA3_T)
-    crossed = ledger.gamma_prime.crossed_eids()
+    crossed = ledger.gamma_prime.crossed_eids
     vc = dict(ledger.vertex_charge)
     aux_neighbors = {t for _, attach in ledger.delta_attach for t in attach}
     found = 0
@@ -215,7 +170,7 @@ def test_charging_planar_bipartite_case_one():
     cube = cube_drawing()
     t = frozenset({0, 3, 5, 6})
     ledger = charging_run(cube, frozenset(range(8)) - t, t)
-    g = ledger.base.graph()
+    g = ledger.base.graph
     for tv, c in ledger.vertex_charge:
         assert c >= 3 * g.degree(tv) + 6
     assert charge_verify(ledger).ok
@@ -234,7 +189,7 @@ def test_charging_survives_step0_disconnection():
     d = hexagon_center_all_crossed()
     ledger = charging_run(d, frozenset(range(6)), frozenset({6}))
     assert charge_verify(ledger).ok
-    assert not ledger.base.crossed_eids()
+    assert not ledger.base.crossed_eids
 
 
 @pytest.mark.parametrize("which", ["delta3-s24", "random-n137"])
@@ -246,7 +201,7 @@ def test_charging_reads_each_face_once(monkeypatch, which):
         d, s = inst.drawing, inst.witness
     else:
         d = random_oneplanar(137, 3 * 137 // 16, 1)
-        s = frozenset(range(d.n_real)) - greedy_independent_t(d.graph())
+        s = frozenset(range(d.n_real)) - greedy_independent_t(d.graph)
     reads = 0
     real_corner_positions = Face.real_corner_positions
 
@@ -276,7 +231,7 @@ def test_ledger_dump_shape():
 def test_charging_on_corpus_sample():
     for seed in (0, 7, 23, 41, 77, 123):
         d = random_oneplanar(4 + seed % 5, seed % 3, seed)
-        g = d.graph()
+        g = d.graph
         t = greedy_independent_t(g)
         s = frozenset(range(g.n)) - t
         if not t or len(s) < 3:
@@ -292,7 +247,7 @@ def test_charging_holds_for_every_admissible_t():
 
     for seed in (2, 9, 31):
         d = random_oneplanar(4 + seed % 4, seed % 3, seed)
-        g = d.graph()
+        g = d.graph
         for t in independent_sets_with_min_degree(g):
             t = frozenset(t)
             s = frozenset(range(g.n)) - t
@@ -372,24 +327,6 @@ def test_deficiency_mindeg5_single_vertex_of_k6():
     assert (chk.lhs, chk.rhs, chk.holds) == (0, 0, True)
     with pytest.raises(STooSmall):
         check_deficiency(make_k(6), set(), 5)
-
-
-def test_min_odd_component_size():
-    assert check_min_odd_component_size(make_k(6), set(), 5)
-    assert check_min_odd_component_size(family_delta5(4).graph, {0}, 5)
-    inst = family_delta3(4)
-    assert check_min_odd_component_size(inst.graph, inst.witness, 3)
-    with pytest.raises(DegreeTooLow):
-        check_min_odd_component_size(build_graph(2, [(0, 1)]), set(), 3)
-
-
-def test_min_odd_component_size_nonvacuous():
-    # two K6 blocks sharing the hub: S = {hub} forces X = 5 and the two
-    # components have exactly five vertices each
-    inst = family_delta5(2)
-    assert check_min_odd_component_size(inst.graph, {0}, 5)
-    _, comps = odd_components(inst.graph, {0})
-    assert sorted(len(c) for c in comps) == [5, 5]
 
 
 # --- matching certifier ---------------------------------------------------

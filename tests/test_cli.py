@@ -335,3 +335,23 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, which, kind):
     argv = [str(paths.get(a, a)) for a in UNREADABLE_INPUTS[which]]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"parse error: cannot read {bad}")
+
+
+@pytest.mark.parametrize("where", ["out-is-a-file", "manifest-in-missing-dir"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = ["generate", "delta3", "--s", "4"]
+    if where == "out-is-a-file":
+        argv += ["-o", str(afile)]
+    else:
+        argv += ["-o", str(tmp_path / "out"), "--manifest", str(tmp_path / "nodir" / "m.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: cannot write output: ")
+
+
+def test_random_rejects_negative_crossings(tmp_path, capsys):
+    argv = ["generate", "random", "--n", "10", "--x", "-1", "-o", str(tmp_path)]
+    assert main(argv) == 3
+    assert "TooSmall" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -3,6 +3,8 @@ import pytest
 from oneplanar.embedding import _face_orbits, validate, write_drawing
 from oneplanar.errors import BadParity, ParseError, TooManyCrossings, TooSmall
 from oneplanar.generators import (
+    _stacked_quadrangulation,
+    _stacked_triangulation,
     check_instance,
     cube_block_drawing,
     family_delta3,
@@ -15,8 +17,6 @@ from oneplanar.generators import (
     mindeg7_block_drawing,
     parse_witness,
     random_oneplanar,
-    stacked_quadrangulation,
-    stacked_triangulation,
     write_witness,
 )
 from oneplanar.graph import is_independent, min_degree, odd_components
@@ -25,7 +25,7 @@ from oneplanar.matcher import maximum_matching, tutte_berge_bruteforce
 
 @pytest.mark.parametrize("s,want_faces", [(3, 2), (4, 4), (10, 16)])
 def test_stacked_triangulation_face_count(s, want_faces):
-    d = stacked_triangulation(s)
+    d = _stacked_triangulation(s, None)[0].freeze()
     assert validate(d).valid
     assert len(_face_orbits(d)) == want_faces
     assert all(len(f) == 3 for f in _face_orbits(d))
@@ -33,12 +33,12 @@ def test_stacked_triangulation_face_count(s, want_faces):
 
 def test_stacked_triangulation_too_small():
     with pytest.raises(TooSmall):
-        stacked_triangulation(2)
+        _stacked_triangulation(2, None)
 
 
 @pytest.mark.parametrize("s,want_faces", [(4, 2), (8, 6), (12, 10)])
 def test_stacked_quadrangulation_face_count(s, want_faces):
-    d = stacked_quadrangulation(s)
+    d = _stacked_quadrangulation(s)[0].freeze()
     assert validate(d).valid
     assert len(_face_orbits(d)) == want_faces
     assert all(len(f) == 4 for f in _face_orbits(d))
@@ -46,9 +46,9 @@ def test_stacked_quadrangulation_face_count(s, want_faces):
 
 def test_stacked_quadrangulation_parity():
     with pytest.raises(BadParity):
-        stacked_quadrangulation(7)
+        _stacked_quadrangulation(7)
     with pytest.raises(TooSmall):
-        stacked_quadrangulation(2)
+        _stacked_quadrangulation(2)
 
 
 ALL_INSTANCES = [
@@ -124,7 +124,7 @@ def test_delta5_sizes():
 def test_delta6_block():
     d = cube_block_drawing()
     assert validate(d).valid
-    g = d.graph()
+    g = d.graph
     assert g.n == 8 and g.m == 24
     assert min_degree(g) == 6
     assert len(maximum_matching(g)) == 4
@@ -141,7 +141,7 @@ def test_delta6_matching_exact():
 def test_mindeg7_block():
     d = mindeg7_block_drawing()
     assert validate(d).valid
-    g = d.graph()
+    g = d.graph
     assert g.n == 24 and g.m == 84
     assert min_degree(g) == 7
     assert all(g.degree(v) == 7 for v in range(24))
@@ -172,18 +172,20 @@ def test_random_determinism():
 def test_random_crossing_count():
     d = random_oneplanar(12, 3, 7)
     assert validate(d).valid
-    assert len(d.crossed_eids()) == 6
+    assert len(d.crossed_eids) == 6
 
 
 def test_random_planar_when_no_crossings():
     d = random_oneplanar(10, 0, 1)
     assert validate(d).valid
-    assert not d.crossed_eids()
+    assert not d.crossed_eids
 
 
 def test_random_rejects_bad_params():
     with pytest.raises(TooSmall):
         random_oneplanar(3, 0, 1)
+    with pytest.raises(TooSmall):
+        random_oneplanar(10, -1, 1)
     with pytest.raises(TooManyCrossings):
         random_oneplanar(4, 5, 1)
 

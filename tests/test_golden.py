@@ -284,7 +284,7 @@ def charging_input(key: tuple) -> tuple[OnePlanarDrawing, frozenset[int], frozen
         return d, s, frozenset(range(d.n_real)) - s
     _, n, seed = key
     d = random_oneplanar(n, 3 * n // 16, seed)
-    t = greedy_independent_t(d.graph())
+    t = greedy_independent_t(d.graph)
     return d, frozenset(range(d.n_real)) - t, t
 
 

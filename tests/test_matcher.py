@@ -243,7 +243,7 @@ def test_targeted_oracle_stops_at_the_first_subset(monkeypatch):
         return original(masks, remaining)
 
     monkeypatch.setattr(matcher, "_odd_count_mask", counting)
-    g = random_oneplanar(14, 2, 3).graph()
+    g = random_oneplanar(14, 2, 3).graph
     assert g.n == 18
     target = g.n - 2 * len(maximum_matching(g))
     w = tutte_berge_bruteforce(g, target=target)
@@ -268,7 +268,7 @@ def digest_corpus():
     for seed in range(300):
         yield gnp(4 + seed % 57, (5, 10, 20, 40)[seed % 4], seed)
     for seed in range(40):
-        yield random_oneplanar(12 + 7 * seed, seed % 5 * (1 + seed // 4), seed).graph()
+        yield random_oneplanar(12 + 7 * seed, seed % 5 * (1 + seed // 4), seed).graph
 
 
 # SHA-256 of `write_matching` over digest_corpus(): pins which maximum

@@ -20,7 +20,7 @@ _DRAWING = random_oneplanar(5, 1, 1)
 _INSTANCE = family_delta5(1)
 # (parser, a valid text it accepts)
 PARSERS = {
-    "graph": (parse_graph, write_graph(_DRAWING.graph())),
+    "graph": (parse_graph, write_graph(_DRAWING.graph)),
     "1pg": (parse_drawing, write_drawing(_DRAWING)),
     "witness": (
         parse_witness,
@@ -28,7 +28,7 @@ PARSERS = {
             _INSTANCE.witness, _INSTANCE.predicted_deficiency, _INSTANCE.predicted_matching_upper
         ),
     ),
-    "matching": (parse_matching, write_matching(maximum_matching(_DRAWING.graph()))),
+    "matching": (parse_matching, write_matching(maximum_matching(_DRAWING.graph))),
 }
 
 KEYWORDS = [

@@ -1,8 +1,9 @@
 """Inequality checkers and the charging engine for independent-set bounds.
 
 The checks come in three layers:
-  * degree-class bounds for an independent set T in a 1-planar drawing
-    (plain and crossing-weighted), verified instance by instance;
+  * the bipartite edge budget and the degree-class bounds for an
+    independent set T in a 1-planar drawing (plain and
+    crossing-weighted), verified instance by instance;
   * the charging scheme that proves them: bipartitize, saturate with
     uncrossed chords, insert auxiliary vertices into T-heavy faces,
     assign 6/3/2 charges and audit every per-vertex lower bound;
@@ -36,10 +37,11 @@ from .errors import (
     EmptyT,
     InvalidDrawing,
     NoProvenance,
+    NotBipartite,
     NotIndependent,
     STooSmall,
+    TooSmall,
 )
-from .generators import FamilyInstance
 from .graph import Graph, is_independent, min_degree, odd_components
 from .matcher import check_matching, matching_upper_from_witness, maximum_matching
 from .rng import SplitMix64
@@ -49,7 +51,10 @@ from .rng import SplitMix64
 class BoundCheck:
     lhs: Fraction
     rhs: Fraction
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
 
     @property
     def tight(self) -> bool:
@@ -60,7 +65,7 @@ def _check_t_preconditions(d: OnePlanarDrawing, t: frozenset[int]) -> Graph:
     if not t:
         raise EmptyT("independent set T must be non-empty")
     _require_valid(d)
-    if d.multi_allowed:
+    if d.has_parallel_edges:
         raise InvalidDrawing("degree bounds require a simple-mode drawing")
     g = d.graph
     for v in t:
@@ -92,7 +97,27 @@ def _degree_class_bound(d: OnePlanarDrawing, t: Iterable[int], key, weight) -> B
     g = _check_t_preconditions(d, members)
     lhs = sum(weight(key(v)) for v in members)
     rhs = 12 * (g.n - len(members)) - 24
-    return BoundCheck(Fraction(lhs), Fraction(rhs), lhs <= rhs)
+    return BoundCheck(Fraction(lhs), Fraction(rhs))
+
+
+def check_bipartite_edge_budget(
+    d: OnePlanarDrawing, bipartition: tuple[Iterable[int], Iterable[int]]
+) -> BoundCheck:
+    """The bipartite edge budget m_x/2 + m_- <= 2n - 4 on a bigon-free
+    drawing, m_x and m_- its crossed and uncrossed edges, each parallel
+    copy counted."""
+    _require_valid(d)
+    if d.n_real < 3:
+        raise TooSmall("edge budget needs n >= 3")
+    side0, side1 = (frozenset(side) for side in bipartition)
+    if side0 & side1 or side0 | side1 != frozenset(range(d.n_real)):
+        raise NotBipartite("sides do not partition the vertex set")
+    for u, v in d.edges:
+        if (u in side0) == (v in side0):
+            raise NotBipartite(f"edge ({u},{v}) inside one side")
+    m_x = len(d.crossed_eids)
+    m_uncrossed = len(d.edges) - m_x
+    return BoundCheck(Fraction(m_x, 2) + m_uncrossed, Fraction(2 * d.n_real - 4))
 
 
 # ---------------------------------------------------------------------
@@ -456,8 +481,6 @@ def write_ledger(ledger: ChargeLedger) -> str:
 # ---------------------------------------------------------------------
 # deficiency bounds and the matching certifier
 
-Provenance = OnePlanarDrawing | FamilyInstance
-
 # delta -> (a, b, c, least |S|, threshold n).  For minimum degree delta,
 # odd(G-S) - |S| <= (a*n - b)/c for every S of at least the least size,
 # so a maximum matching has at least (n - (a*n - b)/c)/2 edges once
@@ -465,10 +488,9 @@ Provenance = OnePlanarDrawing | FamilyInstance
 BOUNDS = {3: (5, 24, 7, 2, 7), 4: (1, 8, 3, 2, 20), 5: (1, 6, 5, 1, 21)}
 
 
-def _check_provenance(g: Graph, provenance: Provenance | None) -> None:
-    if provenance is None:
+def _check_provenance(g: Graph, drawing: OnePlanarDrawing | None) -> None:
+    if drawing is None:
         raise NoProvenance("1-planarity attestation required (drawing or family instance)")
-    drawing = provenance.drawing if isinstance(provenance, FamilyInstance) else provenance
     _require_valid(drawing)
     if drawing.n_real != g.n or tuple(sorted(drawing.edges)) != tuple(sorted(g.edges)):
         raise NoProvenance("attested drawing does not match the graph")
@@ -484,7 +506,7 @@ def check_deficiency(
     g: Graph,
     s: Iterable[int],
     delta: int,
-    provenance: Provenance | None = None,
+    provenance: OnePlanarDrawing | None = None,
 ) -> BoundCheck:
     """odd(G-S) - |S| <= (a*n - b)/c for minimum degree delta, |S| at least
     the least size, both from BOUNDS: (5n-24)/7, (n-8)/3, (n-6)/5."""
@@ -499,7 +521,7 @@ def check_deficiency(
     count, _ = odd_components(g, members)
     lhs = Fraction(count - len(members))
     rhs = Fraction(a * g.n - b, c)
-    return BoundCheck(lhs, rhs, lhs <= rhs)
+    return BoundCheck(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -509,12 +531,21 @@ class CertReport:
     matching_size: int
     bound: Fraction
     threshold: int
-    applicable: bool
-    holds: bool | None
-    tight: bool | None
     barrier: frozenset[int]
     barrier_bound: int  # the matching-size upper bound the barrier gives
     violations: tuple[str, ...]  # check_matching's findings on M
+
+    @property
+    def applicable(self) -> bool:
+        return self.n >= self.threshold
+
+    @property
+    def holds(self) -> bool | None:
+        return self.matching_size >= self.bound if self.applicable else None
+
+    @property
+    def tight(self) -> bool | None:
+        return self.matching_size == self.bound if self.applicable else None
 
     @property
     def certified(self) -> bool:
@@ -523,7 +554,7 @@ class CertReport:
 
 
 def certify_matching_bound(
-    g: Graph, delta: int, provenance: Provenance | None
+    g: Graph, delta: int, provenance: OnePlanarDrawing | None
 ) -> CertReport:
     """Certify the guaranteed matching size for an attested 1-planar graph.
 
@@ -540,11 +571,7 @@ def certify_matching_bound(
     n = g.n
     bound = (n - Fraction(a * n - b, c)) / 2
     m = maximum_matching(g)
-    size = len(m)
-    applicable = n >= threshold
     return CertReport(
-        delta, n, size, bound, threshold, applicable,
-        size >= bound if applicable else None,
-        Fraction(size) == bound if applicable else None,
+        delta, n, len(m), bound, threshold,
         m.barrier, matching_upper_from_witness(g, m.barrier), tuple(check_matching(g, m)),
     )

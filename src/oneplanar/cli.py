@@ -110,34 +110,30 @@ def _two_coloring(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
+    # everything is built before the output directory is made, so a usage
+    # or precondition error leaves no directory behind
     if args.family == "random":
         if args.n is None or args.x is None:
             raise _UsageError("random needs --n and --x")
         d = generators.random_oneplanar(args.n, args.x, args.seed)
-        name = f"random-n{args.n}-x{args.x}-seed{args.seed}"
-        (out_dir / f"{name}.graph").write_text(write_graph(d.graph))
-        (out_dir / f"{name}.1pg").write_text(embedding.write_drawing(d))
-        outputs = [str(out_dir / f"{name}.graph"), str(out_dir / f"{name}.1pg")]
+        name, witness = f"random-n{args.n}-x{args.x}-seed{args.seed}", None
     else:
         fn, pname = generators.FAMILIES[args.family]
         value = getattr(args, pname.replace("-", "_"), None)
         if value is None:
             raise _UsageError(f"family {args.family} needs --{pname}")
         inst = fn(value)
-        name = inst.name
-        (out_dir / f"{name}.graph").write_text(write_graph(inst.graph))
-        (out_dir / f"{name}.1pg").write_text(embedding.write_drawing(inst.drawing))
-        (out_dir / f"{name}.witness").write_text(
-            generators.write_witness(inst.witness, inst.predicted_deficiency, inst.predicted_matching_upper)
-        )
-        outputs = [
-            str(out_dir / f"{name}.graph"),
-            str(out_dir / f"{name}.1pg"),
-            str(out_dir / f"{name}.witness"),
-        ]
+        name, d = inst.name, inst.drawing
+        witness = generators.write_witness(inst.witness, inst.predicted_deficiency, inst.predicted_matching_upper)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: list[str] = []
+    texts = {".graph": write_graph(d.graph), ".1pg": embedding.write_drawing(d), ".witness": witness}
+    for suffix, text in texts.items():
+        if text is not None:
+            path = out_dir / f"{name}{suffix}"
+            path.write_text(text)
+            outputs.append(str(path))
     for p in outputs:
         print(p)
     if args.manifest:
@@ -202,42 +198,6 @@ def _bound_line(chk: bounds.BoundCheck) -> str:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     what = args.what
-    if what == "obs1":
-        d = embedding.parse_drawing(_read_text(args.input))
-        if args.side0:
-            side0 = _parse_ids(args.side0)
-            sides = (side0, frozenset(range(d.n_real)) - side0)
-        else:
-            sides = _two_coloring(d.graph)
-        chk = bounds.BoundCheck(*embedding.check_bipartite_edge_budget(d, sides))
-        print(_bound_line(chk))
-        return EXIT_OK if chk.holds else EXIT_VIOLATION
-
-    if what in ("lemma5", "lemma6"):
-        d = embedding.parse_drawing(_read_text(args.input))
-        if not args.T:
-            raise _UsageError(f"check {what} needs --T")
-        t = _resolve_t(args.T, d)
-        chk = (
-            bounds.check_degree_bound(d, t)
-            if what == "lemma5"
-            else bounds.check_cw_degree_bound(d, t)
-        )
-        print(_bound_line(chk))
-        return EXIT_OK if chk.holds else EXIT_VIOLATION
-
-    if what in ("lemma7", "lemma8"):
-        g = parse_graph(_read_text(args.input))
-        if not args.S:
-            raise _UsageError(f"check {what} needs --S")
-        s = _load_vertex_set(args.S)
-        prov = _load_provenance(args)
-        if what == "lemma7" and args.delta not in (3, 4):
-            raise _UsageError("check lemma7 needs --delta 3 or 4")
-        chk = bounds.check_deficiency(g, s, 5 if what == "lemma8" else args.delta, prov)
-        print(_bound_line(chk))
-        return EXIT_OK if chk.holds else EXIT_VIOLATION
-
     if what == "theorem1":
         g = parse_graph(_read_text(args.input))
         if args.delta not in bounds.BOUNDS:
@@ -276,7 +236,34 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"  {v}")
         return EXIT_OK if report.ok else EXIT_VIOLATION
 
-    raise _UsageError(f"unknown check {what!r}")
+    # the rest evaluate one inequality each
+    if what in ("obs1", "lemma5", "lemma6"):
+        d = embedding.parse_drawing(_read_text(args.input))
+        if what == "obs1":
+            if args.side0:
+                side0 = _parse_ids(args.side0)
+                sides = (side0, frozenset(range(d.n_real)) - side0)
+            else:
+                sides = _two_coloring(d.graph)
+            chk = bounds.check_bipartite_edge_budget(d, sides)
+        else:
+            if not args.T:
+                raise _UsageError(f"check {what} needs --T")
+            check = bounds.check_degree_bound if what == "lemma5" else bounds.check_cw_degree_bound
+            chk = check(d, _resolve_t(args.T, d))
+    elif what in ("lemma7", "lemma8"):
+        g = parse_graph(_read_text(args.input))
+        if not args.S:
+            raise _UsageError(f"check {what} needs --S")
+        s = _load_vertex_set(args.S)
+        prov = _load_provenance(args)
+        if what == "lemma7" and args.delta not in (3, 4):
+            raise _UsageError("check lemma7 needs --delta 3 or 4")
+        chk = bounds.check_deficiency(g, s, 5 if what == "lemma8" else args.delta, prov)
+    else:
+        raise _UsageError(f"unknown check {what!r}")
+    print(_bound_line(chk))
+    return EXIT_OK if chk.holds else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -34,10 +33,8 @@ from .errors import (
     BadVertex,
     DuplicateEdge,
     InvalidDrawing,
-    NotBipartite,
     NotOnFace,
     ParseError,
-    TooSmall,
     WouldCreateBigon,
 )
 from .graph import Graph, header_counts
@@ -82,7 +79,6 @@ class OnePlanarDrawing(_Planarization):
     pvertices: tuple[PVertex, ...]
     segments: tuple[Segment, ...]
     rotations: tuple[tuple[int, ...], ...]
-    multi_allowed: bool = False
 
     # -- lookups, computed once per drawing ---------------------------
 
@@ -101,7 +97,11 @@ class OnePlanarDrawing(_Planarization):
 
     @cached_property
     def graph(self) -> Graph:
-        return Graph(self.n_real, tuple(sorted(self.edges)), simple=not self.multi_allowed)
+        return Graph(self.n_real, tuple(sorted(self.edges)))
+
+    @cached_property
+    def has_parallel_edges(self) -> bool:
+        return len(set(self.edges)) != len(self.edges)
 
     @cached_property
     def _incidence(self) -> list[list[int]]:
@@ -336,9 +336,6 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
 def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     bad: list[str] = []
-    if not d.multi_allowed and len(set(d.edges)) != len(d.edges):
-        bad.append("parallel edges present in simple mode")
-
     real_seen: set[int] = set()
     for pid, pv in enumerate(d.pvertices):
         if isinstance(pv, RealV):
@@ -396,7 +393,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     if d.n_p - d.m_p + len(orbits) != planar:
         bad.append(f"fails Euler: n={d.n_p} m={d.m_p} f={len(orbits)} in {k} components, want n - m + f = {planar}")
 
-    # bigons are forbidden in both modes (simple mode cannot have them anyway)
+    # bigons are forbidden; only parallel edges can make one
     if not bad:
         for face in _bigon_faces(d, orbits):
             bad.append(f"bigon face {_darts_text(face.darts)}")
@@ -432,41 +429,11 @@ def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
     return out
 
 
-def crossing_partition(d: OnePlanarDrawing) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """Split original edges into (crossed, uncrossed) sets of vertex pairs."""
-    crossed_ids = d.crossed_eids
-    crossed = {d.edges[eid] for eid in crossed_ids}
-    uncrossed = {e for eid, e in enumerate(d.edges) if eid not in crossed_ids}
-    n_dummies = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
-    if len(crossed_ids) != 2 * n_dummies:
-        raise InvalidDrawing(f"{len(crossed_ids)} crossed edges but {n_dummies} dummies")
-    return crossed, uncrossed
-
-
 def crossing_weighted_degree(d: OnePlanarDrawing, v: int) -> int:
     """Degree plus the number of incident uncrossed edges (uncrossed count double)."""
     eids = d.incident_eids(v)
     crossed = d.crossed_eids
     return len(eids) + sum(1 for eid in eids if eid not in crossed)
-
-
-def check_bipartite_edge_budget(
-    d: OnePlanarDrawing, bipartition: tuple[Iterable[int], Iterable[int]]
-) -> tuple[Fraction, int, bool]:
-    """Evaluate the bipartite edge budget m_x/2 + m_- <= 2n - 4 on a bigon-free drawing."""
-    _require_valid(d)
-    if d.n_real < 3:
-        raise TooSmall("edge budget needs n >= 3")
-    side0, side1 = (frozenset(side) for side in bipartition)
-    if side0 & side1 or side0 | side1 != frozenset(range(d.n_real)):
-        raise NotBipartite("sides do not partition the vertex set")
-    for u, v in d.edges:
-        if (u in side0) == (v in side0):
-            raise NotBipartite(f"edge ({u},{v}) inside one side")
-    crossed, uncrossed = crossing_partition(d)
-    lhs = Fraction(len(crossed), 2) + len(uncrossed)
-    rhs = 2 * d.n_real - 4
-    return lhs, rhs, lhs <= rhs
 
 
 # ---------------------------------------------------------------------
@@ -484,8 +451,9 @@ class _Builder(_Planarization):
 
     def __init__(self, d: OnePlanarDrawing):
         self.n_real = d.n_real
-        self.multi_allowed = d.multi_allowed
         self._load(list(d.edges), list(d.pvertices), list(d.segments), [list(r) for r in d.rotations])
+        # a drawing that already has parallel edges may gain more
+        self.multi_allowed = len(self.eid_of) != len(self.edges)
 
     def _load(self, edges, pvertices, segments, rotations) -> None:
         self.edges: list[tuple[int, int]] = edges
@@ -506,7 +474,6 @@ class _Builder(_Planarization):
             pvertices=tuple(self.pvertices),
             segments=tuple(self.segments),
             rotations=tuple(tuple(r) for r in self.rotations),
-            multi_allowed=self.multi_allowed,
         )
         d.__dict__["real_pid"] = dict(self.real_pid)
         return d
@@ -939,14 +906,12 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     derived = _derive_edges(pvs, segs, n_edges)
     if derived.violations:
         raise ParseError("invalid drawing: " + "; ".join(derived.violations))
-    edges = tuple(derived.edges)
     d = OnePlanarDrawing(
         n_real=n_real,
-        edges=edges,
+        edges=tuple(derived.edges),
         pvertices=tuple(pvs),
         segments=tuple(segs),
         rotations=tuple([r or () for r in rots]),
-        multi_allowed=len(set(edges)) != len(edges),
     )
     d.__dict__["edge_derivation"] = derived
     report = validate(d)

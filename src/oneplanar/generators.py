@@ -1,8 +1,9 @@
 """Deterministic constructors for the extremal families with small matchings.
 
-Every family returns a FamilyInstance bundling the graph, a valid
-1-planar drawing, the witness set S whose odd components certify the
-matching upper bound, and the predicted deficiency/matching numbers.
+Every family returns a FamilyInstance bundling a valid 1-planar drawing,
+the witness set S whose odd components certify the matching upper
+bound, and the predicted deficiency; the graph and the predicted
+matching upper bound follow from these.
 
 Vertex id layouts (all documented so witness sets are reproducible):
   * delta3(s):    triangulation on 0..s-1; face j inserts s+3j, s+3j+1, s+3j+2.
@@ -36,12 +37,18 @@ from .rng import SplitMix64
 @dataclass(frozen=True)
 class FamilyInstance:
     name: str
-    graph: Graph
     drawing: OnePlanarDrawing
     delta: int
     witness: frozenset[int]
     predicted_deficiency: int
-    predicted_matching_upper: int
+
+    @property
+    def graph(self) -> Graph:
+        return self.drawing.graph
+
+    @property
+    def predicted_matching_upper(self) -> int:
+        return (self.graph.n - self.predicted_deficiency) // 2
 
 
 # ---------------------------------------------------------------------
@@ -155,13 +162,12 @@ def _cross_quad_face(d: _Builder, face: Face) -> None:
 
 
 def _instance(
-    name: str, d: _Builder, n: int, delta: int, witness: frozenset[int], deficiency: int, upper: int
+    name: str, d: _Builder, n: int, delta: int, witness: frozenset[int], deficiency: int
 ) -> FamilyInstance:
     """Freeze a finished family drawing, checking first that it has n vertices."""
     if d.n_real != n:
         raise InvalidDrawing(f"{name}: built {d.n_real} vertices, expected {n}")
-    drawing = d.freeze()
-    return FamilyInstance(name, drawing.graph, drawing, delta, witness, deficiency, upper)
+    return FamilyInstance(name, d.freeze(), delta, witness, deficiency)
 
 
 def family_delta3(s: int) -> FamilyInstance:
@@ -172,7 +178,7 @@ def family_delta3(s: int) -> FamilyInstance:
     for face in fs:
         _fill_triangle(d, face)
     return _instance(f"delta3-s{s}", d, n=7 * s - 12, delta=3, witness=frozenset(range(s)),
-                     deficiency=5 * s - 12, upper=s)
+                     deficiency=5 * s - 12)
 
 
 def family_delta4(s: int) -> FamilyInstance:
@@ -183,7 +189,7 @@ def family_delta4(s: int) -> FamilyInstance:
     for face in fs:
         _fill_quad(d, face)
     return _instance(f"delta4-s{s}", d, n=3 * s - 4, delta=4, witness=frozenset(range(s)),
-                     deficiency=s - 4, upper=s)
+                     deficiency=s - 4)
 
 
 def family_delta4_k5(k: int) -> FamilyInstance:
@@ -202,9 +208,8 @@ def family_delta4_k5(k: int) -> FamilyInstance:
         d.add_crossed(p1, p3, (0, p2))
         if d.n_real != 3 * i + 5:
             raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")
-    n = 3 * k + 2
-    return _instance(f"delta4-k5-k{k}", d, n=n, delta=4, witness=frozenset({0, 1}),
-                     deficiency=k - 2, upper=(n - (k - 2)) // 2)
+    return _instance(f"delta4-k5-k{k}", d, n=3 * k + 2, delta=4, witness=frozenset({0, 1}),
+                     deficiency=k - 2)
 
 
 def _with_crossed_quads(
@@ -275,9 +280,8 @@ def _hub_family(
     d = _Builder(block)
     for _ in range(1, g):
         d.wedge(block, 0, 0)
-    n = (block.n_real - 1) * g + 1
-    return _instance(f"{name}-g{g}", d, n=n, delta=delta, witness=frozenset({0}),
-                     deficiency=g - 1, upper=(n - g + 1) // 2)
+    return _instance(f"{name}-g{g}", d, n=(block.n_real - 1) * g + 1, delta=delta,
+                     witness=frozenset({0}), deficiency=g - 1)
 
 
 def family_delta5(g: int) -> FamilyInstance:
@@ -378,15 +382,12 @@ def check_instance(inst: FamilyInstance) -> list[str]:
     report = validate(inst.drawing)
     if not report.valid:
         bad.extend(report.violations)
-    if inst.drawing.multi_allowed:
-        bad.append("family drawing must be simple mode")
+    if inst.drawing.has_parallel_edges:
+        bad.append("family drawing has parallel edges")
     count, _ = odd_components(inst.graph, inst.witness)
     if count - len(inst.witness) != inst.predicted_deficiency:
         bad.append(
             f"witness deficiency {count - len(inst.witness)} != predicted "
             f"{inst.predicted_deficiency}"
         )
-    want_upper = (inst.graph.n - inst.predicted_deficiency) // 2
-    if inst.predicted_matching_upper != want_upper:
-        bad.append(f"matching upper {inst.predicted_matching_upper} != {want_upper}")
     return bad

@@ -18,8 +18,7 @@ Edge = tuple[int, int]
 @dataclass(frozen=True)
 class Graph:
     n: int
-    edges: tuple[Edge, ...]  # sorted pairs (u < v); may repeat in multi mode
-    simple: bool = True
+    edges: tuple[Edge, ...]  # sorted pairs (u < v); a drawing's graph may repeat one
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,8 +45,8 @@ class Graph:
         return frozenset(self.edges)
 
 
-def build_graph(n: int, edge_list: Iterable[Sequence[int]], simple: bool = True) -> Graph:
-    """Build a graph on vertices 0..n-1, rejecting loops and (in simple mode) duplicates."""
+def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
+    """Build a simple graph on vertices 0..n-1, rejecting loops and duplicates."""
     if n < 0:
         raise BadVertex(f"negative vertex count {n}")
     seen: set[Edge] = set()
@@ -60,12 +59,11 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]], simple: bool = True)
             raise InvalidEdge(f"loop at vertex {u}")
         if u > v:
             u, v = v, u
-        if simple:
-            if (u, v) in seen:
-                raise DuplicateEdge(f"repeated edge ({u},{v})")
-            seen.add((u, v))
+        if (u, v) in seen:
+            raise DuplicateEdge(f"repeated edge ({u},{v})")
+        seen.add((u, v))
         edges.append((u, v))
-    return Graph(n, tuple(sorted(edges)), simple=simple)
+    return Graph(n, tuple(sorted(edges)))
 
 
 def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -146,7 +144,7 @@ def header_counts(head: list[str], keyword: str, k: int) -> list[int]:
         raise ParseError(f"bad header {' '.join(head)!r}, want {keyword!r} and {k} plain decimal counts") from exc
 
 
-def parse_graph(text: str, simple: bool = True) -> Graph:
+def parse_graph(text: str) -> Graph:
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ParseError("empty graph file")
@@ -168,6 +166,6 @@ def parse_graph(text: str, simple: bool = True) -> Graph:
             raise ParseError(f"edge line not ascending: {ln!r}")
         edges.append((u, v))
     try:
-        return build_graph(n, edges, simple=simple)
+        return build_graph(n, edges)
     except (BadVertex, InvalidEdge, DuplicateEdge) as exc:
         raise ParseError(str(exc)) from exc

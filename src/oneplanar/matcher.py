@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .errors import BadVertex, ParseError, TooLarge
+from .errors import ParseError, TooLarge
 from .graph import Graph, header_counts, odd_components
 
 BRUTE_FORCE_LIMIT = 20
@@ -33,8 +33,11 @@ class Matching:
 @dataclass(frozen=True)
 class DeficiencyWitness:
     s: frozenset[int]
-    odd_count: int
-    deficiency: int
+    deficiency: int  # odd(G-S) - |S|
+
+    @property
+    def odd_count(self) -> int:
+        return self.deficiency + len(self.s)
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -213,8 +216,8 @@ def tutte_berge_bruteforce(
                 best = deficiency
                 best_set = combo
                 if best >= stop:
-                    return DeficiencyWitness(frozenset(best_set), best + size, best)
-    return DeficiencyWitness(frozenset(best_set), best + len(best_set), best)
+                    return DeficiencyWitness(frozenset(best_set), best)
+    return DeficiencyWitness(frozenset(best_set), best)
 
 
 def check_brute_force_size(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> None:
@@ -226,9 +229,6 @@ def check_brute_force_size(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> None:
 def matching_upper_from_witness(g: Graph, s: Iterable[int]) -> int:
     """Matching-size upper bound floor((n - (odd(G-S) - |S|)) / 2) from any S."""
     members = frozenset(s)
-    for v in members:
-        if not (0 <= v < g.n):
-            raise BadVertex(f"vertex {v} out of range")
     count, _ = odd_components(g, members)
     return (g.n - (count - len(members))) // 2
 

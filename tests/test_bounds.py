@@ -144,6 +144,18 @@ def test_charging_postcondition_is_a_typed_error(monkeypatch):
         charging_run(inst.drawing, inst.witness, DELTA3_T)
 
 
+def test_degree_bounds_reject_parallel_edges():
+    # a charging run's final drawing may double an edge; the degree
+    # bounds count each vertex pair once, so they refuse such a drawing
+    d = random_oneplanar(7, 0, 3)
+    t = greedy_independent_t(d.graph)
+    final = charging_run(d, frozenset(range(d.n_real)) - t, t).final
+    assert final.has_parallel_edges and not d.has_parallel_edges
+    for check in (check_degree_bound, check_cw_degree_bound):
+        with pytest.raises(InvalidDrawing, match="degree bounds require"):
+            check(final, t)
+
+
 def test_charging_case_two_vertices_get_exactly_fourteen():
     # degree-3 T-vertices with one uncrossed leg end up with charge
     # 6 + 3 + 3 + 2, the last through an auxiliary edge
@@ -334,21 +346,21 @@ def test_deficiency_mindeg5_single_vertex_of_k6():
 
 def test_certify_delta3_tight():
     inst = family_delta3(4)
-    rep = certify_matching_bound(inst.graph, 3, inst)
+    rep = certify_matching_bound(inst.graph, 3, inst.drawing)
     assert rep.applicable and rep.holds and rep.tight
     assert rep.matching_size == 4 and rep.bound == 4
 
 
 def test_certify_delta5_tight():
     inst = family_delta5(4)
-    rep = certify_matching_bound(inst.graph, 5, inst)
+    rep = certify_matching_bound(inst.graph, 5, inst.drawing)
     assert rep.holds and rep.tight
     assert rep.matching_size == 9 and rep.bound == Fraction(45, 5)
 
 
 def test_certify_not_applicable_below_threshold():
     inst = family_delta4(4)
-    rep = certify_matching_bound(inst.graph, 4, inst)
+    rep = certify_matching_bound(inst.graph, 4, inst.drawing)
     assert not rep.applicable
     assert rep.threshold == 20
     assert rep.holds is None
@@ -364,13 +376,13 @@ def test_certify_requires_provenance():
 
 def test_certify_degree_gate():
     with pytest.raises(DegreeTooLow):
-        certify_matching_bound(family_delta3(4).graph, 4, family_delta3(4))
+        certify_matching_bound(family_delta3(4).graph, 4, family_delta3(4).drawing)
 
 
 def test_certify_nontight_instance():
     # a near-perfect-matching graph comfortably beats the weaker bound
     inst = family_delta5(2)  # n = 11, matching 5
-    rep = certify_matching_bound(inst.graph, 3, inst)
+    rep = certify_matching_bound(inst.graph, 3, inst.drawing)
     assert rep.applicable and rep.holds and not rep.tight
     assert rep.matching_size == 5
     assert rep.bound == Fraction(23, 7)
@@ -378,7 +390,7 @@ def test_certify_nontight_instance():
 
 def test_certify_carries_the_barrier_proof():
     inst = family_delta3(4)  # n = 16, |M| = 4: the failed trees' inner vertices are S = 0..3
-    rep = certify_matching_bound(inst.graph, 3, inst)
+    rep = certify_matching_bound(inst.graph, 3, inst.drawing)
     assert rep.certified
     assert (rep.barrier, rep.barrier_bound, rep.violations) == (frozenset(range(4)), 4, ())
 
@@ -389,7 +401,7 @@ def test_certify_rejects_a_matching_its_barrier_does_not_prove(monkeypatch):
 
     def certify(change):
         monkeypatch.setattr(bounds, "maximum_matching", lambda g: change(blossom(g)))
-        return certify_matching_bound(inst.graph, 3, inst)
+        return certify_matching_bound(inst.graph, 3, inst.drawing)
 
     # one edge dropped, the barrier kept: |M| = 3 < 4
     rep = certify(lambda m: Matching(m.edges - {min(m.edges)}, m.barrier))

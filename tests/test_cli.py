@@ -273,6 +273,23 @@ def test_check_edge_budget_auto_coloring(tmp_path, capsys):
     assert out.strip() == "lhs=4 rhs=4 holds tight"
 
 
+def test_check_edge_budget_counts_each_parallel_copy(tmp_path, capsys):
+    from oneplanar.embedding import write_drawing
+    from oneplanar.generators import random_oneplanar
+    from conftest import greedy_independent_t
+
+    d = random_oneplanar(7, 0, 3)
+    t = greedy_independent_t(d.graph)
+    final = bounds.charging_run(d, frozenset(range(d.n_real)) - t, t).final
+    # step 1 doubled one edge: 10 uncrossed edges over 9 vertex pairs
+    assert (final.n_real, len(final.edges), len(set(final.edges)), len(final.crossed_eids)) == (7, 10, 9, 0)
+    p = tmp_path / "final.1pg"
+    p.write_text(write_drawing(final))
+    code, out = run(capsys, "check", "obs1", str(p))
+    assert code == 0
+    assert out.strip() == "lhs=10 rhs=10 holds tight"
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["nonsense"]) == 1
     capsys.readouterr()
@@ -354,4 +371,11 @@ def test_random_rejects_negative_crossings(tmp_path, capsys):
     argv = ["generate", "random", "--n", "10", "--x", "-1", "-o", str(tmp_path)]
     assert main(argv) == 3
     assert "TooSmall" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_generate_error_leaves_no_output_directory(tmp_path, capsys):
+    assert main(["generate", "delta3", "-o", str(tmp_path / "newdir")]) == 1
+    assert main(["generate", "delta3", "--s", "2", "-o", str(tmp_path / "newdir2")]) == 3
+    capsys.readouterr()
     assert not list(tmp_path.iterdir())

@@ -12,8 +12,6 @@ from oneplanar.embedding import (
     OnePlanarDrawing,
     RealV,
     Segment,
-    check_bipartite_edge_budget,
-    crossing_partition,
     crossing_weighted_degree,
     drawing_from_faces,
     faces,
@@ -24,6 +22,7 @@ from oneplanar.embedding import (
     _face_at,
     _face_orbits,
 )
+from oneplanar.bounds import check_bipartite_edge_budget
 from oneplanar.errors import (
     BadAttachment,
     BadVertex,
@@ -72,7 +71,6 @@ def doubled_edge_drawing():
         pvertices=(RealV(0), RealV(1), RealV(2)),
         segments=segs,
         rotations=rotations,
-        multi_allowed=True,
     )
 
 
@@ -111,8 +109,7 @@ def test_k6_canonical_drawing():
     assert validate(d).valid
     assert d.n_p == 9 and d.m_p == 21
     assert len(faces(d)) == 14
-    crossed, uncrossed = crossing_partition(d)
-    assert len(crossed) == 6 and len(uncrossed) == 9
+    assert len(d.crossed_eids) == 6 and len(d.edges) == 15
 
 
 def test_bigons_empty_on_simple_drawings():
@@ -130,6 +127,7 @@ def test_crossed_parallel_copy_is_not_a_bigon():
     # crossing one copy of (0,1) with a new edge removes the lens
     d2 = edit(d, "add_crossed", 2, 0, (0, 1))
     assert validate(d2).violations == ()
+    assert d2.has_parallel_edges
 
 
 def test_drawing_from_no_faces_is_invalid():
@@ -137,11 +135,10 @@ def test_drawing_from_no_faces_is_invalid():
         drawing_from_faces(3, [])
 
 
-def test_crossing_partition_counts_dummies():
+def test_crossed_eids_count_dummies():
     d = random_oneplanar(8, 2, 11)
-    crossed, uncrossed = crossing_partition(d)
     n_dummies = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
-    assert len(crossed) == 2 * n_dummies
+    assert len(d.crossed_eids) == 2 * n_dummies
 
 
 def test_single_crossing_pair_drawing():
@@ -159,8 +156,7 @@ def test_single_crossing_pair_drawing():
         rotations=((0,), (4,), (3,), (7,), (1, 5, 2, 6)),
     )
     assert validate(d).valid
-    crossed, uncrossed = crossing_partition(d)
-    assert (len(crossed), len(uncrossed)) == (2, 0)
+    assert d.crossed_eids == {0, 1}
     assert len(faces(d)) == 1
 
 
@@ -216,15 +212,15 @@ def test_crossed_edge_back_to_its_start_is_a_loop():
 
 
 def test_edge_budget_c4_tight():
-    lhs, rhs, holds = check_bipartite_edge_budget(c4_drawing(), ({0, 2}, {1, 3}))
-    assert (lhs, rhs, holds) == (Fraction(4), 4, True)
+    chk = check_bipartite_edge_budget(c4_drawing(), ({0, 2}, {1, 3}))
+    assert (chk.lhs, chk.rhs, chk.holds, chk.tight) == (Fraction(4), 4, True, True)
 
 
 def test_edge_budget_k33_tight():
     d = k33_one_crossing()
     assert validate(d).valid
-    lhs, rhs, holds = check_bipartite_edge_budget(d, ({0, 1, 2}, {3, 4, 5}))
-    assert (lhs, rhs, holds) == (Fraction(8), 8, True)
+    chk = check_bipartite_edge_budget(d, ({0, 1, 2}, {3, 4, 5}))
+    assert (chk.lhs, chk.rhs, chk.holds, chk.tight) == (Fraction(8), 8, True, True)
 
 
 def test_edge_budget_rejects_a_bigon_as_invalid():
@@ -438,7 +434,7 @@ def test_delete_edges_restores_partner():
     remap = b.delete_edges([eid])
     d2 = b.freeze()
     assert validate(d2).valid
-    assert crossing_partition(d2)[0] == set()
+    assert d2.crossed_eids == set()
     assert len(d2.edges) == len(d.edges) - 1
     assert eid not in remap
 
@@ -470,8 +466,7 @@ def test_surgery_chain_keeps_euler():
 def test_corpus_drawings_are_valid(n, x, seed):
     d = random_oneplanar(n, x, seed)
     assert validate(d).valid
-    crossed, _ = crossing_partition(d)
-    assert len(crossed) == 2 * x
+    assert len(d.crossed_eids) == 2 * x
 
 
 def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
@@ -589,6 +584,7 @@ CACHED_LOOKUPS = {
     "crossed_eids": lambda d: d.crossed_eids,
     "graph": lambda d: d.graph,
     "graph edge set": lambda d: d.graph._edge_set,
+    "has_parallel_edges": lambda d: d.has_parallel_edges,
     "incident_eids": lambda d: [d.incident_eids(v) for v in range(d.n_real)],
     "validate": validate,
 }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .embedding import (
     Face,
@@ -28,7 +28,9 @@ from .embedding import (
     _Planarization,
     _darts_text,
     _require_valid,
+    corner_positions,
     crossing_weighted_degree,
+    real_corners,
     validate,
 )
 from .errors import (
@@ -66,7 +68,7 @@ def _check_t_preconditions(d: OnePlanarDrawing, t: frozenset[int]) -> Graph:
         raise EmptyT("independent set T must be non-empty")
     _require_valid(d)
     if d.has_parallel_edges:
-        raise InvalidDrawing("degree bounds require a simple-mode drawing")
+        raise InvalidDrawing("degree bounds require a drawing without parallel edges")
     g = d.graph
     for v in t:
         if not (0 <= v < g.n):
@@ -152,13 +154,13 @@ class _FaceRecord(NamedTuple):
 def _face_record(d: _Planarization, face: Face, s: frozenset[int], t: frozenset[int]) -> _FaceRecord:
     s_occ: dict[int, list[int]] = {}
     t_occ: dict[int, list[int]] = {}
-    for pos, vid in face.real_corner_positions(d):
+    for pos, vid in corner_positions(d, face):
         if vid in s:
             s_occ.setdefault(vid, []).append(pos)
         elif vid in t:
             t_occ.setdefault(vid, []).append(pos)
     pairs = [(sv, tv) for sv in sorted(s_occ) for tv in sorted(t_occ)]
-    k = len(face.darts)
+    k = len(face)
     chord = next(
         ((sv, tv, *occ) for sv, tv in pairs if (occ := _bigon_free(s_occ[sv], t_occ[tv], k))),
         None,
@@ -259,7 +261,7 @@ def charging_run(
         for piece in work.add_chord(face, sv, tv, occurrences=(pi, pj)):
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if rng is not None or rec.chord:
-                bisect.insort(queue, piece, key=lambda f: f.darts)
+                bisect.insort(queue, piece)
         chords.append((sv, tv))
         if len(chords) >= cap:
             raise InvalidDrawing(f"chord saturation did not terminate after {len(chords)} chords")
@@ -268,7 +270,7 @@ def charging_run(
     # step 2: auxiliary vertices into T-heavy faces, first in canonical
     # order; the loop ends only when no face has three or more T-corners.
     # An insertion's pieces are its only new faces (its vertex is not in T).
-    heavy = sorted((f for f, rec in records.items() if len(rec.t_occ) >= 3), key=lambda f: f.darts)
+    heavy = sorted(f for f, rec in records.items() if len(rec.t_occ) >= 3)
     delta_vertices: list[int] = []
     delta_attach: list[tuple[int, tuple[int, int, int]]] = []
     while heavy:
@@ -278,7 +280,7 @@ def charging_run(
         for piece in work.insert_vertex(face, attach):
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if len(rec.t_occ) >= 3:
-                bisect.insort(heavy, piece, key=lambda f: f.darts)
+                bisect.insort(heavy, piece)
         delta_vertices.append(z)
         delta_attach.append((z, attach))
     final = work.freeze()
@@ -343,17 +345,6 @@ def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
                 bad.append(tv)
                 break
     return bad
-
-
-def _t_heavy_faces(
-    d: _Planarization, faces: Iterable[Face], t: frozenset[int]
-) -> Iterator[tuple[Face, list[int]]]:
-    """The faces of `faces` with three or more distinct T-corners, in their
-    order, each with its T-corners sorted."""
-    for face in faces:
-        t_corners = sorted({vid for vid in face.real_corners(d) if vid in t})
-        if len(t_corners) >= 3:
-            yield face, t_corners
 
 
 @dataclass(frozen=True)
@@ -454,8 +445,9 @@ def charge_verify(ledger: ChargeLedger) -> ChargeReport:
 
     for tv in _three_consecutive_crossed(ledger):
         bad.append(f"T-vertex {tv} keeps three consecutive crossed edges")
-    for face, _ in _t_heavy_faces(final, validate(final).faces, ledger.t):
-        bad.append(f"face with >=3 T-corners survived: {_darts_text(face.darts)}")
+    for face in validate(final).faces:
+        if len({vid for vid in real_corners(final, face) if vid in ledger.t}) >= 3:
+            bad.append(f"face with >=3 T-corners survived: {_darts_text(face)}")
 
     return ChargeReport(tuple(bad))
 
@@ -490,7 +482,7 @@ BOUNDS = {3: (5, 24, 7, 2, 7), 4: (1, 8, 3, 2, 20), 5: (1, 6, 5, 1, 21)}
 
 def _check_provenance(g: Graph, drawing: OnePlanarDrawing | None) -> None:
     if drawing is None:
-        raise NoProvenance("1-planarity attestation required (drawing or family instance)")
+        raise NoProvenance("1-planarity attestation required (a drawing)")
     _require_valid(drawing)
     if drawing.n_real != g.n or tuple(sorted(drawing.edges)) != tuple(sorted(g.edges)):
         raise NoProvenance("attested drawing does not match the graph")

@@ -122,24 +122,23 @@ class OnePlanarDrawing(_Planarization):
         return self._incidence[v]
 
 
-@dataclass(frozen=True)
-class Face:
-    darts: tuple[int, ...]  # boundary walk, canonically rotated
+# a face is its boundary walk of darts, canonically rotated, so faces
+# compare, hash and sort as plain tuples
+Face = tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.darts)
 
-    def real_corner_positions(self, d: _Planarization) -> list[tuple[int, int]]:
-        """(walk position, vid) for every real corner occurrence."""
-        out = []
-        for i, x in enumerate(self.darts):
-            pv = d.pvertices[d.origin(x)]
-            if isinstance(pv, RealV):
-                out.append((i, pv.vid))
-        return out
+def corner_positions(d: _Planarization, face: Face) -> list[tuple[int, int]]:
+    """(walk position, vid) for every real corner occurrence of `face`."""
+    out = []
+    for i, x in enumerate(face):
+        pv = d.pvertices[d.origin(x)]
+        if isinstance(pv, RealV):
+            out.append((i, pv.vid))
+    return out
 
-    def real_corners(self, d: _Planarization) -> tuple[int, ...]:
-        return tuple([vid for _, vid in self.real_corner_positions(d)])
+
+def real_corners(d: _Planarization, face: Face) -> tuple[int, ...]:
+    return tuple([vid for _, vid in corner_positions(d, face)])
 
 
 def _canonical_walk(walk: Sequence[int]) -> tuple[int, ...]:
@@ -160,11 +159,10 @@ def _darts_text(darts: Iterable[int]) -> str:
 @dataclass(frozen=True)
 class ValidationReport:
     """Violations of a drawing; a valid drawing's report also keeps its
-    canonically ordered faces and the planarization's component count."""
+    canonically ordered faces."""
 
     violations: tuple[str, ...]
     faces: tuple[Face, ...] = ()
-    components: int = 0
 
     @property
     def valid(self) -> bool:
@@ -291,7 +289,7 @@ def _face_orbits(d: _Planarization) -> list[Face]:
             walk.append(x)
             x = successor[x]
         if walk:
-            out.append(Face(tuple(walk)))
+            out.append(tuple(walk))
     return out
 
 
@@ -303,7 +301,7 @@ def _face_at(d: _Planarization, start: int) -> Face:
         rot = d.rotations[d.origin(r)]
         x = rot[(rot.index(r) + 1) % len(rot)]
         if x == start:
-            return Face(_canonical_walk(walk))
+            return _canonical_walk(walk)
         walk.append(x)
 
 
@@ -396,10 +394,10 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     # bigons are forbidden; only parallel edges can make one
     if not bad:
         for face in _bigon_faces(d, orbits):
-            bad.append(f"bigon face {_darts_text(face.darts)}")
+            bad.append(f"bigon face {_darts_text(face)}")
     if bad:
         return ValidationReport(tuple(bad))
-    return ValidationReport((), tuple(orbits), k)
+    return ValidationReport((), tuple(orbits))
 
 
 def _require_valid(d: OnePlanarDrawing) -> ValidationReport:
@@ -409,21 +407,13 @@ def _require_valid(d: OnePlanarDrawing) -> ValidationReport:
     return report
 
 
-def faces(d: OnePlanarDrawing) -> list[Face]:
-    """All faces of a valid connected drawing, canonically ordered."""
-    report = _require_valid(d)
-    if report.components > 1:
-        raise InvalidDrawing("drawing is disconnected; process per component")
-    return list(report.faces)
-
-
 def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
     out = []
     for face in orbit_list:
-        if len(face.darts) != 2:
+        if len(face) != 2:
             continue
         # a segment walked twice (a bridge) or two halves of one edge are no bigon
-        s0, s1 = (d.segments[x >> 1] for x in face.darts)
+        s0, s1 = (d.segments[x >> 1] for x in face)
         if s0.eid != s1.eid and d.edges[s0.eid] == d.edges[s1.eid]:
             out.append(face)
     return out
@@ -483,7 +473,7 @@ class _Builder(_Planarization):
     def new_edge(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
         if not self.multi_allowed and e in self.eid_of:
-            raise DuplicateEdge(f"edge ({e[0]},{e[1]}) already exists in simple mode")
+            raise DuplicateEdge(f"edge ({e[0]},{e[1]}) already exists")
         self.eid_of.setdefault(e, len(self.edges))
         self.edges.append(e)
         self.edge_sids.append([])
@@ -514,36 +504,36 @@ class _Builder(_Planarization):
     ) -> tuple[Face, Face]:
         """Split `face` by chord (u, v) between the first (or the given walk
         positions') corner occurrences; returns the two pieces of `face`."""
-        walk = _check_face(self, face)
+        _check_face(self, face)
         if u == v:
             raise NotOnFace("chord endpoints must differ")
         if occurrences is None:
-            pos_u = _walk_positions(self, walk, u)
-            pos_v = _walk_positions(self, walk, v)
+            pos_u = _walk_positions(self, face, u)
+            pos_v = _walk_positions(self, face, v)
             if not pos_u or not pos_v:
                 raise NotOnFace(f"vertex {u if not pos_u else v} is not a corner of the face")
             i, j = pos_u[0], pos_v[0]
         else:
             i, j = occurrences
             pid_u, pid_v = self.real_pid.get(u), self.real_pid.get(v)
-            if self.origin(walk[i]) != pid_u or self.origin(walk[j]) != pid_v:
+            if self.origin(face[i]) != pid_u or self.origin(face[j]) != pid_v:
                 raise NotOnFace("occurrence positions do not match the given vertices")
-        k = len(walk)
+        k = len(face)
         if (j - i) % k == 1 or (i - j) % k == 1:
             raise WouldCreateBigon(f"chord ({u},{v}) duplicates a face side")
         eid = self.new_edge(u, v)
-        pu, pv = self.origin(walk[i]), self.origin(walk[j])
+        pu, pv = self.origin(face[i]), self.origin(face[j])
         sid = self.new_segment((pu, pv), eid, 0)
-        self.insert_before(pu, walk[i], 2 * sid)
-        self.insert_before(pv, walk[j], 2 * sid + 1)
+        self.insert_before(pu, face[i], 2 * sid)
+        self.insert_before(pv, face[j], 2 * sid + 1)
         return _face_at(self, 2 * sid), _face_at(self, 2 * sid + 1)
 
     def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
         """Join new real vertex n_real to k >= 2 corners of `face`; returns the k pieces of `face`."""
-        walk = _check_face(self, face)
+        _check_face(self, face)
         positions = []
         for vid in attach:
-            occ = _walk_positions(self, walk, vid)
+            occ = _walk_positions(self, face, vid)
             if not occ:
                 raise BadAttachment(f"vertex {vid} is not a corner of the face")
             positions.append(occ[0])
@@ -556,9 +546,9 @@ class _Builder(_Planarization):
         spoke_darts: list[int] = []
         for pos, vid in pairs:
             eid = self.new_edge(vid, z)
-            pu = self.origin(walk[pos])
+            pu = self.origin(face[pos])
             sid = self.new_segment((pu, pz), eid, 0)
-            self.insert_before(pu, walk[pos], 2 * sid)
+            self.insert_before(pu, face[pos], 2 * sid)
             spoke_darts.append(2 * sid + 1)
         self.rotations[pz] = spoke_darts[::-1]
         return [_face_at(self, x) for x in self.rotations[pz]]
@@ -572,8 +562,8 @@ class _Builder(_Planarization):
         if len(sids) != 1:
             raise NotOnFace(f"edge {cross} is already crossed")
         sid_c = sids[0]
-        side_a = _face_at(self, 2 * sid_c).real_corners(self)
-        side_b = _face_at(self, 2 * sid_c + 1).real_corners(self)
+        side_a = real_corners(self, _face_at(self, 2 * sid_c))
+        side_b = real_corners(self, _face_at(self, 2 * sid_c + 1))
         if u in side_a and v in side_b:
             pass
         elif u in side_b and v in side_a:
@@ -598,7 +588,7 @@ class _Builder(_Planarization):
         # u's side runs pa -> pD -> pb, v's side runs pb -> pD -> pa
         part_u = 0 if u <= v else 1
         for vert, through, part in ((u, 2 * sid_c, part_u), (v, 2 * sid_c2 + 1, 1 - part_u)):
-            walk = _face_at(self, through).darts
+            walk = _face_at(self, through)
             pos_v = _walk_positions(self, walk, vert)
             pos_d = [i for i, x in enumerate(walk) if self.origin(x) == pD]
             if not pos_v or not pos_d:
@@ -713,122 +703,64 @@ class _Builder(_Planarization):
             self.rotations[pid_map[pid]] = mapped
 
 
-def _walk_positions(d: _Planarization, walk: Sequence[int], vid: int) -> list[int]:
+def _walk_positions(d: _Planarization, face: Face, vid: int) -> list[int]:
     """Positions on the walk whose corner is the real vertex vid."""
-    pid = d.real_pid.get(vid)
-    return [i for i, x in enumerate(walk) if d.origin(x) == pid]
+    return [i for i, v in corner_positions(d, face) if v == vid]
 
 
-def _check_face(d: _Planarization, face: Face) -> tuple[int, ...]:
-    """Verify that `face` is an actual orbit of d, canonically rotated, and return its walk.
+def _check_face(d: _Planarization, face: Face) -> None:
+    """Verify that `face` is an actual orbit of d, canonically rotated.
 
     Only the face through the walk's first dart is walked.
     """
-    if face.darts and 0 <= face.darts[0] < 2 * d.m_p and _face_at(d, face.darts[0]) == face:
-        return face.darts
-    raise NotOnFace("face is not a face of this drawing")
+    if not (face and 0 <= face[0] < 2 * d.m_p and _face_at(d, face[0]) == face):
+        raise NotOnFace("face is not a face of this drawing")
 
 
 # ---------------------------------------------------------------------
 # constructors
 
 
-def drawing_from_faces(n: int, face_cycles: Sequence[Sequence[int]]) -> OnePlanarDrawing:
-    """Build a planar drawing of a connected simple graph from its face cycles.
+def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDrawing:
+    """The drawing on vertices 0..n-1 whose faces are `cycles`.
 
-    Each face is a cyclic vertex sequence; every edge must be covered by
-    exactly two face sides.  Face orientations are reconciled
-    automatically (the input may mix clockwise and counterclockwise).
+    Each cycle lists a face's vertices, all cycles oriented alike, so every
+    side is run once in each direction.  A face running u, v, w puts the
+    dart to w directly after the dart to u in the rotation at v; each
+    rotation starts at the smallest neighbour.
     """
-    if not face_cycles:
-        raise InvalidDrawing("no face cycles given")
-    incidence: dict[frozenset[int], list[int]] = {}
-    for fi, cyc in enumerate(face_cycles):
-        for i in range(len(cyc)):
-            u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-            if u == v:
-                raise InvalidDrawing("face cycle repeats a vertex consecutively")
-            incidence.setdefault(frozenset((u, v)), []).append(fi)
-    for pair, fids in incidence.items():
-        if len(fids) != 2:
-            raise InvalidDrawing(f"edge {sorted(pair)} covered {len(fids)} times")
-
-    oriented: dict[int, list[int]] = {0: list(face_cycles[0])}
-    queue = [0]
-    while queue:
-        fi = queue.pop()
-        cyc = oriented[fi]
-        arcs = {(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
-        for i in range(len(cyc)):
-            u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-            other = [f for f in incidence[frozenset((u, v))] if f != fi]
-            fj = other[0] if other else fi
-            if fj == fi or fj in oriented:
-                if fj != fi:
-                    cyc_j = oriented[fj]
-                    arcs_j = {
-                        (cyc_j[k], cyc_j[(k + 1) % len(cyc_j)])
-                        for k in range(len(cyc_j))
-                    }
-                    if (v, u) not in arcs_j:
-                        raise InvalidDrawing("face cycles are not orientable")
-                continue
-            cyc_j = list(face_cycles[fj])
-            arcs_j = {(cyc_j[k], cyc_j[(k + 1) % len(cyc_j)]) for k in range(len(cyc_j))}
-            if (v, u) in arcs_j:
-                oriented[fj] = cyc_j
-            else:
-                oriented[fj] = list(reversed(cyc_j))
-            queue.append(fj)
-    if len(oriented) != len(face_cycles):
-        raise InvalidDrawing("face set is disconnected")
-
-    # rotation at v: dart to u is immediately followed by dart to w
-    # whenever some face runs u, v, w
-    succ: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for fi in range(len(face_cycles)):
-        cyc = oriented[fi]
-        k = len(cyc)
-        for i in range(k):
-            u, v, w = cyc[i], cyc[(i + 1) % k], cyc[(i + 2) % k]
-            if u in succ[v]:
-                raise InvalidDrawing(f"vertex {v} has conflicting corners")
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    sides: set[tuple[int, int]] = set()
+    for cyc in cycles:
+        for i, v in enumerate(cyc):
+            u, w = cyc[i - 1], cyc[(i + 1) % len(cyc)]
+            if not (0 <= v < n):
+                raise InvalidDrawing(f"vertex {v} out of range (n={n})")
+            if v == w or (v, w) in sides:
+                raise InvalidDrawing(f"side ({v},{w}) is a loop or run twice in one direction")
+            sides.add((v, w))
             succ[v][u] = w
+    for v, w in sorted(sides):
+        if (w, v) not in sides:
+            raise InvalidDrawing(f"side ({v},{w}) is run in one direction only")
 
-    edges = sorted(incidence.keys(), key=lambda p: tuple(sorted(p)))
-    eid_of = {pair: i for i, pair in enumerate(edges)}
-    edge_list = [tuple(sorted(p)) for p in edges]
-
-    rotations: list[tuple[int, ...]] = []
-    for v in range(n):
-        nbrs = succ[v]
-        if not nbrs:
-            raise InvalidDrawing(f"vertex {v} does not appear on any face")
-        order = [next(iter(sorted(nbrs)))]
-        while True:
-            nxt = nbrs[order[-1]]
-            if nxt == order[0]:
-                break
-            if len(order) > len(nbrs):
-                raise InvalidDrawing(f"vertex {v} rotation does not close")
-            order.append(nxt)
+    # the sides both ways make each succ[v] a permutation of v's neighbours;
+    # an isolated vertex gets the one-entry order [v] and fails the count
+    edges = sorted(side for side in sides if side[0] < side[1])
+    eid_of = {e: eid for eid, e in enumerate(edges)}
+    rotations = []
+    for v, nbrs in enumerate(succ):
+        order = [min(nbrs, default=v)]
+        while nbrs and (w := nbrs[order[-1]]) != order[0]:
+            order.append(w)
         if len(order) != len(nbrs):
-            raise InvalidDrawing(f"vertex {v} rotation is not a single cycle")
-        rot = []
-        for w in order:
-            eid = eid_of[frozenset((v, w))]
-            a, _ = edge_list[eid]
-            rot.append(2 * eid + (v != a))
-        rotations.append(tuple(rot))
-
-    segments = tuple(
-        Segment((u, v), eid, 0) for eid, (u, v) in enumerate(edge_list)
-    )
+            raise InvalidDrawing(f"vertex {v} is not on exactly one cycle of corners")
+        rotations.append(tuple(2 * eid_of[min(v, w), max(v, w)] + (v > w) for w in order))
     return OnePlanarDrawing(
         n_real=n,
-        edges=tuple(edge_list),
+        edges=tuple(edges),
         pvertices=tuple(RealV(v) for v in range(n)),
-        segments=segments,
+        segments=tuple(Segment(e, eid, 0) for eid, e in enumerate(edges)),
         rotations=tuple(rotations),
     )
 

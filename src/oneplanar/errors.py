@@ -11,7 +11,7 @@ class InvalidEdge(OnePlanarError):
 
 
 class DuplicateEdge(OnePlanarError):
-    """Repeated unordered pair in simple mode."""
+    """Repeated unordered pair where parallel edges are not allowed."""
 
 
 class BadVertex(OnePlanarError):
@@ -79,7 +79,7 @@ class STooSmall(OnePlanarError):
 
 
 class NoProvenance(OnePlanarError):
-    """1-planarity attestation (drawing or generator origin) missing."""
+    """1-planarity attestation (a drawing) missing."""
 
 
 # text formats

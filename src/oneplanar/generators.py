@@ -27,6 +27,7 @@ from .embedding import (
     _face_at,
     _face_orbits,
     drawing_from_faces,
+    real_corners,
     validate,
 )
 from .errors import BadParity, InvalidDrawing, ParseError, TooManyCrossings, TooSmall
@@ -55,19 +56,19 @@ class FamilyInstance:
 # face helpers
 
 
-def _corner_keyed(d: _Builder, f: Face) -> tuple[tuple, Face]:
-    """(sort key, f); faces sort by their sorted real corners, then canonically."""
-    return (tuple(sorted(f.real_corners(d))), f.darts), f
+def _corner_keyed(d: _Builder, f: Face) -> tuple[tuple[int, ...], Face]:
+    """(sorted real corners, f): faces sort by their corners, then canonically."""
+    return tuple(sorted(real_corners(d, f))), f
 
 
 def _face_with_corner_set(d: _Builder, faces: Iterable[Face], want: set[int]) -> Face:
     """The first face of `faces`, in canonical order, whose real corners are `want`, each once."""
     matches = [
-        f for f in faces if len(c := f.real_corners(d)) == len(want) and set(c) == want
+        f for f in faces if len(c := real_corners(d, f)) == len(want) and set(c) == want
     ]
     if not matches:
         raise InvalidDrawing(f"no face with corner set {sorted(want)}")
-    return min(matches, key=lambda f: f.darts)
+    return min(matches)
 
 
 # ---------------------------------------------------------------------
@@ -85,7 +86,7 @@ def _stacked(
     keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
     for _ in range(cycle, s):
         _, face = keyed.pop(rng.below(len(keyed)) if rng is not None else 0)
-        for f in d.insert_vertex(face, attach(face.real_corners(d))):
+        for f in d.insert_vertex(face, attach(real_corners(d, face))):
             bisect.insort(keyed, _corner_keyed(d, f))
     return d, [f for _, f in keyed]
 
@@ -117,7 +118,7 @@ def _fill_triangle(d: _Builder, face: Face) -> None:
     triangle with two uncrossed legs; the three remaining legs cross one
     leg of the next vertex around, giving three crossings per face.
     """
-    c0, c1, c2 = face.real_corners(d)
+    c0, c1, c2 = real_corners(d, face)
     a = d.n_real
     pieces = d.insert_vertex(face, [c0, c1])
     b = d.n_real
@@ -135,7 +136,7 @@ def _fill_quad(d: _Builder, face: Face) -> None:
     The first vertex's four legs are uncrossed; the second vertex sits
     in one corner cell and sends two legs across them.
     """
-    c0, c1, c2, c3 = face.real_corners(d)
+    c0, c1, c2, c3 = real_corners(d, face)
     a = d.n_real
     pieces = d.insert_vertex(face, [c0, c1, c2, c3])
     b = d.n_real
@@ -150,7 +151,7 @@ def _cross_quad_face(d: _Builder, face: Face) -> None:
     Only `face` changes, so a face list taken earlier stays current for
     every other face.
     """
-    w = face.real_corners(d)
+    w = real_corners(d, face)
     if len(w) != 4 or len(set(w)) != 4:
         raise InvalidDrawing(f"not a quadrilateral face: {w}")
     d.add_chord(face, w[0], w[2])
@@ -204,7 +205,7 @@ def family_delta4_k5(k: int) -> FamilyInstance:
         d.insert_vertex(_face_at(d, side01), [0, 1])  # p1
         pieces = d.insert_vertex(_face_at(d, side01), [0, 1])  # p3
         rim = _face_with_corner_set(d, pieces, {0, 1, p1, p3})
-        d.insert_vertex(rim, rim.real_corners(d))  # p2
+        d.insert_vertex(rim, real_corners(d, rim))  # p2
         d.add_crossed(p1, p3, (0, p2))
         if d.n_real != 3 * i + 5:
             raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")
@@ -225,7 +226,7 @@ def _with_crossed_quads(
 
 def k6_drawing() -> OnePlanarDrawing:
     """The canonical 1-planar K6: triangular prism plus crossed quad diagonals."""
-    faces = [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 3, 5]]
+    faces = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
     return _with_crossed_quads(6, faces, faces[2:])
 
 
@@ -249,25 +250,32 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
     18 squares (one triangle per cube corner, one square per cube face
     and per cube edge; 24 vertices indexed 3*corner + axis).  Adding
     both diagonals inside every square raises all degrees to 7 while
-    keeping one crossing per square.
+    keeping one crossing per square.  Each cycle is listed, then reversed
+    if its parity is odd, so that all faces run alike.
     """
 
     def vid(c: int, a: int) -> int:
         return 3 * c + a
 
-    tri = [[vid(c, 0), vid(c, 1), vid(c, 2)] for c in range(8)]
+    def oriented(cyc: list[int], parity: int) -> list[int]:
+        return cyc[::-1] if parity % 2 else cyc
+
+    tri = [oriented([vid(c, 0), vid(c, 1), vid(c, 2)], c.bit_count()) for c in range(8)]
     axial = []
     for s in (0, 1):
-        axial.append([vid(s, 0), vid(s + 2, 0), vid(s + 6, 0), vid(s + 4, 0)])
-        axial.append([vid(2 * s, 1), vid(2 * s + 1, 1), vid(2 * s + 5, 1), vid(2 * s + 4, 1)])
-        axial.append([vid(4 * s, 2), vid(4 * s + 1, 2), vid(4 * s + 3, 2), vid(4 * s + 2, 2)])
+        axial.append(oriented([vid(s, 0), vid(s + 2, 0), vid(s + 6, 0), vid(s + 4, 0)], s))
+        axial.append(
+            oriented([vid(2 * s, 1), vid(2 * s + 1, 1), vid(2 * s + 5, 1), vid(2 * s + 4, 1)], s + 1)
+        )
+        axial.append(oriented([vid(4 * s, 2), vid(4 * s + 1, 2), vid(4 * s + 3, 2), vid(4 * s + 2, 2)], s))
     edgesq = []
     for c in range(8):
         for a in range(3):
             c2 = c ^ (1 << a)
             if c < c2:
                 b1, b2 = [x for x in range(3) if x != a]
-                edgesq.append([vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)])
+                cyc = [vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)]
+                edgesq.append(oriented(cyc, c.bit_count() + a + 1))
     squares = axial + edgesq
     return _with_crossed_quads(24, tri + squares, squares)
 
@@ -331,7 +339,7 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
     chosen = rng.sample_indices(len(fs), crossings)
     for fi in chosen:
         face = fs[fi]
-        u, v, w = face.real_corners(d)
+        u, v, w = real_corners(d, face)
         z = d.n_real
         pieces = d.insert_vertex(face, [u, v])
         y = d.n_real

@@ -304,6 +304,25 @@ def test_exit_codes(tmp_path, capsys):
     # usage: missing required option
     assert main(["check", "lemma5", str(tmp_path / "delta5-g4.1pg")]) == 1
     capsys.readouterr()
+    graph, drawing = str(tmp_path / "delta5-g4.graph"), str(tmp_path / "delta5-g4.1pg")
+    for argv, code in [
+        (["generate", "random", "--n", "8", "-o", str(tmp_path)], 1),
+        (["generate", "random", "--x", "1", "-o", str(tmp_path)], 1),
+        (["check", "charge", drawing], 1),
+        (["check", "lemma7", graph, "--delta", "3"], 1),
+        (["check", "lemma8", graph], 1),
+        (["check", "lemma7", graph, "--S", "0", "--delta", "5"], 1),
+        (["check", "lemma8", graph, "--S", "0,x"], 2),
+        (["--help"], 0),
+    ]:
+        assert main(argv) == code, argv
+        capsys.readouterr()
+
+
+def test_theorem1_without_provenance_names_the_missing_drawing(tmp_path, capsys):
+    run(capsys, "generate", "delta3", "--s", "4", "-o", str(tmp_path))
+    assert main(["check", "theorem1", str(tmp_path / "delta3-s4.graph"), "--delta", "3"]) == 3
+    assert capsys.readouterr().err == "precondition: NoProvenance: 1-planarity attestation required (a drawing)\n"
 
 
 def test_theorem1_rejects_delta_without_a_bound(tmp_path, capsys):

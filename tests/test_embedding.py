@@ -8,24 +8,26 @@ import pytest
 
 from oneplanar.embedding import (
     DummyV,
-    Face,
     OnePlanarDrawing,
     RealV,
     Segment,
+    corner_positions,
     crossing_weighted_degree,
     drawing_from_faces,
-    faces,
     parse_drawing,
+    real_corners,
     validate,
     write_drawing,
     _Builder,
     _face_at,
     _face_orbits,
+    _require_valid,
 )
 from oneplanar.bounds import check_bipartite_edge_budget
 from oneplanar.errors import (
     BadAttachment,
     BadVertex,
+    DuplicateEdge,
     InvalidDrawing,
     NotBipartite,
     NotOnFace,
@@ -44,6 +46,9 @@ from oneplanar.generators import (
 from oneplanar.rng import SplitMix64
 
 from conftest import c4_drawing, corpus_params, edit, k4_drawing
+
+
+HEXAGON = [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]
 
 
 def k33_one_crossing():
@@ -77,11 +82,11 @@ def doubled_edge_drawing():
 def test_c4_is_valid_with_two_faces():
     d = c4_drawing()
     assert validate(d).valid
-    assert len(faces(d)) == 2
+    assert len(_require_valid(d).faces) == 2
 
 
 def test_k4_has_four_triangular_faces():
-    fs = faces(k4_drawing())
+    fs = _require_valid(k4_drawing()).faces
     assert len(fs) == 4
     assert all(len(f) == 3 for f in fs)
 
@@ -108,7 +113,7 @@ def test_k6_canonical_drawing():
     d = k6_drawing()
     assert validate(d).valid
     assert d.n_p == 9 and d.m_p == 21
-    assert len(faces(d)) == 14
+    assert len(_require_valid(d).faces) == 14
     assert len(d.crossed_eids) == 6 and len(d.edges) == 15
 
 
@@ -157,7 +162,7 @@ def test_single_crossing_pair_drawing():
     )
     assert validate(d).valid
     assert d.crossed_eids == {0, 1}
-    assert len(faces(d)) == 1
+    assert len(_require_valid(d).faces) == 1
 
 
 def test_crossed_edge_part_0_starts_at_its_smaller_endpoint():
@@ -256,24 +261,24 @@ def test_cw_degree_all_crossed():
 
 def test_add_chord_splits_face():
     d = c4_drawing()
-    f = faces(d)[0]
+    f = _require_valid(d).faces[0]
     d2 = edit(d, "add_chord", f, 0, 2)
     assert validate(d2).valid
-    assert len(faces(d2)) == 3
+    assert len(_require_valid(d2).faces) == 3
 
 
 def test_add_chord_rejects_bigon():
     d = c4_drawing()
-    f = faces(d)[0]
+    f = _require_valid(d).faces[0]
     with pytest.raises(WouldCreateBigon):
         edit(d, "add_chord", f, 0, 1)
 
 
 def test_add_chord_rejects_corner_not_on_face():
     d = k4_drawing()
-    f = faces(d)[0]
-    missing = (set(range(4)) - set(f.real_corners(d))).pop()
-    present = f.real_corners(d)[0]
+    f = _require_valid(d).faces[0]
+    missing = (set(range(4)) - set(real_corners(d, f))).pop()
+    present = real_corners(d, f)[0]
     with pytest.raises(NotOnFace):
         edit(d, "add_chord", f, present, missing)
 
@@ -284,9 +289,9 @@ def test_add_chord_between_dummy_separated_corners():
     inst = family_delta3(4)
     d = inst.drawing
     target = None
-    for f in faces(d):
-        reals = f.real_corners(d)
-        if len(f.darts) > len(reals) >= 2:
+    for f in _require_valid(d).faces:
+        reals = real_corners(d, f)
+        if len(f) > len(reals) >= 2:
             inserted = [v for v in reals if v >= 4]
             if len(set(inserted)) >= 2:
                 target = (f, sorted(set(inserted))[:2])
@@ -295,30 +300,30 @@ def test_add_chord_between_dummy_separated_corners():
     f, (u, v) = target
     d2 = edit(d, "add_chord", f, u, v)
     assert validate(d2).valid
-    assert len(faces(d2)) == len(faces(d)) + 1
+    assert len(_require_valid(d2).faces) == len(_require_valid(d).faces) + 1
 
 
 def test_insert_vertex_in_face():
     d = c4_drawing()
-    f = faces(d)[0]
+    f = _require_valid(d).faces[0]
     d2 = edit(d, "insert_vertex", f, [0, 1, 2])
     assert validate(d2).valid
-    assert len(faces(d2)) == len(faces(d)) + 2
+    assert len(_require_valid(d2).faces) == len(_require_valid(d).faces) + 2
     assert d2.n_real == 5
     assert (0, 4) in d2.edges and (1, 4) in d2.edges and (2, 4) in d2.edges
 
 
 def test_insert_vertex_hexagonal_face_alternating():
-    hexagon = drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
-    f = faces(hexagon)[0]
+    hexagon = drawing_from_faces(6, HEXAGON)
+    f = _require_valid(hexagon).faces[0]
     d2 = edit(hexagon, "insert_vertex", f, [0, 2, 4])
     assert validate(d2).valid
-    assert len(faces(d2)) == 4  # three new faces replace one
+    assert len(_require_valid(d2).faces) == 4  # three new faces replace one
 
 
 def test_insert_vertex_rejects_repeats():
     d = c4_drawing()
-    f = faces(d)[0]
+    f = _require_valid(d).faces[0]
     with pytest.raises(BadAttachment):
         edit(d, "insert_vertex", f, [0, 1, 1])
 
@@ -326,18 +331,18 @@ def test_insert_vertex_rejects_repeats():
 def _bogus_faces():
     """(drawing, not-a-face) pairs; each walk must be rejected, not crash."""
     d = k4_drawing()
-    f = faces(d)[0]
-    split = edit(c4_drawing(), "add_chord", faces(c4_drawing())[0], 0, 2)
-    stale = faces(c4_drawing())[0]
+    f = _require_valid(d).faces[0]
+    split = edit(c4_drawing(), "add_chord", _require_valid(c4_drawing()).faces[0], 0, 2)
+    stale = _require_valid(c4_drawing()).faces[0]
     return {
         "stale-split-face": (split, stale),
-        "rotated": (d, Face(f.darts[1:] + f.darts[:1])),
-        "doubled": (d, Face(f.darts * 2)),
-        "sid-too-large": (d, Face((2 * (d.m_p + 3),) + f.darts[1:])),
-        "sid-negative": (d, Face((-2,) + f.darts[1:])),
+        "rotated": (d, f[1:] + f[:1]),
+        "doubled": (d, f * 2),
+        "sid-too-large": (d, (2 * (d.m_p + 3),) + f[1:]),
+        "sid-negative": (d, (-2,) + f[1:]),
         # (sid, 2) as an int is the next segment's first dart
-        "end-out-of-range": (d, Face((2 * (f.darts[0] >> 1) + 2,) + f.darts[1:])),
-        "empty": (d, Face(())),
+        "end-out-of-range": (d, (2 * (f[0] >> 1) + 2,) + f[1:]),
+        "empty": (d, ()),
     }
 
 
@@ -350,16 +355,92 @@ def test_surgeries_reject_walks_that_are_not_faces(case):
         edit(d, "insert_vertex", bogus, [0, 1, 2])
 
 
+def _first_face_edit(d, surgery, *args):
+    """d after `surgery` on its first face."""
+    return edit(d, surgery, _require_valid(d).faces[0], *args)
+
+
+def _chord_at_swapped_positions():
+    d = c4_drawing()
+    f = _require_valid(d).faces[0]
+    at = {vid: i for i, vid in corner_positions(d, f)}
+    edit(d, "add_chord", f, 0, 2, (at[2], at[0]))
+
+
+def _vertex_off_the_face():
+    d = k4_drawing()
+    f = _require_valid(d).faces[0]
+    missing = (set(range(4)) - set(real_corners(d, f))).pop()
+    edit(d, "insert_vertex", f, [real_corners(d, f)[0], missing])
+
+
+def _second_chord_on_the_other_side():
+    d = c4_drawing()
+    b = _Builder(d)
+    first, second = _require_valid(d).faces
+    b.add_chord(first, 0, 2)
+    b.add_chord(second, 0, 2)
+
+
+def _crossed_square():
+    """c4 with chord (0, 2), crossed by (1, 3)."""
+    return edit(_first_face_edit(c4_drawing(), "add_chord", 0, 2), "add_crossed", 1, 3, (0, 2))
+
+
+# name -> (a call that must raise, the error, its message pattern)
+REJECTIONS = {
+    "chord-loop": (lambda: _first_face_edit(c4_drawing(), "add_chord", 2, 2), NotOnFace, "must differ"),
+    "chord-occurrences": (_chord_at_swapped_positions, NotOnFace, "do not match"),
+    "chord-duplicate": (_second_chord_on_the_other_side, DuplicateEdge, r"^edge \(0,2\) already exists$"),
+    "vertex-off-face": (_vertex_off_the_face, BadAttachment, "not a corner"),
+    "crossed-missing-edge": (lambda: edit(c4_drawing(), "add_crossed", 1, 3, (0, 2)), NotOnFace, "not in drawing"),
+    "crossed-twice": (lambda: edit(_crossed_square(), "add_crossed", 1, 3, (0, 2)), NotOnFace, "already crossed"),
+    "crossed-one-side": (
+        lambda: edit(_first_face_edit(drawing_from_faces(6, HEXAGON), "add_chord", 0, 3), "add_crossed", 1, 2, (0, 3)),
+        NotOnFace,
+        "opposite sides",
+    ),
+    "delete-missing-edge": (lambda: edit(c4_drawing(), "delete_edges", [99]), BadVertex, "out of range"),
+    "faces-vertex-out-of-range": (
+        lambda: drawing_from_faces(3, [[0, 1, 5], [5, 1, 0]]), InvalidDrawing, r"^vertex 5 out of range \(n=3\)$"
+    ),
+    "faces-loop-side": (
+        lambda: drawing_from_faces(3, [[0, 1, 1, 2], [2, 1, 0]]), InvalidDrawing, r"side \(1,1\) is a loop"
+    ),
+    "faces-side-twice": (
+        lambda: drawing_from_faces(3, [[0, 1, 2], [0, 1, 2]]), InvalidDrawing, "run twice in one direction"
+    ),
+    "faces-one-direction": (
+        lambda: drawing_from_faces(3, [[0, 1, 2]]), InvalidDrawing, r"side \(0,1\) is run in one direction only"
+    ),
+    "faces-isolated-vertex": (
+        lambda: drawing_from_faces(4, [[0, 1, 2], [2, 1, 0]]), InvalidDrawing, "vertex 3 is not on exactly one"
+    ),
+    "faces-pinched-vertex": (
+        lambda: drawing_from_faces(5, [[0, 1, 2], [2, 1, 0], [0, 3, 4], [4, 3, 0]]),
+        InvalidDrawing,
+        "vertex 0 is not on exactly one cycle of corners",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_surgeries_and_face_lists_reject_bad_requests(case):
+    call, error, pattern = REJECTIONS[case]
+    with pytest.raises(error, match=pattern):
+        call()
+
+
 def test_local_face_walk_matches_full_enumeration():
     for d in (k6_drawing(), family_delta3(5).drawing, random_oneplanar(10, 3, 4)):
         for f in _face_orbits(d):
-            assert all(_face_at(d, x) == f for x in f.darts)
+            assert all(_face_at(d, x) == f for x in f)
 
 
 def _chord_site(b, fs):
     """The first face with two different real corners that are not walk-adjacent."""
     for f in fs:
-        occ = f.real_corner_positions(b)
+        occ = corner_positions(b, f)
         for i, u in occ:
             for j, v in occ:
                 if u != v and (i - j) % len(f) not in (1, len(f) - 1):
@@ -388,26 +469,24 @@ def test_builder_surgeries_return_the_faces_they_create(make):
             # two spokes leave a face with room for a chord, three do not
             spokes = 2 if step % 4 == 0 else 3
             face = before[step % len(before)]
-            new = b.insert_vertex(face, sorted(set(face.real_corners(b)))[:spokes])
+            new = b.insert_vertex(face, sorted(set(real_corners(b, face)))[:spokes])
             done["vertex"] += 1
         kept = [f for f in before if f != face]
         assert len(kept) == len(before) - 1
-        assert sorted(_face_orbits(b), key=lambda f: f.darts) == sorted(
-            kept + list(new), key=lambda f: f.darts
-        )
+        assert sorted(_face_orbits(b)) == sorted(kept + list(new))
     assert min(done.values()) >= 4
     assert validate(b.freeze()).valid
 
 
 def test_faces_partition_every_dart():
     d = random_oneplanar(8, 2, 3)
-    fs = faces(d)
-    seen = [x for f in fs for x in f.darts]
+    fs = _require_valid(d).faces
+    seen = [x for f in fs for x in f]
     assert len(seen) == 2 * d.m_p
     assert len(set(seen)) == len(seen)
 
 
-def test_faces_reject_disconnected():
+def test_two_component_drawing_is_valid_with_four_faces():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
     two = OnePlanarDrawing(
         n_real=6,
@@ -420,15 +499,12 @@ def test_faces_reject_disconnected():
         rotations=tri.rotations
         + tuple(tuple(x + 6 for x in rot) for rot in tri.rotations),
     )
-    assert validate(two).valid  # per-component Euler holds
-    with pytest.raises(InvalidDrawing):
-        faces(two)
+    # Euler holds per component: each triangle has two faces
+    assert len(_require_valid(two).faces) == 4
 
 
 def test_delete_edges_restores_partner():
-    d = c4_drawing()
-    d = edit(d, "add_chord", faces(d)[0], 0, 2)
-    d = edit(d, "add_crossed", 1, 3, (0, 2))
+    d = _crossed_square()
     eid = d.edges.index((1, 3))
     b = _Builder(d)
     remap = b.delete_edges([eid])
@@ -444,16 +520,16 @@ def test_wedge_merges_one_face():
     w = edit(tri, "wedge", tri, 0, 0)
     assert validate(w).valid
     assert w.n_real == 5
-    assert len(faces(w)) == 3
+    assert len(_require_valid(w).faces) == 3
 
 
 def test_surgery_chain_keeps_euler():
     d = c4_drawing()
-    f = faces(d)[0]
+    f = _require_valid(d).faces[0]
     d = edit(d, "insert_vertex", f, [0, 1, 2])
-    for f in faces(d):
-        if len(set(f.real_corners(d))) >= 2:
-            u, v = sorted(set(f.real_corners(d)))[:2]
+    for f in _require_valid(d).faces:
+        if len(set(real_corners(d, f))) >= 2:
+            u, v = sorted(set(real_corners(d, f)))[:2]
             try:
                 d = edit(d, "add_chord", f, u, v)
             except Exception:
@@ -547,19 +623,19 @@ def test_random_surgery_chains_stay_valid():
     for seed in (1, 5, 17):
         d = random_oneplanar(6, 1, seed)
         for step in range(6):
-            fs = faces(d)
+            fs = _require_valid(d).faces
             f = fs[(seed + step) % len(fs)]
-            reals = sorted(set(f.real_corners(d)))
+            reals = sorted(set(real_corners(d, f)))
             before = len(fs)
             if step % 2 == 0 and len(reals) >= 3:
                 d2 = edit(d, "insert_vertex", f, reals[:3])
-                assert len(faces(d2)) == before + 2
+                assert len(_require_valid(d2).faces) == before + 2
             elif len(reals) >= 2:
                 try:
                     d2 = edit(d, "add_chord", f, reals[0], reals[1])
                 except OnePlanarError:
                     continue
-                assert len(faces(d2)) == before + 1
+                assert len(_require_valid(d2).faces) == before + 1
             else:
                 continue
             assert validate(d2).valid

@@ -134,12 +134,15 @@ class ChargeLedger:
     s: frozenset[int]
     t: frozenset[int]
     added_chords: tuple[tuple[int, int], ...]
-    delta_vertices: tuple[int, ...]
-    delta_attach: tuple[tuple[int, tuple[int, int, int]], ...]
+    delta_attach: tuple[tuple[int, tuple[int, int, int]], ...]  # (aux vertex, its T-corners)
     delta_edges: tuple[tuple[int, int], ...]
     charge_class: tuple[tuple[int, int], ...]  # (eid in final, 6|3|2)
     vertex_charge: tuple[tuple[int, int], ...]  # (t vid, c(t))
     totals: tuple[int, int]  # (sum of charges, 12|S| + 12|T| - 24)
+
+    @property
+    def delta_vertices(self) -> tuple[int, ...]:
+        return tuple(z for z, _ in self.delta_attach)
 
 
 class _FaceRecord(NamedTuple):
@@ -271,7 +274,6 @@ def charging_run(
     # order; the loop ends only when no face has three or more T-corners.
     # An insertion's pieces are its only new faces (its vertex is not in T).
     heavy = sorted(f for f, rec in records.items() if len(rec.t_occ) >= 3)
-    delta_vertices: list[int] = []
     delta_attach: list[tuple[int, tuple[int, int, int]]] = []
     while heavy:
         face = heavy.pop(0)
@@ -281,12 +283,11 @@ def charging_run(
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if len(rec.t_occ) >= 3:
                 bisect.insort(heavy, piece)
-        delta_vertices.append(z)
         delta_attach.append((z, attach))
     final = work.freeze()
 
     # step 3: assign charges
-    delta_set = frozenset(delta_vertices)
+    delta_set = frozenset(z for z, _ in delta_attach)
     crossed = final.crossed_eids
     charge_class: list[tuple[int, int]] = []
     delta_edges: list[tuple[int, int]] = []
@@ -314,7 +315,6 @@ def charging_run(
         s=s_set,
         t=t_set,
         added_chords=tuple(chords),
-        delta_vertices=tuple(delta_vertices),
         delta_attach=tuple(delta_attach),
         delta_edges=tuple(delta_edges),
         charge_class=tuple(charge_class),
@@ -510,7 +510,7 @@ def check_deficiency(
         raise DegreeTooLow(f"min degree {min_degree(g)} < {delta}")
     if provenance is not None:
         _check_provenance(g, provenance)
-    count, _ = odd_components(g, members)
+    count = odd_components(g, members)
     lhs = Fraction(count - len(members))
     rhs = Fraction(a * g.n - b, c)
     return BoundCheck(lhs, rhs)

@@ -458,15 +458,13 @@ class _Builder(_Planarization):
             self.edge_sids[seg.eid].append(sid)
 
     def freeze(self) -> OnePlanarDrawing:
-        d = OnePlanarDrawing(
+        return OnePlanarDrawing(
             n_real=self.n_real,
             edges=tuple(self.edges),
             pvertices=tuple(self.pvertices),
             segments=tuple(self.segments),
             rotations=tuple(tuple(r) for r in self.rotations),
         )
-        d.__dict__["real_pid"] = dict(self.real_pid)
-        return d
 
     # -- appending --------------------------------------------------
 
@@ -515,6 +513,8 @@ class _Builder(_Planarization):
             i, j = pos_u[0], pos_v[0]
         else:
             i, j = occurrences
+            if not (0 <= i < len(face) and 0 <= j < len(face)):
+                raise NotOnFace(f"occurrence positions ({i},{j}) are off a walk of length {len(face)}")
             pid_u, pid_v = self.real_pid.get(u), self.real_pid.get(v)
             if self.origin(face[i]) != pid_u or self.origin(face[j]) != pid_v:
                 raise NotOnFace("occurrence positions do not match the given vertices")
@@ -585,122 +585,100 @@ class _Builder(_Planarization):
         self.rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
 
         # the old faces now run through pD; each piece is attached on its own side:
-        # u's side runs pa -> pD -> pb, v's side runs pb -> pD -> pa
+        # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side
+        # runs pb -> pD -> pa and leaves pD by 2*sid_c + 1
         part_u = 0 if u <= v else 1
-        for vert, through, part in ((u, 2 * sid_c, part_u), (v, 2 * sid_c2 + 1, 1 - part_u)):
+        for vert, through, corner, part in (
+            (u, 2 * sid_c, 2 * sid_c2, part_u),
+            (v, 2 * sid_c2 + 1, 2 * sid_c + 1, 1 - part_u),
+        ):
             walk = _face_at(self, through)
             pos_v = _walk_positions(self, walk, vert)
-            pos_d = [i for i, x in enumerate(walk) if self.origin(x) == pD]
-            if not pos_v or not pos_d:
+            if not pos_v:
                 raise NotOnFace(f"vertex {vert} lost sight of the crossing")
             p_vert = self.real_pid[vert]
             sid = self.new_segment((p_vert, pD), new_eid, part)
             self.insert_before(p_vert, walk[pos_v[0]], 2 * sid)
-            self.insert_before(pD, walk[pos_d[0]], 2 * sid + 1)
+            self.insert_before(pD, corner, 2 * sid + 1)
 
-    def delete_edges(self, eids: Iterable[int]) -> dict[int, int]:
-        """Remove edges, uncrossing their partners; returns old -> new eid of kept edges."""
+    def delete_edges(self, eids: Iterable[int]) -> None:
+        """Remove edges, uncrossing their partners; what is kept keeps its order."""
         removed = set(eids)
         for eid in removed:
             if not (0 <= eid < len(self.edges)):
                 raise BadVertex(f"edge id {eid} out of range")
 
-        # dummies that disappear: crossing with at least one removed edge
-        dead_dummies: set[int] = set()
-        merge_partner: dict[int, int] = {}  # partner eid -> its dummy pid
+        # a dummy dies with either of its edges, and its kept partner becomes
+        # one segment again
+        dead: set[int] = set()
+        merged: set[int] = set()
         for pid, pv in enumerate(self.pvertices):
-            if isinstance(pv, DummyV):
-                a, b = pv.eid_a, pv.eid_b
-                if a in removed or b in removed:
-                    dead_dummies.add(pid)
-                    for keep, other in ((a, b), (b, a)):
-                        if keep not in removed and other in removed:
-                            merge_partner[keep] = pid
+            if isinstance(pv, DummyV) and not removed.isdisjoint(pv):
+                dead.add(pid)
+                merged.update(eid for eid in pv if eid not in removed)
+        kept = [eid for eid in range(len(self.edges)) if eid not in removed]
+        new_eid = {eid: i for i, eid in enumerate(kept)}
+        new_pid = {pid: i for i, pid in enumerate(p for p in range(len(self.pvertices)) if p not in dead)}
 
-        eid_map: dict[int, int] = {}
-        new_edges: list[tuple[int, int]] = []
-        for eid, e in enumerate(self.edges):
-            if eid not in removed:
-                eid_map[eid] = len(new_edges)
-                new_edges.append(e)
-
-        pid_map: dict[int, int] = {}
-        new_pvs: list[PVertex] = []
-        for pid, pv in enumerate(self.pvertices):
-            if pid in dead_dummies:
+        # segments edge by edge, part 0 first; a dart maps to its new id
+        segments: list[Segment] = []
+        new_dart = [-1] * (2 * len(self.segments))
+        for eid in kept:
+            sids = self.edge_sids[eid]
+            if eid in merged:
+                pu, pv = (self.real_pid[vid] for vid in self.edges[eid])
+                for sid in sids:
+                    for end, p in enumerate(self.segments[sid].ends):
+                        if p not in dead:
+                            new_dart[2 * sid + end] = 2 * len(segments) + (p == pv)
+                segments.append(Segment((new_pid[pu], new_pid[pv]), new_eid[eid], 0))
                 continue
-            pid_map[pid] = len(new_pvs)
-            if isinstance(pv, DummyV):
-                new_pvs.append(DummyV(eid_map[pv.eid_a], eid_map[pv.eid_b]))
-            else:
-                new_pvs.append(pv)
+            if len(sids) == 2 and self.segments[sids[0]].part:
+                sids = sids[::-1]
+            for sid in sids:
+                (a, b), _, part = self.segments[sid]
+                new_dart[2 * sid] = 2 * len(segments)
+                new_dart[2 * sid + 1] = 2 * len(segments) + 1
+                segments.append(Segment((new_pid[a], new_pid[b]), new_eid[eid], part))
 
-        new_segments: list[Segment] = []
-        dart_map: dict[int, int] = {}
-        for old_eid in sorted(eid_map):
-            sids = self.edge_sids[old_eid]
-            if old_eid in merge_partner:
-                # two segments shrink back to one
-                dummy = merge_partner[old_eid]
-                u, v = self.edges[old_eid]
-                pu, pv_ = self.real_pid[u], self.real_pid[v]
-                sid_new = len(new_segments)
-                new_segments.append(Segment((pid_map[pu], pid_map[pv_]), eid_map[old_eid], 0))
-                for old_sid in sids:
-                    seg = self.segments[old_sid]
-                    for end in (0, 1):
-                        p = seg.ends[end]
-                        if p != dummy:
-                            dart_map[2 * old_sid + end] = 2 * sid_new + (p != pu)
-            else:
-                for old_sid in sorted(sids, key=lambda s: self.segments[s].part):
-                    seg = self.segments[old_sid]
-                    sid_new = len(new_segments)
-                    new_segments.append(
-                        Segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), eid_map[old_eid], seg.part)
-                    )
-                    dart_map[2 * old_sid] = 2 * sid_new
-                    dart_map[2 * old_sid + 1] = 2 * sid_new + 1
+        self._load(
+            [self.edges[eid] for eid in kept],
+            [
+                DummyV(new_eid[pv.eid_a], new_eid[pv.eid_b]) if isinstance(pv, DummyV) else pv
+                for pid, pv in enumerate(self.pvertices)
+                if pid not in dead
+            ],
+            segments,
+            [
+                [y for x in rot if (y := new_dart[x]) >= 0]
+                for pid, rot in enumerate(self.rotations)
+                if pid not in dead
+            ],
+        )
 
-        new_rotations = [
-            [dart_map[x] for x in self.rotations[pid] if x in dart_map] for pid in sorted(pid_map)
-        ]
-        self._load(new_edges, new_pvs, new_segments, new_rotations)
-        return eid_map
+    def wedge(self, b: OnePlanarDrawing) -> None:
+        """Glue drawing b on at vertex 0, the hub of both, merging one face of each.
 
-    def wedge(self, b: OnePlanarDrawing, va: int, vb: int) -> None:
-        """Glue drawing b on by identifying its vb with va, merging one face of each.
-
-        b's other vertices become n_real, n_real+1, ... in ascending order of
-        their old ids; b's fan at vb is spliced into one corner at va."""
-        vid_map: dict[int, int] = {vb: va}
-        for v in range(b.n_real):
-            if v != vb:
-                vid_map[v] = self.n_real + len(vid_map) - 1
+        b's vertex v > 0 becomes n_real + v - 1, and its edge, pvertex and
+        segment ids follow this drawing's; b's fan at the hub is spliced into
+        one corner of the hub here."""
+        v_off, e_off, s_off = self.n_real - 1, len(self.edges), len(self.segments)
+        hub, hub_b = self.real_pid[0], b.real_pid[0]
+        new_pid = [len(self.pvertices) + p - (p > hub_b) for p in range(b.n_p)]
+        new_pid[hub_b] = hub
         self.n_real += b.n_real - 1
-        eid_off = len(self.edges)
         for u, v in b.edges:
-            self.new_edge(vid_map[u], vid_map[v])
-
-        pid_shared_a, pid_shared_b = self.real_pid[va], b.real_pid[vb]
-        pid_map: dict[int, int] = {pid_shared_b: pid_shared_a}
+            self.new_edge(u and u + v_off, v + v_off)  # the hub stays 0
         for pid, pv in enumerate(b.pvertices):
-            if pid != pid_shared_b:
-                pid_map[pid] = self.new_pvertex(
-                    DummyV(pv.eid_a + eid_off, pv.eid_b + eid_off)
-                    if isinstance(pv, DummyV)
-                    else RealV(vid_map[pv.vid])
-                )
-
-        sid_off = len(self.segments)
-        for seg in b.segments:
-            self.new_segment((pid_map[seg.ends[0]], pid_map[seg.ends[1]]), seg.eid + eid_off, seg.part)
-
+            if isinstance(pv, DummyV):
+                self.new_pvertex(DummyV(pv.eid_a + e_off, pv.eid_b + e_off))
+            elif pid != hub_b:
+                self.new_pvertex(RealV(pv.vid + v_off))
+        for (pa, pb), eid, part in b.segments:
+            self.new_segment((new_pid[pa], new_pid[pb]), eid + e_off, part)
         for pid, rot in enumerate(b.rotations):
-            mapped = [x + 2 * sid_off for x in rot]
-            if pid == pid_shared_b:
-                mapped += self.rotations[pid_shared_a]
-            self.rotations[pid_map[pid]] = mapped
+            fan = [x + 2 * s_off for x in rot]
+            self.rotations[new_pid[pid]] = fan + self.rotations[hub] if pid == hub_b else fan
 
 
 def _walk_positions(d: _Planarization, face: Face, vid: int) -> list[int]:

@@ -213,21 +213,21 @@ def family_delta4_k5(k: int) -> FamilyInstance:
                      deficiency=k - 2)
 
 
-def _with_crossed_quads(
-    n: int, face_cycles: Sequence[Sequence[int]], quads: Sequence[Sequence[int]]
-) -> OnePlanarDrawing:
-    """The planar drawing with faces `face_cycles`, plus both diagonals of each quad in `quads`."""
-    d = _Builder(drawing_from_faces(n, face_cycles))
-    fs = _face_orbits(d)
-    for q in quads:
-        _cross_quad_face(d, _face_with_corner_set(d, fs, set(q)))
+def _with_crossed_quads(n: int, faces: Sequence[Sequence[int]]) -> OnePlanarDrawing:
+    """The planar drawing with faces `faces`, plus both diagonals of each 4-cycle among them."""
+    d = _Builder(drawing_from_faces(n, faces))
+    # the face walks are the cycles given, so each corner set names one face
+    by_corners = {frozenset(real_corners(d, f)): f for f in _face_orbits(d)}
+    for cyc in faces:
+        if len(cyc) == 4:
+            _cross_quad_face(d, by_corners[frozenset(cyc)])
     return d.freeze()
 
 
 def k6_drawing() -> OnePlanarDrawing:
     """The canonical 1-planar K6: triangular prism plus crossed quad diagonals."""
     faces = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
-    return _with_crossed_quads(6, faces, faces[2:])
+    return _with_crossed_quads(6, faces)
 
 
 def cube_block_drawing() -> OnePlanarDrawing:
@@ -240,7 +240,7 @@ def cube_block_drawing() -> OnePlanarDrawing:
         [0, 2, 6, 4],
         [1, 5, 7, 3],
     ]
-    return _with_crossed_quads(8, quads, quads)
+    return _with_crossed_quads(8, quads)
 
 
 def mindeg7_block_drawing() -> OnePlanarDrawing:
@@ -276,8 +276,7 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
                 b1, b2 = [x for x in range(3) if x != a]
                 cyc = [vid(c, b1), vid(c, b2), vid(c2, b2), vid(c2, b1)]
                 edgesq.append(oriented(cyc, c.bit_count() + a + 1))
-    squares = axial + edgesq
-    return _with_crossed_quads(24, tri + squares, squares)
+    return _with_crossed_quads(24, tri + axial + edgesq)
 
 
 def _hub_family(
@@ -287,7 +286,7 @@ def _hub_family(
         raise TooSmall(f"family {name} needs g >= 1, got {g}")
     d = _Builder(block)
     for _ in range(1, g):
-        d.wedge(block, 0, 0)
+        d.wedge(block)
     return _instance(f"{name}-g{g}", d, n=(block.n_real - 1) * g + 1, delta=delta,
                      witness=frozenset({0}), deficiency=g - 1)
 
@@ -392,7 +391,7 @@ def check_instance(inst: FamilyInstance) -> list[str]:
         bad.extend(report.violations)
     if inst.drawing.has_parallel_edges:
         bad.append("family drawing has parallel edges")
-    count, _ = odd_components(inst.graph, inst.witness)
+    count = odd_components(inst.graph, inst.witness)
     if count - len(inst.witness) != inst.predicted_deficiency:
         bad.append(
             f"witness deficiency {count - len(inst.witness)} != predicted "

@@ -1,4 +1,4 @@
-"""Plain undirected graphs plus the component/degree primitives everything else uses.
+"""Plain undirected graphs plus the odd-component/degree primitives everything else uses.
 
 Vertex ids are dense integers 0..n-1.  Graphs are immutable after
 construction; every function here is pure.
@@ -6,7 +6,7 @@ construction; every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -19,14 +19,14 @@ Edge = tuple[int, int]
 class Graph:
     n: int
     edges: tuple[Edge, ...]  # sorted pairs (u < v); a drawing's graph may repeat one
-    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbrs))
+        return tuple(tuple(sorted(a)) for a in nbrs)
 
     @property
     def m(self) -> int:
@@ -74,33 +74,23 @@ def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
     return members
 
 
-def components(g: Graph, removed: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
-    """Connected components of g minus `removed`, each sorted, ordered by smallest member."""
-    seen: set[int] = set(removed)
-    out: list[tuple[int, ...]] = []
+def odd_components(g: Graph, s: Iterable[int]) -> int:
+    """The number of odd-size connected components of g minus s."""
+    seen = set(_check_subset(g, s))
+    count = 0
     for start in range(g.n):
         if start in seen:
             continue
-        stack = [start]
         seen.add(start)
-        comp = [start]
+        stack, size = [start], 1
         while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
+            for w in g.adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    comp.append(w)
                     stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
-
-
-def odd_components(g: Graph, s: Iterable[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """Components of g \\ s; returns (number of odd-size components, all components)."""
-    members = _check_subset(g, s)
-    comps = components(g, members)
-    count = sum(1 for c in comps if len(c) % 2 == 1)
-    return count, comps
+                    size += 1
+        count += size % 2
+    return count
 
 
 def is_independent(g: Graph, t: Iterable[int]) -> bool:

@@ -35,10 +35,6 @@ class DeficiencyWitness:
     s: frozenset[int]
     deficiency: int  # odd(G-S) - |S|
 
-    @property
-    def odd_count(self) -> int:
-        return self.deficiency + len(self.s)
-
 
 def maximum_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching via blossom contraction.
@@ -229,7 +225,7 @@ def check_brute_force_size(g: Graph, n_limit: int = BRUTE_FORCE_LIMIT) -> None:
 def matching_upper_from_witness(g: Graph, s: Iterable[int]) -> int:
     """Matching-size upper bound floor((n - (odd(G-S) - |S|)) / 2) from any S."""
     members = frozenset(s)
-    count, _ = odd_components(g, members)
+    count = odd_components(g, members)
     return (g.n - (count - len(members))) // 2
 
 

@@ -103,7 +103,7 @@ def test_criterion_4_delta6_family():
         size = len(maximum_matching(inst.graph))
         assert size == 3 * g + 1
         assert Fraction(size) == Fraction(3 * n + 4, 7)
-        count, _ = odd_components(inst.graph, inst.witness)
+        count = odd_components(inst.graph, inst.witness)
         assert count - len(inst.witness) == Fraction(n - 8, 7)
     _report("4 delta=6 family", "g in 1..5, |M| = 3g+1, witness deficiency (n-8)/7")
 
@@ -313,7 +313,7 @@ def test_criterion_10_delta7_family():
     for g_blocks in (1, 2, 3):
         inst = family_delta7(g_blocks)
         n = inst.graph.n
-        count, _ = odd_components(inst.graph, inst.witness)
+        count = odd_components(inst.graph, inst.witness)
         assert count - len(inst.witness) == Fraction(n - 24, 23)
         size = len(maximum_matching(inst.graph))
         assert Fraction(size) <= Fraction(11 * n + 12, 23)

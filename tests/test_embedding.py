@@ -367,6 +367,15 @@ def _chord_at_swapped_positions():
     edit(d, "add_chord", f, 0, 2, (at[2], at[0]))
 
 
+def _chord_at_positions(i, j):
+    """c4's first face split by a chord between its corners at walk
+    positions 0 and 2, asked for at positions (i, j)."""
+    d = c4_drawing()
+    f = _require_valid(d).faces[0]
+    at = dict(corner_positions(d, f))
+    edit(d, "add_chord", f, at[0], at[2], (i, j))
+
+
 def _vertex_off_the_face():
     d = k4_drawing()
     f = _require_valid(d).faces[0]
@@ -391,6 +400,8 @@ def _crossed_square():
 REJECTIONS = {
     "chord-loop": (lambda: _first_face_edit(c4_drawing(), "add_chord", 2, 2), NotOnFace, "must differ"),
     "chord-occurrences": (_chord_at_swapped_positions, NotOnFace, "do not match"),
+    "chord-occurrence-past-the-walk": (lambda: _chord_at_positions(0, 9), NotOnFace, r"\(0,9\) are off a walk"),
+    "chord-occurrence-negative": (lambda: _chord_at_positions(-4, 2), NotOnFace, r"\(-4,2\) are off a walk"),
     "chord-duplicate": (_second_chord_on_the_other_side, DuplicateEdge, r"^edge \(0,2\) already exists$"),
     "vertex-off-face": (_vertex_off_the_face, BadAttachment, "not a corner"),
     "crossed-missing-edge": (lambda: edit(c4_drawing(), "add_crossed", 1, 3, (0, 2)), NotOnFace, "not in drawing"),
@@ -506,18 +517,35 @@ def test_two_component_drawing_is_valid_with_four_faces():
 def test_delete_edges_restores_partner():
     d = _crossed_square()
     eid = d.edges.index((1, 3))
-    b = _Builder(d)
-    remap = b.delete_edges([eid])
-    d2 = b.freeze()
+    d2 = edit(d, "delete_edges", [eid])
     assert validate(d2).valid
     assert d2.crossed_eids == set()
-    assert len(d2.edges) == len(d.edges) - 1
-    assert eid not in remap
+    assert d2.edges == tuple(e for e in d.edges if e != (1, 3))
+
+
+def test_delete_edges_undoes_add_crossed():
+    chord = _first_face_edit(c4_drawing(), "add_chord", 0, 2)
+    crossed = edit(chord, "add_crossed", 1, 3, (0, 2))
+    eid = {e: i for i, e in enumerate(crossed.edges)}
+    assert write_drawing(edit(crossed, "delete_edges", [eid[1, 3]])) == write_drawing(chord)
+    assert write_drawing(edit(crossed, "delete_edges", [eid[0, 2], eid[1, 3]])) == write_drawing(c4_drawing())
+
+
+def test_every_single_crossed_edge_deletion_validates():
+    deleted = 0
+    for seed in range(30):
+        d = random_oneplanar(12, 3, seed)
+        for eid in sorted(d.crossed_eids):
+            d2 = edit(d, "delete_edges", [eid])
+            assert validate(d2).valid, (seed, eid)
+            assert len(d2.crossed_eids) == len(d.crossed_eids) - 2
+            deleted += 1
+    assert deleted == 180
 
 
 def test_wedge_merges_one_face():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
-    w = edit(tri, "wedge", tri, 0, 0)
+    w = edit(tri, "wedge", tri)
     assert validate(w).valid
     assert w.n_real == 5
     assert len(_require_valid(w).faces) == 3

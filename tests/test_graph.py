@@ -43,21 +43,19 @@ def test_build_rejects_out_of_range():
 
 
 def test_odd_components_p5_middle():
-    count, comps = odd_components(make_path(5), {2})
-    assert count == 0
-    assert [len(c) for c in comps] == [2, 2]
+    assert odd_components(make_path(5), {2}) == 0  # two pairs
+    assert odd_components(make_path(5), {1}) == 2  # a singleton and a triple
 
 
 def test_odd_components_k3():
-    count, _ = odd_components(make_k(3), set())
-    assert count == 1
+    assert odd_components(make_k(3), set()) == 1
 
 
 def test_odd_components_delta4_witness_all_singletons():
     inst = family_delta4(8)
-    count, comps = odd_components(inst.graph, inst.witness)
+    count = odd_components(inst.graph, inst.witness)
     assert count == 12  # 2(s-2) at s=8
-    assert all(len(c) == 1 for c in comps)
+    assert count == inst.graph.n - len(inst.witness)  # so every component is a singleton
 
 
 def test_odd_components_rejects_bad_vertex():
@@ -87,22 +85,10 @@ def test_min_degree():
 # --- properties --------------------------------------------------------
 
 
-@given(st.integers(0, 300), st.sets(st.integers(0, 9)))
-def test_components_partition_with_s(seed, raw_s):
-    g = random_graph(seed)
-    s = {v for v in raw_s if v < g.n}
-    count, comps = odd_components(g, s)
-    covered = [v for c in comps for v in c]
-    assert len(covered) + len(s) == g.n
-    assert len(set(covered) | s) == g.n
-    assert count == sum(1 for c in comps if len(c) % 2 == 1)
-
-
 @given(st.integers(0, 300))
 def test_odd_count_parity_matches_n(seed):
     g = random_graph(seed)
-    count, _ = odd_components(g, set())
-    assert count % 2 == g.n % 2
+    assert odd_components(g, set()) % 2 == g.n % 2
 
 
 @given(st.integers(0, 300))

@@ -14,7 +14,7 @@ from oneplanar.generators import (
     family_delta6,
     random_oneplanar,
 )
-from oneplanar.graph import Graph, build_graph
+from oneplanar.graph import Graph, build_graph, odd_components
 from oneplanar.matcher import (
     Matching,
     check_matching,
@@ -63,10 +63,11 @@ def test_tutte_berge_k4():
 
 
 def test_tutte_berge_star():
-    w = tutte_berge_bruteforce(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    w = tutte_berge_bruteforce(star)
     assert w.deficiency == 2
     assert w.s == frozenset({0})
-    assert w.odd_count == 3
+    assert odd_components(star, w.s) == 3
 
 
 def test_tutte_berge_delta3():
@@ -90,13 +91,12 @@ def test_tutte_berge_tie_break_prefers_small_lex():
 @given(st.integers(0, 300), st.sets(st.integers(0, 9)))
 def test_bitmask_odd_count_matches_reference(seed, raw_s):
     # the subset-search inner loop must agree with the plain implementation
-    from oneplanar.graph import odd_components
     from oneplanar.matcher import _neighbor_masks, _odd_count_mask
 
     g = random_graph(seed)
     s = {v for v in raw_s if v < g.n}
     remaining = ((1 << g.n) - 1) & ~sum(1 << v for v in s)
-    want, _ = odd_components(g, s)
+    want = odd_components(g, s)
     assert _odd_count_mask(_neighbor_masks(g), remaining) == want
 
 

@@ -14,7 +14,7 @@ Conventions:
   * the face walk successor of a dart is the rotation successor of its
     reversal at the head vertex.
 
-Surgeries (chord, vertex and crossed-edge insertion, deletion, wedge) are
+Surgeries (chord, vertex and crossed-edge insertion, and deletion) are
 methods of the one mutable drawing, `_Builder`: they edit it in place and
 walk only the faces they touch, as in edge-addition planarity testing.
 `_Builder(d)` thaws a drawing and `freeze()` returns the edited one;
@@ -655,30 +655,6 @@ class _Builder(_Planarization):
                 if pid not in dead
             ],
         )
-
-    def wedge(self, b: OnePlanarDrawing) -> None:
-        """Glue drawing b on at vertex 0, the hub of both, merging one face of each.
-
-        b's vertex v > 0 becomes n_real + v - 1, and its edge, pvertex and
-        segment ids follow this drawing's; b's fan at the hub is spliced into
-        one corner of the hub here."""
-        v_off, e_off, s_off = self.n_real - 1, len(self.edges), len(self.segments)
-        hub, hub_b = self.real_pid[0], b.real_pid[0]
-        new_pid = [len(self.pvertices) + p - (p > hub_b) for p in range(b.n_p)]
-        new_pid[hub_b] = hub
-        self.n_real += b.n_real - 1
-        for u, v in b.edges:
-            self.new_edge(u and u + v_off, v + v_off)  # the hub stays 0
-        for pid, pv in enumerate(b.pvertices):
-            if isinstance(pv, DummyV):
-                self.new_pvertex(DummyV(pv.eid_a + e_off, pv.eid_b + e_off))
-            elif pid != hub_b:
-                self.new_pvertex(RealV(pv.vid + v_off))
-        for (pa, pb), eid, part in b.segments:
-            self.new_segment((new_pid[pa], new_pid[pb]), eid + e_off, part)
-        for pid, rot in enumerate(b.rotations):
-            fan = [x + 2 * s_off for x in rot]
-            self.rotations[new_pid[pid]] = fan + self.rotations[hub] if pid == hub_b else fan
 
 
 def _walk_positions(d: _Planarization, face: Face, vid: int) -> list[int]:

@@ -18,20 +18,23 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .embedding import (
+    DummyV,
     Face,
     OnePlanarDrawing,
+    RealV,
+    Segment,
     _Builder,
     _face_at,
     _face_orbits,
     drawing_from_faces,
     real_corners,
-    validate,
 )
 from .errors import BadParity, InvalidDrawing, ParseError, TooManyCrossings, TooSmall
-from .graph import Graph, odd_components
+from .graph import Graph
 from .rng import SplitMix64
 
 
@@ -224,12 +227,14 @@ def _with_crossed_quads(n: int, faces: Sequence[Sequence[int]]) -> OnePlanarDraw
     return d.freeze()
 
 
+@cache
 def k6_drawing() -> OnePlanarDrawing:
     """The canonical 1-planar K6: triangular prism plus crossed quad diagonals."""
     faces = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
     return _with_crossed_quads(6, faces)
 
 
+@cache
 def cube_block_drawing() -> OnePlanarDrawing:
     """Cube plus both diagonals of each of its six faces (6-regular, 24 edges)."""
     quads = [
@@ -243,6 +248,7 @@ def cube_block_drawing() -> OnePlanarDrawing:
     return _with_crossed_quads(8, quads)
 
 
+@cache
 def mindeg7_block_drawing() -> OnePlanarDrawing:
     """24-vertex 7-regular simple 1-planar block.
 
@@ -279,16 +285,34 @@ def mindeg7_block_drawing() -> OnePlanarDrawing:
     return _with_crossed_quads(24, tri + axial + edgesq)
 
 
-def _hub_family(
-    name: str, block: OnePlanarDrawing, g: int, delta: int
-) -> FamilyInstance:
+def _hub_family(name: str, block: OnePlanarDrawing, g: int, delta: int) -> FamilyInstance:
+    """g copies of `block` glued at its vertex 0, the hub, which must be its pvertex 0.
+
+    Copy k shifts the block's other vertex, pvertex, edge and segment ids by
+    k times their counts there, and the hub's rotation runs the copies' hub
+    fans from copy g-1 down to copy 0, so one face at the hub runs through
+    every copy."""
     if g < 1:
         raise TooSmall(f"family {name} needs g >= 1, got {g}")
-    d = _Builder(block)
-    for _ in range(1, g):
-        d.wedge(block)
-    return _instance(f"{name}-g{g}", d, n=(block.n_real - 1) * g + 1, delta=delta,
-                     witness=frozenset({0}), deficiency=g - 1)
+    nv, npv, ne, ns = block.n_real - 1, block.n_p - 1, len(block.edges), block.m_p
+    drawing = OnePlanarDrawing(
+        n_real=nv * g + 1,
+        # the hub, vertex and pvertex 0, keeps its id in every copy
+        edges=tuple([(u and u + k * nv, v + k * nv) for k in range(g) for u, v in block.edges]),
+        pvertices=block.pvertices[:1] + tuple([
+            RealV(pv.vid + k * nv) if isinstance(pv, RealV) else DummyV(pv.eid_a + k * ne, pv.eid_b + k * ne)
+            for k in range(g)
+            for pv in block.pvertices[1:]
+        ]),
+        segments=tuple([
+            Segment((a and a + k * npv, b and b + k * npv), eid + k * ne, part)
+            for k in range(g)
+            for (a, b), eid, part in block.segments
+        ]),
+        rotations=(tuple([x + 2 * k * ns for k in range(g - 1, -1, -1) for x in block.rotations[0]]),)
+        + tuple([tuple([x + 2 * k * ns for x in rot]) for k in range(g) for rot in block.rotations[1:]]),
+    )
+    return FamilyInstance(f"{name}-g{g}", drawing, delta, frozenset({0}), g - 1)
 
 
 def family_delta5(g: int) -> FamilyInstance:
@@ -377,24 +401,3 @@ def parse_witness(text: str) -> tuple[frozenset[int], int, int]:
         return s, int(fields["deficiency"]), int(fields["matching_upper"])
     except ValueError as exc:
         raise ParseError(f"bad witness line: {exc}") from exc
-
-
-def check_instance(inst: FamilyInstance) -> list[str]:
-    """Verify the four FamilyInstance invariants; returns violations."""
-    from .graph import min_degree
-
-    bad = []
-    if min_degree(inst.graph) != inst.delta:
-        bad.append(f"min degree {min_degree(inst.graph)} != delta {inst.delta}")
-    report = validate(inst.drawing)
-    if not report.valid:
-        bad.extend(report.violations)
-    if inst.drawing.has_parallel_edges:
-        bad.append("family drawing has parallel edges")
-    count = odd_components(inst.graph, inst.witness)
-    if count - len(inst.witness) != inst.predicted_deficiency:
-        bad.append(
-            f"witness deficiency {count - len(inst.witness)} != predicted "
-            f"{inst.predicted_deficiency}"
-        )
-    return bad

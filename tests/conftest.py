@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces
-from oneplanar.graph import Graph, build_graph
-from oneplanar.generators import random_oneplanar
+from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces, validate
+from oneplanar.graph import Graph, build_graph, min_degree, odd_components
+from oneplanar.generators import FamilyInstance, random_oneplanar
+from oneplanar.matcher import Matching
 from oneplanar.rng import SplitMix64
 
 CORPUS_SIZE = 200
@@ -122,3 +123,30 @@ def greedy_independent_t(g: Graph, min_deg: int = 3) -> frozenset[int]:
         chosen.append(v)
         blocked.update(g.adj[v])
     return frozenset(chosen)
+
+
+def share_an_endpoint(g: Graph, m: Matching) -> Matching:
+    """M with its last edge swapped for another edge at the endpoint u of
+    its first, (u, v): the size stays, but two edges now meet at u."""
+    (u, v), *_, last = sorted(m.edges)
+    w = min(x for x in g.adj[u] if x != v)
+    return Matching((m.edges - {last}) | {(min(u, w), max(u, w))}, m.barrier)
+
+
+def check_instance(inst: FamilyInstance) -> list[str]:
+    """Verify the four FamilyInstance invariants; returns violations."""
+    bad = []
+    if min_degree(inst.graph) != inst.delta:
+        bad.append(f"min degree {min_degree(inst.graph)} != delta {inst.delta}")
+    report = validate(inst.drawing)
+    if not report.valid:
+        bad.extend(report.violations)
+    if inst.drawing.has_parallel_edges:
+        bad.append("family drawing has parallel edges")
+    count = odd_components(inst.graph, inst.witness)
+    if count - len(inst.witness) != inst.predicted_deficiency:
+        bad.append(
+            f"witness deficiency {count - len(inst.witness)} != predicted "
+            f"{inst.predicted_deficiency}"
+        )
+    return bad

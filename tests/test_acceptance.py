@@ -22,7 +22,6 @@ from oneplanar.bounds import (
 from oneplanar.embedding import validate
 from oneplanar.generators import (
     _stacked_quadrangulation,
-    check_instance,
     family_delta3,
     family_delta4,
     family_delta4_k5,
@@ -41,6 +40,7 @@ from oneplanar.matcher import (
 
 from conftest import (
     c4_drawing,
+    check_instance,
     cube_drawing,
     greedy_independent_t,
     independent_sets_with_min_degree,

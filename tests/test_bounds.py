@@ -30,7 +30,7 @@ from oneplanar.generators import (
 from oneplanar.graph import build_graph
 from oneplanar.matcher import Matching
 
-from conftest import cube_drawing, greedy_independent_t, make_k
+from conftest import cube_drawing, greedy_independent_t, make_k, share_an_endpoint
 
 
 def hexagon_center_all_crossed():
@@ -372,6 +372,11 @@ def test_certify_requires_provenance():
         certify_matching_bound(inst.graph, 3, None)
     with pytest.raises(NoProvenance):
         certify_matching_bound(inst.graph, 3, family_delta4(4).drawing)
+    # the same n, and the edge (1, 2) of the substrate moved to a non-edge at 0
+    w = min(v for v in range(1, inst.graph.n) if not inst.graph.has_edge(0, v))
+    moved = build_graph(inst.graph.n, [e for e in inst.graph.edges if e != (1, 2)] + [(0, w)])
+    with pytest.raises(NoProvenance, match="^attested drawing does not match the graph$"):
+        certify_matching_bound(moved, 3, inst.drawing)
 
 
 def test_certify_degree_gate():
@@ -412,3 +417,8 @@ def test_certify_rejects_a_matching_its_barrier_does_not_prove(monkeypatch):
     rep = certify(lambda m: Matching(m.edges))
     assert not rep.certified
     assert (rep.matching_size, rep.barrier_bound, rep.violations) == (4, 8, ())
+    # |M| = 4 meets the barrier's bound, but M is no matching
+    rep = certify(lambda m: share_an_endpoint(inst.graph, m))
+    assert not rep.certified
+    assert (rep.matching_size, rep.barrier_bound) == (4, 4)
+    assert rep.violations[0] == "(0,4) shares an endpoint"

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import share_an_endpoint
 
 from oneplanar import bounds, matcher
 from oneplanar.cli import main
@@ -176,6 +177,13 @@ def test_theorem1_names_the_barrier_that_does_not_prove_the_matching(
     assert code == 4
     assert out.startswith("|M|=8 not certified: barrier A={0,1,2,3} gives |M|<=4; (")
     assert out.endswith(" not an edge of the graph\n") and out.count("\n") == 1
+    # |M| = 4 meets the barrier's bound, but two of its edges meet at 0
+    monkeypatch.setattr(
+        bounds, "maximum_matching", lambda g: share_an_endpoint(g, blossom(g))
+    )
+    assert run(capsys, *argv) == (4, (
+        "|M|=4 not certified: barrier A={0,1,2,3} gives |M|<=4; (0,4) shares an endpoint\n"
+    ))
 
 
 def test_check_matching_certificate_not_applicable(tmp_path, capsys):

@@ -41,6 +41,7 @@ from oneplanar.generators import (
     family_delta4_k5,
     k6_drawing,
     random_oneplanar,
+    _hub_family,
     _stacked_triangulation,
 )
 from oneplanar.rng import SplitMix64
@@ -107,6 +108,28 @@ def test_dummy_degree_violation_is_reported():
     report = validate(d)
     assert not report.valid
     assert any("degree != 4" in v for v in report.violations)
+
+
+def test_dummy_rotation_must_alternate():
+    # edges (0,2) and (1,3) cross at dummy 4, a star: Euler holds and no
+    # face is a bigon whatever the order at the dummy, so only that order
+    # can make the drawing invalid
+    def star(dummy_rotation):
+        return OnePlanarDrawing(
+            n_real=4,
+            edges=((0, 2), (1, 3)),
+            pvertices=(RealV(0), RealV(1), RealV(2), RealV(3), DummyV(0, 1)),
+            segments=(
+                Segment((0, 4), 0, 0),
+                Segment((4, 2), 0, 1),
+                Segment((1, 4), 1, 0),
+                Segment((4, 3), 1, 1),
+            ),
+            rotations=((0,), (4,), (3,), (7,), dummy_rotation),
+        )
+
+    assert validate(star((1, 5, 2, 6))).valid
+    assert validate(star((1, 2, 5, 6))).violations == ("dummy 4 rotation does not alternate (a,b,a,b)",)
 
 
 def test_k6_canonical_drawing():
@@ -544,8 +567,9 @@ def test_every_single_crossed_edge_deletion_validates():
 
 
 def test_wedge_merges_one_face():
+    # two triangles glued at vertex 0: one face of each becomes a single face
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
-    w = edit(tri, "wedge", tri)
+    w = _hub_family("triangle", tri, 2, 2).drawing
     assert validate(w).valid
     assert w.n_real == 5
     assert len(_require_valid(w).faces) == 3

@@ -1,11 +1,11 @@
 import pytest
+from conftest import check_instance
 
 from oneplanar.embedding import _face_orbits, validate, write_drawing
 from oneplanar.errors import BadParity, ParseError, TooManyCrossings, TooSmall
 from oneplanar.generators import (
     _stacked_quadrangulation,
     _stacked_triangulation,
-    check_instance,
     cube_block_drawing,
     family_delta3,
     family_delta4,
@@ -153,6 +153,31 @@ def test_delta7_family():
     assert inst.predicted_deficiency == 1
     assert inst.predicted_matching_upper == 23 == (11 * 47 + 12) // 23
     assert family_delta7(1).predicted_deficiency == 0
+
+
+@pytest.mark.parametrize(
+    "family,block,delta",
+    [
+        (family_delta5, k6_drawing, 5),
+        (family_delta6, cube_block_drawing, 6),
+        (family_delta7, mindeg7_block_drawing, 7),
+    ],
+    ids=["delta5", "delta6", "delta7"],
+)
+def test_hub_family_is_g_copies_of_its_block(family, block, delta):
+    b = block()
+    b_faces = len(validate(b).faces)
+    for g in range(1, 6):
+        d = family(g).drawing
+        report = validate(d)
+        assert report.valid, g
+        assert d.n_real == (b.n_real - 1) * g + 1
+        assert len(d.edges) == g * len(b.edges)
+        assert d.n_p - d.n_real == g * (b.n_p - b.n_real)  # one dummy per crossing
+        # each of the g - 1 gluings at the hub merges two faces into one
+        assert len(report.faces) == g * (b_faces - 1) + 1
+        assert d.graph.degree(0) == g * b.graph.degree(0)
+        assert min_degree(d.graph) == delta
 
 
 def test_k6_drawing_is_spec_shape():

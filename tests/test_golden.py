@@ -39,6 +39,10 @@ GENERATE = {
     ("delta6", "--g", "3"): "041dfe36bf2fc0c68acb80e4fada104a99c213e07199c91c6168354d4eedaf4f",
     ("delta7", "--g", "1"): "6ba4ea790799d24f8ab2f06ef45f9a01213134dd0a38e9e750ec6571c0e956a1",
     ("delta7", "--g", "2"): "09e14fc8f7fc72a11f6b6d8d118756417708df8eba80467688ba6877b086e7bc",
+    # the largest hub families the generate benchmark builds
+    ("delta5", "--g", "100"): "fc5d930f42ff2db6aa2737a426155d048e8c0bfb75ba2e8abf5fc96e4c1950b0",
+    ("delta6", "--g", "60"): "5a28c395d847dfd397e139743c0cd00782e33b950e5494fed77fba569664e9ae",
+    ("delta7", "--g", "20"): "f2497cd2fc673aa3651d05233159b12c28395cabc13f67c84f2b58f2662f394e",
     ("random", "--n", "12", "--x", "3", "--seed", "1"): "d9831ede584a6dd275e5635b5cf5425206ec37a074eb3d16fdd20e187c0a82bc",
     ("random", "--n", "16", "--x", "4", "--seed", "2"): "d8d5c1d171434b1eedad05662d6b8805fc310548a7eaad48579eab689e138b8d",
     ("random", "--n", "20", "--x", "5", "--seed", "3"): "b410e075dc17a270cfce4edeef976c04b5c947a58ae3d81e2ad3fc6a818bc79e",

@@ -7,6 +7,10 @@ are no coordinates anywhere; planarity is checked through Euler's formula
 on the face orbits of the rotation system.
 
 Conventions:
+  * pvertices[p] is the real vertex id of pvertex p, or DUMMY for a
+    crossing; a drawing's n_real counts its real pvertices;
+  * a crossing's two edges are the edges of the first two darts of its
+    rotation, which a valid dummy alternates a, b, a, b;
   * a dart is the int 2*sid + end: it leaves segment `sid = x >> 1` from
     its endpoint `end = x & 1`, so its reversal is x ^ 1 and darts sort
     like (sid, end); the `1pg` text writes it as `sid.end`;
@@ -39,22 +43,13 @@ from .errors import (
 )
 from .graph import Graph, header_counts
 
-class RealV(NamedTuple):
-    vid: int
-
-
-class DummyV(NamedTuple):
-    eid_a: int
-    eid_b: int
+DUMMY = -1  # the pvertex entry of a crossing
 
 
 class Segment(NamedTuple):
     ends: tuple[int, int]  # pvertex ids
     eid: int
     part: int  # 0, or 1 for the second half of a crossed edge
-
-
-PVertex = RealV | DummyV
 
 
 class _Planarization:
@@ -71,20 +66,29 @@ class _Planarization:
     def origin(self, x: int) -> int:
         return self.segments[x >> 1].ends[x & 1]
 
+    def crossing_edges(self, pid: int) -> tuple[int, int]:
+        """The two edges crossing at dummy pid, smaller id first."""
+        rot = self.rotations[pid]
+        a, b = self.segments[rot[0] >> 1].eid, self.segments[rot[1] >> 1].eid
+        return (a, b) if a < b else (b, a)
+
 
 @dataclass(frozen=True)
 class OnePlanarDrawing(_Planarization):
-    n_real: int
     edges: tuple[tuple[int, int], ...]  # original edges, (u, v) with u < v
-    pvertices: tuple[PVertex, ...]
+    pvertices: tuple[int, ...]  # real vertex id, or DUMMY
     segments: tuple[Segment, ...]
     rotations: tuple[tuple[int, ...], ...]
 
     # -- lookups, computed once per drawing ---------------------------
 
     @cached_property
+    def n_real(self) -> int:
+        return len(self.pvertices) - self.pvertices.count(DUMMY)
+
+    @cached_property
     def real_pid(self) -> dict[int, int]:
-        return {pv.vid: pid for pid, pv in enumerate(self.pvertices) if isinstance(pv, RealV)}
+        return {vid: pid for pid, vid in enumerate(self.pvertices) if vid != DUMMY}
 
     @cached_property
     def edge_derivation(self) -> _EdgeDerivation:
@@ -131,9 +135,9 @@ def corner_positions(d: _Planarization, face: Face) -> list[tuple[int, int]]:
     """(walk position, vid) for every real corner occurrence of `face`."""
     out = []
     for i, x in enumerate(face):
-        pv = d.pvertices[d.origin(x)]
-        if isinstance(pv, RealV):
-            out.append((i, pv.vid))
+        vid = d.pvertices[d.origin(x)]
+        if vid != DUMMY:
+            out.append((i, vid))
     return out
 
 
@@ -175,15 +179,13 @@ class _EdgeDerivation(NamedTuple):
     violations: list[str]
 
 
-def _derive_edges(
-    pvertices: Sequence[PVertex], segments: Sequence[Segment], n_edges: int
-) -> _EdgeDerivation:
+def _derive_edges(pvertices: Sequence[int], segments: Sequence[Segment], n_edges: int) -> _EdgeDerivation:
     """Each edge's segments and the real endpoints they join.
 
     An uncrossed edge is one segment, part 0, between two real pvertices.
-    A crossed edge runs, as part 0, from its smaller endpoint to a dummy
-    recording it and on, as part 1, to its larger endpoint.  The two real
-    endpoints differ, so no derived edge is a loop.
+    A crossed edge runs, as part 0, from its smaller endpoint to a dummy and
+    on, as part 1, to its larger endpoint.  The two real endpoints differ,
+    so no derived edge is a loop.
     `parse_drawing` takes its edges from here and `validate` checks a
     drawing's edges against them.
     """
@@ -207,14 +209,14 @@ def _derive_edges(
     for eid, sids in enumerate(groups):
         if len(sids) == 1:
             (a, b), _, part = segments[sids[0]]
+            u, v = pvertices[a], pvertices[b]
             if part != 0:
                 bad.append(f"edge {eid} single segment has part {part}")
-            elif not (isinstance(pvertices[a], RealV) and isinstance(pvertices[b], RealV)):
+            elif DUMMY in (u, v):
                 bad.append(f"edge {eid} segment does not join two real vertices")
-            elif pvertices[a].vid == pvertices[b].vid:
+            elif u == v:
                 bad.append(f"edge {eid} is a loop")
             else:
-                u, v = pvertices[a].vid, pvertices[b].vid
                 edges[eid] = (u, v) if u < v else (v, u)
         elif len(sids) == 2:
             s0, s1 = segments[sids[0]], segments[sids[1]]
@@ -222,22 +224,21 @@ def _derive_edges(
                 s0, s1 = s1, s0
             (a0, d0), (a1, d1) = s0.ends, s1.ends
             # turn each segment to run real end -> dummy
-            if isinstance(pvertices[a0], DummyV):
+            if pvertices[a0] == DUMMY:
                 a0, d0 = d0, a0
-            if isinstance(pvertices[a1], DummyV):
+            if pvertices[a1] == DUMMY:
                 a1, d1 = d1, a1
+            u, v = pvertices[a0], pvertices[a1]
             if (s0.part, s1.part) != (0, 1):
                 bad.append(f"edge {eid} segment parts are {[s0.part, s1.part]}, want [0, 1]")
-            elif d0 != d1 or [type(pvertices[p]) for p in (a0, d0, a1)] != [RealV, DummyV, RealV]:
+            elif d0 != d1 or pvertices[d0] != DUMMY or DUMMY in (u, v):
                 bad.append(f"edge {eid} segments do not share one dummy")
-            elif eid not in pvertices[d0]:
-                bad.append(f"edge {eid} crosses at a dummy not recording it")
-            elif pvertices[a0].vid == pvertices[a1].vid:
+            elif u == v:
                 bad.append(f"edge {eid} is a loop")
-            elif pvertices[a0].vid > pvertices[a1].vid:
+            elif u > v:
                 bad.append(f"edge {eid} part 0 is not at its smaller endpoint")
             else:
-                edges[eid] = (pvertices[a0].vid, pvertices[a1].vid)
+                edges[eid] = (u, v)
         else:
             bad.append(f"edge {eid} has {len(sids)} segments, not 1 or 2")
     return _EdgeDerivation(groups, edges, bad)
@@ -333,23 +334,18 @@ def validate(d: OnePlanarDrawing) -> ValidationReport:
 
 
 def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
+    # n_real real ids, distinct and in range, name every vertex once
     bad: list[str] = []
     real_seen: set[int] = set()
-    for pid, pv in enumerate(d.pvertices):
-        if isinstance(pv, RealV):
-            if not (0 <= pv.vid < d.n_real):
-                bad.append(f"pvertex {pid} real id {pv.vid} out of range")
-            elif pv.vid in real_seen:
-                bad.append(f"real vertex {pv.vid} has two pvertices")
-            else:
-                real_seen.add(pv.vid)
+    for pid, vid in enumerate(d.pvertices):
+        if vid == DUMMY:
+            continue
+        if not (0 <= vid < d.n_real):
+            bad.append(f"pvertex {pid} real id {vid} out of range")
+        elif vid in real_seen:
+            bad.append(f"real vertex {vid} has two pvertices")
         else:
-            for eid in (pv.eid_a, pv.eid_b):
-                if not (0 <= eid < len(d.edges)):
-                    bad.append(f"dummy {pid} references bad edge {eid}")
-    missing = set(range(d.n_real)) - real_seen
-    if missing:
-        bad.append(f"real vertices without pvertex: {sorted(missing)}")
+            real_seen.add(vid)
 
     # each edge must be the one its segments join, which also puts its
     # endpoints in range and in order; a parsed drawing keeps the derivation
@@ -367,17 +363,15 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     # dummies: degree four, alternating between the two crossing edges
-    for pid, pv in enumerate(d.pvertices):
-        if not isinstance(pv, DummyV):
+    for pid, vid in enumerate(d.pvertices):
+        if vid != DUMMY:
             continue
         rot = d.rotations[pid]
         if len(rot) != 4:
             bad.append(f"dummy {pid} degree != 4")
             continue
         eids = [d.segments[x >> 1].eid for x in rot]
-        if set(eids) != {pv.eid_a, pv.eid_b} or pv.eid_a == pv.eid_b:
-            bad.append(f"dummy {pid} incident edges {sorted(set(eids))} mismatch")
-        elif eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
+        if eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
             bad.append(f"dummy {pid} rotation does not alternate (a,b,a,b)")
     if bad:
         return ValidationReport(tuple(bad))
@@ -440,26 +434,28 @@ class _Builder(_Planarization):
     """
 
     def __init__(self, d: OnePlanarDrawing):
-        self.n_real = d.n_real
         self._load(list(d.edges), list(d.pvertices), list(d.segments), [list(r) for r in d.rotations])
         # a drawing that already has parallel edges may gain more
         self.multi_allowed = len(self.eid_of) != len(self.edges)
 
     def _load(self, edges, pvertices, segments, rotations) -> None:
         self.edges: list[tuple[int, int]] = edges
-        self.pvertices: list[PVertex] = pvertices
+        self.pvertices: list[int] = pvertices
         self.segments: list[Segment] = segments
         self.rotations: list[list[int]] = rotations
-        self.real_pid = {pv.vid: pid for pid, pv in enumerate(pvertices) if isinstance(pv, RealV)}
+        self.real_pid = {vid: pid for pid, vid in enumerate(pvertices) if vid != DUMMY}
         # reversed, so that the first of several parallel copies wins
         self.eid_of = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
         self.edge_sids: list[list[int]] = [[] for _ in edges]
         for sid, seg in enumerate(segments):
             self.edge_sids[seg.eid].append(sid)
 
+    @property
+    def n_real(self) -> int:
+        return len(self.real_pid)
+
     def freeze(self) -> OnePlanarDrawing:
         return OnePlanarDrawing(
-            n_real=self.n_real,
             edges=tuple(self.edges),
             pvertices=tuple(self.pvertices),
             segments=tuple(self.segments),
@@ -477,12 +473,13 @@ class _Builder(_Planarization):
         self.edge_sids.append([])
         return len(self.edges) - 1
 
-    def new_pvertex(self, pv: PVertex) -> int:
+    def new_pvertex(self, vid: int) -> int:
+        """A new pvertex with an empty rotation: real vertex vid, or DUMMY."""
         pid = len(self.pvertices)
-        self.pvertices.append(pv)
+        self.pvertices.append(vid)
         self.rotations.append([])
-        if isinstance(pv, RealV):
-            self.real_pid[pv.vid] = pid
+        if vid != DUMMY:
+            self.real_pid[vid] = pid
         return pid
 
     def new_segment(self, ends: tuple[int, int], eid: int, part: int) -> int:
@@ -541,8 +538,7 @@ class _Builder(_Planarization):
         if len({p for p, _ in pairs}) != len(pairs) or len(pairs) < 2:
             raise BadAttachment("attachments must be distinct corners")
         z = self.n_real
-        self.n_real += 1
-        pz = self.new_pvertex(RealV(z))
+        pz = self.new_pvertex(z)
         spoke_darts: list[int] = []
         for pos, vid in pairs:
             eid = self.new_edge(vid, z)
@@ -574,7 +570,7 @@ class _Builder(_Planarization):
 
         # split the crossed segment at a fresh dummy
         pa, pb = self.segments[sid_c].ends
-        pD = self.new_pvertex(DummyV(*sorted((cross_eid, new_eid))))
+        pD = self.new_pvertex(DUMMY)
         # part 0 of the crossed edge keeps the smaller original endpoint
         part_a = 0 if pa == self.real_pid[self.edges[cross_eid][0]] else 1
         self.segments[sid_c] = Segment((pa, pD), cross_eid, part_a)
@@ -612,10 +608,10 @@ class _Builder(_Planarization):
         # one segment again
         dead: set[int] = set()
         merged: set[int] = set()
-        for pid, pv in enumerate(self.pvertices):
-            if isinstance(pv, DummyV) and not removed.isdisjoint(pv):
+        for pid, vid in enumerate(self.pvertices):
+            if vid == DUMMY and not removed.isdisjoint(pair := self.crossing_edges(pid)):
                 dead.add(pid)
-                merged.update(eid for eid in pv if eid not in removed)
+                merged.update(eid for eid in pair if eid not in removed)
         kept = [eid for eid in range(len(self.edges)) if eid not in removed]
         new_eid = {eid: i for i, eid in enumerate(kept)}
         new_pid = {pid: i for i, pid in enumerate(p for p in range(len(self.pvertices)) if p not in dead)}
@@ -643,11 +639,7 @@ class _Builder(_Planarization):
 
         self._load(
             [self.edges[eid] for eid in kept],
-            [
-                DummyV(new_eid[pv.eid_a], new_eid[pv.eid_b]) if isinstance(pv, DummyV) else pv
-                for pid, pv in enumerate(self.pvertices)
-                if pid not in dead
-            ],
+            [vid for pid, vid in enumerate(self.pvertices) if pid not in dead],
             segments,
             [
                 [y for x in rot if (y := new_dart[x]) >= 0]
@@ -711,9 +703,8 @@ def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDraw
             raise InvalidDrawing(f"vertex {v} is not on exactly one cycle of corners")
         rotations.append(tuple(2 * eid_of[min(v, w), max(v, w)] + (v > w) for w in order))
     return OnePlanarDrawing(
-        n_real=n,
         edges=tuple(edges),
-        pvertices=tuple(RealV(v) for v in range(n)),
+        pvertices=tuple(range(n)),
         segments=tuple(Segment(e, eid, 0) for eid, e in enumerate(edges)),
         rotations=tuple(rotations),
     )
@@ -724,13 +715,13 @@ def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDraw
 
 
 def write_drawing(d: OnePlanarDrawing) -> str:
-    n_dummy = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
-    lines = [f"1pg {d.n_real} {n_dummy} {d.m_p}"]
-    for pid, pv in enumerate(d.pvertices):
-        if isinstance(pv, RealV):
-            lines.append(f"pv {pid} real {pv.vid}")
+    lines = [f"1pg {d.n_real} {d.n_p - d.n_real} {d.m_p}"]
+    for pid, vid in enumerate(d.pvertices):
+        if vid != DUMMY:
+            lines.append(f"pv {pid} real {vid}")
         else:
-            lines.append(f"pv {pid} dummy {pv.eid_a} {pv.eid_b}")
+            a, b = d.crossing_edges(pid)
+            lines.append(f"pv {pid} dummy {a} {b}")
     for sid, seg in enumerate(d.segments):
         lines.append(f"seg {sid} {seg.ends[0]} {seg.ends[1]} {seg.eid} {seg.part}")
     for pid, rot in enumerate(d.rotations):
@@ -746,9 +737,11 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     # the slots below are allocated only once the text has a line for each
     if len(lines) - 1 < n_p + n_seg:
         raise ParseError(f"header counts {n_p} pvertices and {n_seg} segments, text has fewer records")
-    pvs: list[PVertex | None] = [None] * n_p
+    pvs: list[int | None] = [None] * n_p
     segs: list[Segment | None] = [None] * n_seg
     rots: list[tuple[int, ...] | None] = [None] * n_p
+    # the edge pair each dummy record names, checked against its rotation
+    named: dict[int, tuple[int, int]] = {}
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
@@ -769,10 +762,12 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
                         raise ValueError(f"bad dart {tok!r}")
                     darts.append(2 * s + e)
                 slots, i, record = rots, int(tag[:-1]), tuple(darts)
-            elif kind == "pv" and len(parts) == 4 and parts[2] == "real":
-                slots, i, record = pvs, int(parts[1]), RealV(int(parts[3]))
+            # a real id is not negative, or it could read as DUMMY
+            elif kind == "pv" and len(parts) == 4 and parts[2] == "real" and parts[3][:1] != "-":
+                slots, i, record = pvs, int(parts[1]), int(parts[3])
             elif kind == "pv" and len(parts) == 5 and parts[2] == "dummy":
-                slots, i, record = pvs, int(parts[1]), DummyV(int(parts[3]), int(parts[4]))
+                slots, i, record = pvs, int(parts[1]), DUMMY
+                named[i] = (int(parts[3]), int(parts[4]))
             else:
                 raise ValueError("unknown record")
         except ValueError as exc:
@@ -784,6 +779,8 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
         slots[i] = record
     if None in pvs or None in segs:
         raise ParseError("record ids disagree with header counts")
+    if len(named) != n_dummy:
+        raise ParseError(f"header counts {n_real} real vertices, text has {n_p - len(named)}")
 
     # edge ids are dense, so there are at most as many edges as segments
     n_edges = 1 + max((seg.eid for seg in segs), default=-1)
@@ -793,7 +790,6 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     if derived.violations:
         raise ParseError("invalid drawing: " + "; ".join(derived.violations))
     d = OnePlanarDrawing(
-        n_real=n_real,
         edges=tuple(derived.edges),
         pvertices=tuple(pvs),
         segments=tuple(segs),
@@ -803,4 +799,8 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     report = validate(d)
     if not report.valid:
         raise ParseError("invalid drawing: " + "; ".join(report.violations))
+    # a dummy record names the edges its rotation crosses, smaller first
+    for pid, (a, b) in named.items():
+        if (a, b) != (want := d.crossing_edges(pid)):
+            raise ParseError(f"pv {pid} dummy {a} {b}: its rotation makes it dummy {want[0]} {want[1]}")
     return d

@@ -22,10 +22,9 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .embedding import (
-    DummyV,
+    DUMMY,
     Face,
     OnePlanarDrawing,
-    RealV,
     Segment,
     _Builder,
     _face_at,
@@ -296,13 +295,10 @@ def _hub_family(name: str, block: OnePlanarDrawing, g: int, delta: int) -> Famil
         raise TooSmall(f"family {name} needs g >= 1, got {g}")
     nv, npv, ne, ns = block.n_real - 1, block.n_p - 1, len(block.edges), block.m_p
     drawing = OnePlanarDrawing(
-        n_real=nv * g + 1,
         # the hub, vertex and pvertex 0, keeps its id in every copy
         edges=tuple([(u and u + k * nv, v + k * nv) for k in range(g) for u, v in block.edges]),
         pvertices=block.pvertices[:1] + tuple([
-            RealV(pv.vid + k * nv) if isinstance(pv, RealV) else DummyV(pv.eid_a + k * ne, pv.eid_b + k * ne)
-            for k in range(g)
-            for pv in block.pvertices[1:]
+            DUMMY if vid == DUMMY else vid + k * nv for k in range(g) for vid in block.pvertices[1:]
         ]),
         segments=tuple([
             Segment((a and a + k * npv, b and b + k * npv), eid + k * ne, part)

@@ -88,13 +88,14 @@ def maximum_matching(g: Graph) -> Matching:
     # augmenting path enters (Edmonds 1965), so later searches skip it, and
     # its inner vertices join the barrier.  The edges stay the same only
     # while the visiting order stays ascending: a contraction relabels the
-    # touched vertices in id order, as a scan of all n would (an untouched
+    # blossom's members in id order, as a scan of all n would (an untouched
     # vertex is its own base and in no blossom); another order can change
     # which augmenting path is found.
     def try_augment(root: int) -> bool:
         touched = [root]
         used[root] = True
         q: deque[int] = deque([root])
+        members: dict[int, list[int]] = {}  # a contracted blossom's vertices, by base
         try:
             while q:
                 v = q.popleft()
@@ -107,12 +108,13 @@ def maximum_matching(g: Graph) -> Matching:
                         blossom: set[int] = set()
                         mark_path(v, curbase, to, blossom)
                         mark_path(to, curbase, v, blossom)
-                        for i in sorted(touched):
-                            if base[i] in blossom:
-                                base[i] = curbase
-                                if not used[i]:
-                                    used[i] = True
-                                    q.append(i)
+                        moved = sorted([i for b in blossom for i in members.pop(b, (b,))])
+                        for i in moved:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                        members.setdefault(curbase, [curbase]).extend(moved)
                     elif p[to] == -1:
                         p[to] = v
                         touched.append(to)

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oneplanar.embedding import (
-    DummyV,
+    DUMMY,
     OnePlanarDrawing,
-    RealV,
     Segment,
     corner_positions,
     crossing_weighted_degree,
@@ -24,6 +23,7 @@ from oneplanar.embedding import (
     _require_valid,
 )
 from oneplanar.bounds import check_bipartite_edge_budget
+from oneplanar.cli import main
 from oneplanar.errors import (
     BadAttachment,
     BadVertex,
@@ -72,9 +72,8 @@ def doubled_edge_drawing():
     )
     rotations = ((2, 0, 4), (1, 3, 6), (7, 5))  # dart 2*sid + end
     return OnePlanarDrawing(
-        n_real=3,
         edges=((0, 1), (0, 1), (0, 2), (1, 2)),
-        pvertices=(RealV(0), RealV(1), RealV(2)),
+        pvertices=(0, 1, 2),
         segments=segs,
         rotations=rotations,
     )
@@ -95,9 +94,8 @@ def test_k4_has_four_triangular_faces():
 def test_dummy_degree_violation_is_reported():
     # a dummy with only 3 incident segment-ends
     d = OnePlanarDrawing(
-        n_real=3,
         edges=((0, 1), (0, 2)),
-        pvertices=(RealV(0), RealV(1), RealV(2), DummyV(0, 1)),
+        pvertices=(0, 1, 2, DUMMY),
         segments=(
             Segment((0, 3), 0, 0),
             Segment((3, 1), 0, 1),
@@ -116,9 +114,8 @@ def test_dummy_rotation_must_alternate():
     # can make the drawing invalid
     def star(dummy_rotation):
         return OnePlanarDrawing(
-            n_real=4,
             edges=((0, 2), (1, 3)),
-            pvertices=(RealV(0), RealV(1), RealV(2), RealV(3), DummyV(0, 1)),
+            pvertices=(0, 1, 2, 3, DUMMY),
             segments=(
                 Segment((0, 4), 0, 0),
                 Segment((4, 2), 0, 1),
@@ -165,16 +162,15 @@ def test_drawing_from_no_faces_is_invalid():
 
 def test_crossed_eids_count_dummies():
     d = random_oneplanar(8, 2, 11)
-    n_dummies = sum(1 for pv in d.pvertices if isinstance(pv, DummyV))
+    n_dummies = d.pvertices.count(DUMMY)
     assert len(d.crossed_eids) == 2 * n_dummies
 
 
 def test_single_crossing_pair_drawing():
     # two edges on four vertices crossing once: everything is crossed
     d = OnePlanarDrawing(
-        n_real=4,
         edges=((0, 2), (1, 3)),
-        pvertices=(RealV(0), RealV(1), RealV(2), RealV(3), DummyV(0, 1)),
+        pvertices=(0, 1, 2, 3, DUMMY),
         segments=(
             Segment((0, 4), 0, 0),
             Segment((4, 2), 0, 1),
@@ -197,9 +193,8 @@ def test_crossed_edge_part_0_starts_at_its_smaller_endpoint():
         parse_drawing(swapped)
     # the same, hand-built with the edge written from its part-0 end
     d = OnePlanarDrawing(
-        n_real=4,
         edges=((2, 0), (1, 3)),
-        pvertices=(RealV(0), RealV(1), RealV(2), RealV(3), DummyV(0, 1)),
+        pvertices=(0, 1, 2, 3, DUMMY),
         segments=(
             Segment((0, 4), 0, 1),
             Segment((4, 2), 0, 0),
@@ -225,9 +220,8 @@ def test_crossed_edge_back_to_its_start_is_a_loop():
         parse_drawing(LOOP_1PG)
     # the same, hand-built
     d = OnePlanarDrawing(
-        n_real=3,
         edges=((0, 0), (1, 2)),
-        pvertices=(RealV(0), RealV(1), RealV(2), DummyV(0, 1)),
+        pvertices=(0, 1, 2, DUMMY),
         segments=(
             Segment((0, 3), 0, 0),
             Segment((3, 0), 0, 1),
@@ -523,9 +517,8 @@ def test_faces_partition_every_dart():
 def test_two_component_drawing_is_valid_with_four_faces():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
     two = OnePlanarDrawing(
-        n_real=6,
         edges=tri.edges + tuple((u + 3, v + 3) for u, v in tri.edges),
-        pvertices=tri.pvertices + tuple(RealV(pv.vid + 3) for pv in tri.pvertices),
+        pvertices=tri.pvertices + tuple(vid + 3 for vid in tri.pvertices),
         segments=tri.segments
         + tuple(
             Segment((a + 3, b + 3), eid + 3, 0) for (a, b), eid, _ in tri.segments
@@ -598,9 +591,10 @@ def test_corpus_drawings_are_valid(n, x, seed):
 
 
 def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
-    """d with exactly one field corrupted: a pvertex id, a segment end, edge
-    id or part, a swap or replacement within one rotation, an edge
-    endpoint, or n_real.  New values come from [-1, bound] minus the old."""
+    """d with exactly one field corrupted: a pvertex id (which turns a real
+    vertex into DUMMY and back), a segment end, edge id or part, a swap or
+    replacement within one rotation, or an edge endpoint.  New values come
+    from [-1, bound] minus the old."""
 
     def other(x: int, bound: int) -> int:
         choices = [y for y in range(-1, bound + 1) if y != x]
@@ -609,17 +603,10 @@ def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
     def put(seq, i, item):
         return tuple(seq[:i]) + (item,) + tuple(seq[i + 1:])
 
-    kind = rng.below(5)
+    kind = rng.below(4)
     if kind == 0:
         pid = rng.below(d.n_p)
-        pv = d.pvertices[pid]
-        if isinstance(pv, RealV):
-            pv = RealV(other(pv.vid, d.n_real))
-        elif rng.below(2):
-            pv = DummyV(other(pv.eid_a, len(d.edges)), pv.eid_b)
-        else:
-            pv = DummyV(pv.eid_a, other(pv.eid_b, len(d.edges)))
-        return dataclasses.replace(d, pvertices=put(d.pvertices, pid, pv))
+        return dataclasses.replace(d, pvertices=put(d.pvertices, pid, other(d.pvertices[pid], d.n_real)))
     if kind == 1:
         sid = rng.below(d.m_p)
         (a, b), eid, part = d.segments[sid]
@@ -641,12 +628,10 @@ def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
             new = 2 * rng.below(d.m_p + 1) + rng.below(2)
             rot[i] = new if new != rot[i] else 2 * d.m_p
         return dataclasses.replace(d, rotations=put(d.rotations, pid, tuple(rot)))
-    if kind == 3:
-        eid = rng.below(len(d.edges))
-        u, v = d.edges[eid]
-        e = (other(u, d.n_real), v) if rng.below(2) else (u, other(v, d.n_real))
-        return dataclasses.replace(d, edges=put(d.edges, eid, e))
-    return dataclasses.replace(d, n_real=other(d.n_real, d.n_real + 1))
+    eid = rng.below(len(d.edges))
+    u, v = d.edges[eid]
+    e = (other(u, d.n_real), v) if rng.below(2) else (u, other(v, d.n_real))
+    return dataclasses.replace(d, edges=put(d.edges, eid, e))
 
 
 MUTATION_DRAWINGS = {
@@ -707,6 +692,7 @@ def test_1pg_round_trip_byte_exact():
 
 # every lookup a drawing caches, each read from the drawing as a whole
 CACHED_LOOKUPS = {
+    "n_real": lambda d: d.n_real,
     "real_pid": lambda d: d.real_pid,
     "edge_derivation": lambda d: d.edge_derivation,
     "crossed_eids": lambda d: d.crossed_eids,
@@ -783,6 +769,37 @@ def test_1pg_parse_rejects_garbage():
             parse_drawing(text)
 
 
+# (edit of k33_one_crossing's text, the parse error it makes): a dummy record
+# names the two edges its rotation crosses, smaller first, and the header's
+# n_real counts the real records
+K33_RECORD_EDITS = {
+    "dummy-names-an-edge-it-does-not-cross": (
+        ("pv 6 dummy 0 8\n", "pv 6 dummy 0 7\n"), "pv 6 dummy 0 7: its rotation makes it dummy 0 8"
+    ),
+    "dummy-pair-unsorted": (("pv 6 dummy 0 8\n", "pv 6 dummy 8 0\n"), "pv 6 dummy 8 0: its rotation makes it dummy 0 8"),
+    "header-n-real": (("1pg 6 1 11\n", "1pg 7 0 11\n"), "header counts 7 real vertices, text has 6"),
+}
+
+
+@pytest.mark.parametrize("case", K33_RECORD_EDITS)
+def test_1pg_records_must_agree_with_the_drawing(case, tmp_path, capsys):
+    (old, new), message = K33_RECORD_EDITS[case]
+    text = write_drawing(k33_one_crossing())
+    bad = text.replace(old, new)
+    assert bad != text
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_drawing(bad)
+    path = tmp_path / "bad.1pg"
+    path.write_text(bad)
+    assert main(["check", "obs1", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_rotation_table_must_cover_every_pvertex():
+    d = dataclasses.replace(c4_drawing(), rotations=c4_drawing().rotations[:-1])
+    assert validate(d).violations == ("rotation table size differs from pvertex count",)
+
+
 def _one_number_edit(text: str, seed: int) -> str:
     """A seeded copy of text with one integer token changed; the `:` and `.`
     around it stay."""
@@ -806,8 +823,8 @@ def _shuffled(items: list, rng: SplitMix64) -> list:
 def _relabelled(text: str, rng: SplitMix64) -> str:
     """The same drawing as the `1pg` text under new ids: pvertex, segment,
     edge and real vertex ids permuted, each segment written from either end,
-    each dummy's edge pair in either order, and the records shuffled.  A
-    crossed edge's part 0 stays the segment at its smaller endpoint."""
+    and the records shuffled.  A crossed edge's part 0 stays the segment at
+    its smaller endpoint, and a dummy's edge pair stays in ascending order."""
     head, *records = text.splitlines()
     rows = [ln.split() for ln in records]
     n_real, n_dummy, n_seg = (int(x) for x in head.split()[1:])
@@ -828,8 +845,8 @@ def _relabelled(text: str, rng: SplitMix64) -> str:
         if r[:3:2] == ["pv", "real"]:
             out.append(f"pv {pids[int(r[1])]} real {vid[int(r[1])]}")
         elif r[0] == "pv":
-            pair = [eids[int(r[3])], eids[int(r[4])]]
-            out.append(f"pv {pids[int(r[1])]} dummy {' '.join(map(str, _shuffled(pair, rng)))}")
+            a, b = sorted([eids[int(r[3])], eids[int(r[4])]])
+            out.append(f"pv {pids[int(r[1])]} dummy {a} {b}")
         elif r[0] == "seg":
             sid, (a, b, eid, part) = int(r[1]), segs[int(r[1])]
             a, b = (b, a) if flip[sid] else (a, b)
@@ -864,9 +881,9 @@ def test_1pg_one_number_edits_keep_their_outcomes(name):
 
 
 RELABEL_DIGESTS = {
-    "delta4": "5114269c23aa4b76e8c7fda08c5e58e86bb2a11f53d469cb92ea55f0c12a23b2",
-    "random": "b782791779efd101f6cf7153917c49ff6cbcf7ea6038bd18c320be4f813cf08e",
-    "delta4-k5": "0efdc1c2f98bc70a7f8f9be6982d05d7bd56809c727c03bb86913cc4232c3547",
+    "delta4": "e0b8206579afd0a6f08123e47a418a3ca758836ef55d03a1817d842c087e51b5",
+    "random": "896d5cee9976dd786445950a440703542baab806d9086596d9b7ff63125656ed",
+    "delta4-k5": "0ccb157db1bc51b32386fd531fc93da6e4afa0600ea587fefb4d68947ea7d1c1",
 }
 
 
@@ -874,8 +891,9 @@ RELABEL_DIGESTS = {
 def test_1pg_relabelled_texts_keep_their_outcomes(name):
     # Each seed relabels the drawing (a valid text, which must parse to the
     # relabelled drawing) and then makes one one-number edit of it.  The
-    # digest over the outcomes was taken with the earlier two-pass parser, so
-    # the relabelled drawings pin that both parsers read valid texts alike.
+    # digest over the outcomes was taken with the earlier parser that stored
+    # each dummy's recorded edge pair, so the relabelled drawings pin that
+    # both parsers read valid texts alike.
     text = write_drawing(MUTATION_DRAWINGS[name]())
     h = hashlib.sha256()
     for seed in range(200):

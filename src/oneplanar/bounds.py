@@ -339,7 +339,7 @@ def _three_consecutive_crossed(ledger: ChargeLedger) -> list[int]:
         k = len(rot)
         if k < 3:
             continue
-        flags = [gp.segments[x >> 1].eid in crossed for x in rot]
+        flags = [gp.seg_eid[x >> 1] in crossed for x in rot]
         for i in range(k):
             if flags[i] and flags[(i + 1) % k] and flags[(i + 2) % k]:
                 bad.append(tv)

@@ -9,11 +9,15 @@ on the face orbits of the rotation system.
 Conventions:
   * pvertices[p] is the real vertex id of pvertex p, or DUMMY for a
     crossing; a drawing's n_real counts its real pvertices;
-  * a crossing's two edges are the edges of the first two darts of its
-    rotation, which a valid dummy alternates a, b, a, b;
   * a dart is the int 2*sid + end: it leaves segment `sid = x >> 1` from
     its endpoint `end = x & 1`, so its reversal is x ^ 1 and darts sort
     like (sid, end); the `1pg` text writes it as `sid.end`;
+  * org[x] is the pvertex dart x leaves, and seg_eid[sid] the edge of
+    segment sid; a crossed edge's two segments are its halves, part 1 at
+    the edge's larger endpoint and part 0 at its smaller, and an uncrossed
+    edge's one segment is part 0: `seg_part` derives it, nothing stores it;
+  * a crossing's two edges are the edges of the first two darts of its
+    rotation, which a valid dummy alternates a, b, a, b;
   * rotations[p] lists, in cyclic order, the darts leaving p;
   * the face walk successor of a dart is the rotation successor of its
     reversal at the head vertex.
@@ -46,12 +50,6 @@ from .graph import Graph, header_counts
 DUMMY = -1  # the pvertex entry of a crossing
 
 
-class Segment(NamedTuple):
-    ends: tuple[int, int]  # pvertex ids
-    eid: int
-    part: int  # 0, or 1 for the second half of a crossed edge
-
-
 class _Planarization:
     """Lookups shared by the frozen drawing and its mutable builder."""
 
@@ -61,15 +59,17 @@ class _Planarization:
 
     @property
     def m_p(self) -> int:
-        return len(self.segments)
+        return len(self.seg_eid)
 
-    def origin(self, x: int) -> int:
-        return self.segments[x >> 1].ends[x & 1]
+    def seg_part(self, sid: int) -> int:
+        """1 for the half of a crossed edge at the edge's larger endpoint, else 0."""
+        ends = self.pvertices[self.org[2 * sid]], self.pvertices[self.org[2 * sid + 1]]
+        return int(DUMMY in ends and self.edges[self.seg_eid[sid]][1] in ends)
 
     def crossing_edges(self, pid: int) -> tuple[int, int]:
         """The two edges crossing at dummy pid, smaller id first."""
         rot = self.rotations[pid]
-        a, b = self.segments[rot[0] >> 1].eid, self.segments[rot[1] >> 1].eid
+        a, b = self.seg_eid[rot[0] >> 1], self.seg_eid[rot[1] >> 1]
         return (a, b) if a < b else (b, a)
 
 
@@ -77,7 +77,8 @@ class _Planarization:
 class OnePlanarDrawing(_Planarization):
     edges: tuple[tuple[int, int], ...]  # original edges, (u, v) with u < v
     pvertices: tuple[int, ...]  # real vertex id, or DUMMY
-    segments: tuple[Segment, ...]
+    org: tuple[int, ...]  # dart -> the pvertex it leaves
+    seg_eid: tuple[int, ...]  # segment -> its edge
     rotations: tuple[tuple[int, ...], ...]
 
     # -- lookups, computed once per drawing ---------------------------
@@ -93,11 +94,11 @@ class OnePlanarDrawing(_Planarization):
     @cached_property
     def edge_derivation(self) -> _EdgeDerivation:
         """Each edge as its segments make it (see `_derive_edges`)."""
-        return _derive_edges(self.pvertices, self.segments, len(self.edges))
+        return _derive_edges(self.pvertices, self.org, self.seg_eid, len(self.edges))
 
     @cached_property
     def crossed_eids(self) -> frozenset[int]:
-        return frozenset(eid for eid, sids in enumerate(self.edge_derivation.segments) if len(sids) == 2)
+        return frozenset(eid for eid, sids in enumerate(self.edge_derivation.sids) if len(sids) == 2)
 
     @cached_property
     def graph(self) -> Graph:
@@ -135,7 +136,7 @@ def corner_positions(d: _Planarization, face: Face) -> list[tuple[int, int]]:
     """(walk position, vid) for every real corner occurrence of `face`."""
     out = []
     for i, x in enumerate(face):
-        vid = d.pvertices[d.origin(x)]
+        vid = d.pvertices[d.org[x]]
         if vid != DUMMY:
             out.append((i, vid))
     return out
@@ -174,25 +175,28 @@ class ValidationReport:
 
 
 class _EdgeDerivation(NamedTuple):
-    segments: list[list[int]]  # edge id -> its segment ids
+    sids: list[list[int]]  # edge id -> its segment ids, a crossed edge's in part order
     edges: list[tuple[int, int] | None]  # the endpoints they join, None if they join none
     violations: list[str]
 
 
-def _derive_edges(pvertices: Sequence[int], segments: Sequence[Segment], n_edges: int) -> _EdgeDerivation:
+def _derive_edges(pvertices: Sequence[int], org: Sequence[int], seg_eid: Sequence[int], n_edges: int) -> _EdgeDerivation:
     """Each edge's segments and the real endpoints they join.
 
-    An uncrossed edge is one segment, part 0, between two real pvertices.
-    A crossed edge runs, as part 0, from its smaller endpoint to a dummy and
-    on, as part 1, to its larger endpoint.  The two real endpoints differ,
-    so no derived edge is a loop.
+    An uncrossed edge is one segment between two real pvertices.  A crossed
+    edge is two segments, one from each of its real endpoints to one dummy,
+    listed in part order: the half at its smaller endpoint first.  The two
+    real endpoints differ, so no derived edge is a loop.
     `parse_drawing` takes its edges from here and `validate` checks a
     drawing's edges against them.
     """
     n_p = len(pvertices)
     groups: list[list[int]] = [[] for _ in range(n_edges)]
+    if len(org) != 2 * len(seg_eid):
+        return _EdgeDerivation(groups, [], ["origin table size differs from two per segment"])
     bad: list[str] = []
-    for sid, ((a, b), eid, _) in enumerate(segments):
+    for sid, eid in enumerate(seg_eid):
+        a, b = org[2 * sid], org[2 * sid + 1]
         for p in (a, b):
             if not (0 <= p < n_p):
                 bad.append(f"segment {sid} endpoint {p} out of range")
@@ -208,62 +212,48 @@ def _derive_edges(pvertices: Sequence[int], segments: Sequence[Segment], n_edges
     edges: list[tuple[int, int] | None] = [None] * n_edges
     for eid, sids in enumerate(groups):
         if len(sids) == 1:
-            (a, b), _, part = segments[sids[0]]
-            u, v = pvertices[a], pvertices[b]
-            if part != 0:
-                bad.append(f"edge {eid} single segment has part {part}")
-            elif DUMMY in (u, v):
+            u, v = pvertices[org[2 * sids[0]]], pvertices[org[2 * sids[0] + 1]]
+            if DUMMY in (u, v):
                 bad.append(f"edge {eid} segment does not join two real vertices")
             elif u == v:
                 bad.append(f"edge {eid} is a loop")
             else:
                 edges[eid] = (u, v) if u < v else (v, u)
         elif len(sids) == 2:
-            s0, s1 = segments[sids[0]], segments[sids[1]]
-            if s0.part > s1.part:
-                s0, s1 = s1, s0
-            (a0, d0), (a1, d1) = s0.ends, s1.ends
-            # turn each segment to run real end -> dummy
-            if pvertices[a0] == DUMMY:
-                a0, d0 = d0, a0
-            if pvertices[a1] == DUMMY:
-                a1, d1 = d1, a1
+            # the dart of each segment that leaves its real end
+            x0, x1 = (2 * sid + (pvertices[org[2 * sid]] == DUMMY) for sid in sids)
+            (a0, d0), (a1, d1) = (org[x0], org[x0 ^ 1]), (org[x1], org[x1 ^ 1])
             u, v = pvertices[a0], pvertices[a1]
-            if (s0.part, s1.part) != (0, 1):
-                bad.append(f"edge {eid} segment parts are {[s0.part, s1.part]}, want [0, 1]")
-            elif d0 != d1 or pvertices[d0] != DUMMY or DUMMY in (u, v):
+            if d0 != d1 or pvertices[d0] != DUMMY or DUMMY in (u, v):
                 bad.append(f"edge {eid} segments do not share one dummy")
             elif u == v:
                 bad.append(f"edge {eid} is a loop")
-            elif u > v:
-                bad.append(f"edge {eid} part 0 is not at its smaller endpoint")
-            else:
+            elif u < v:
                 edges[eid] = (u, v)
+            else:
+                edges[eid] = (v, u)
+                sids.reverse()
         else:
             bad.append(f"edge {eid} has {len(sids)} segments, not 1 or 2")
     return _EdgeDerivation(groups, edges, bad)
 
 
-def _dart_origins(d: _Planarization) -> list[int]:
-    """The origin pvertex of every dart, indexed by dart."""
-    return [p for seg in d.segments for p in seg.ends]
-
-
-def _rotation_faults(d: OnePlanarDrawing, origin: list[int]) -> list[str]:
+def _rotation_faults(d: OnePlanarDrawing) -> list[str]:
     """Faults that stop a face walk: each dart must sit exactly once in the
     rotation at its origin."""
     if len(d.rotations) != d.n_p:
         return ["rotation table size differs from pvertex count"]
-    placed = [False] * len(origin)
+    org = d.org
+    placed = [False] * len(org)
     bad: set[int] = set()
     for p, rot in enumerate(d.rotations):
         for x in rot:
-            if 0 <= x < len(origin) and origin[x] == p and not placed[x]:
+            if 0 <= x < len(org) and org[x] == p and not placed[x]:
                 placed[x] = True
             else:
                 bad.add(p)
     if not all(placed):
-        bad.update(origin[x] for x, ok in enumerate(placed) if not ok)
+        bad.update(org[x] for x, ok in enumerate(placed) if not ok)
     return [
         f"rotation at pvertex {p} inconsistent with incident segments"
         for p in sorted(bad)
@@ -299,16 +289,16 @@ def _face_at(d: _Planarization, start: int) -> Face:
     walk = [start]
     while True:
         r = walk[-1] ^ 1
-        rot = d.rotations[d.origin(r)]
+        rot = d.rotations[d.org[r]]
         x = rot[(rot.index(r) + 1) % len(rot)]
         if x == start:
             return _canonical_walk(walk)
         walk.append(x)
 
 
-def _component_count(d: OnePlanarDrawing, origin: list[int]) -> int:
+def _component_count(d: OnePlanarDrawing) -> int:
     """The number of connected components of the planarization."""
-    seen = [False] * d.n_p
+    org, seen = d.org, [False] * d.n_p
     k = 0
     for start in range(d.n_p):
         if seen[start]:
@@ -318,7 +308,7 @@ def _component_count(d: OnePlanarDrawing, origin: list[int]) -> int:
         stack = [start]
         while stack:
             for x in d.rotations[stack.pop()]:
-                q = origin[x ^ 1]
+                q = org[x ^ 1]
                 if not seen[q]:
                     seen[q] = True
                     stack.append(q)
@@ -357,8 +347,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         for eid, e in enumerate(derived.edges)
         if e is not None and e != d.edges[eid]
     )
-    origin = _dart_origins(d)
-    bad.extend(_rotation_faults(d, origin))
+    bad.extend(_rotation_faults(d))
     if bad:
         return ValidationReport(tuple(bad))
 
@@ -370,7 +359,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         if len(rot) != 4:
             bad.append(f"dummy {pid} degree != 4")
             continue
-        eids = [d.segments[x >> 1].eid for x in rot]
+        eids = [d.seg_eid[x >> 1] for x in rot]
         if eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
             bad.append(f"dummy {pid} rotation does not alternate (a,b,a,b)")
     if bad:
@@ -380,7 +369,7 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     # isolated pvertex (no faces) has 1, so all are planar iff the sums
     # reach 2 per component less 1 per isolated pvertex
     orbits = _face_orbits(d)
-    k = _component_count(d, origin)
+    k = _component_count(d)
     planar = 2 * k - sum(1 for rot in d.rotations if not rot)
     if d.n_p - d.m_p + len(orbits) != planar:
         bad.append(f"fails Euler: n={d.n_p} m={d.m_p} f={len(orbits)} in {k} components, want n - m + f = {planar}")
@@ -407,8 +396,8 @@ def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
         if len(face) != 2:
             continue
         # a segment walked twice (a bridge) or two halves of one edge are no bigon
-        s0, s1 = (d.segments[x >> 1] for x in face)
-        if s0.eid != s1.eid and d.edges[s0.eid] == d.edges[s1.eid]:
+        e0, e1 = (d.seg_eid[x >> 1] for x in face)
+        if e0 != e1 and d.edges[e0] == d.edges[e1]:
             out.append(face)
     return out
 
@@ -434,21 +423,22 @@ class _Builder(_Planarization):
     """
 
     def __init__(self, d: OnePlanarDrawing):
-        self._load(list(d.edges), list(d.pvertices), list(d.segments), [list(r) for r in d.rotations])
+        self._load(list(d.edges), list(d.pvertices), list(d.org), list(d.seg_eid), [list(r) for r in d.rotations])
         # a drawing that already has parallel edges may gain more
         self.multi_allowed = len(self.eid_of) != len(self.edges)
 
-    def _load(self, edges, pvertices, segments, rotations) -> None:
+    def _load(self, edges, pvertices, org, seg_eid, rotations) -> None:
         self.edges: list[tuple[int, int]] = edges
         self.pvertices: list[int] = pvertices
-        self.segments: list[Segment] = segments
+        self.org: list[int] = org
+        self.seg_eid: list[int] = seg_eid
         self.rotations: list[list[int]] = rotations
         self.real_pid = {vid: pid for pid, vid in enumerate(pvertices) if vid != DUMMY}
         # reversed, so that the first of several parallel copies wins
         self.eid_of = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
         self.edge_sids: list[list[int]] = [[] for _ in edges]
-        for sid, seg in enumerate(segments):
-            self.edge_sids[seg.eid].append(sid)
+        for sid, eid in enumerate(seg_eid):
+            self.edge_sids[eid].append(sid)
 
     @property
     def n_real(self) -> int:
@@ -458,7 +448,8 @@ class _Builder(_Planarization):
         return OnePlanarDrawing(
             edges=tuple(self.edges),
             pvertices=tuple(self.pvertices),
-            segments=tuple(self.segments),
+            org=tuple(self.org),
+            seg_eid=tuple(self.seg_eid),
             rotations=tuple(tuple(r) for r in self.rotations),
         )
 
@@ -482,10 +473,11 @@ class _Builder(_Planarization):
             self.real_pid[vid] = pid
         return pid
 
-    def new_segment(self, ends: tuple[int, int], eid: int, part: int) -> int:
-        self.segments.append(Segment(ends, eid, part))
-        self.edge_sids[eid].append(len(self.segments) - 1)
-        return len(self.segments) - 1
+    def new_segment(self, a: int, b: int, eid: int) -> int:
+        self.org += (a, b)
+        self.seg_eid.append(eid)
+        self.edge_sids[eid].append(len(self.seg_eid) - 1)
+        return len(self.seg_eid) - 1
 
     def insert_before(self, pid: int, anchor: int, new: int) -> None:
         """Insert `new` into the rotation at pid, directly before `anchor`."""
@@ -513,14 +505,14 @@ class _Builder(_Planarization):
             if not (0 <= i < len(face) and 0 <= j < len(face)):
                 raise NotOnFace(f"occurrence positions ({i},{j}) are off a walk of length {len(face)}")
             pid_u, pid_v = self.real_pid.get(u), self.real_pid.get(v)
-            if self.origin(face[i]) != pid_u or self.origin(face[j]) != pid_v:
+            if self.org[face[i]] != pid_u or self.org[face[j]] != pid_v:
                 raise NotOnFace("occurrence positions do not match the given vertices")
         k = len(face)
         if (j - i) % k == 1 or (i - j) % k == 1:
             raise WouldCreateBigon(f"chord ({u},{v}) duplicates a face side")
         eid = self.new_edge(u, v)
-        pu, pv = self.origin(face[i]), self.origin(face[j])
-        sid = self.new_segment((pu, pv), eid, 0)
+        pu, pv = self.org[face[i]], self.org[face[j]]
+        sid = self.new_segment(pu, pv, eid)
         self.insert_before(pu, face[i], 2 * sid)
         self.insert_before(pv, face[j], 2 * sid + 1)
         return _face_at(self, 2 * sid), _face_at(self, 2 * sid + 1)
@@ -542,8 +534,8 @@ class _Builder(_Planarization):
         spoke_darts: list[int] = []
         for pos, vid in pairs:
             eid = self.new_edge(vid, z)
-            pu = self.origin(face[pos])
-            sid = self.new_segment((pu, pz), eid, 0)
+            pu = self.org[face[pos]]
+            sid = self.new_segment(pu, pz, eid)
             self.insert_before(pu, face[pos], 2 * sid)
             spoke_darts.append(2 * sid + 1)
         self.rotations[pz] = spoke_darts[::-1]
@@ -568,13 +560,12 @@ class _Builder(_Planarization):
             raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
         new_eid = self.new_edge(u, v)
 
-        # split the crossed segment at a fresh dummy
-        pa, pb = self.segments[sid_c].ends
+        # split the crossed segment pa -> pb at a fresh dummy pD: it now ends
+        # at pD, and a new segment runs on from pD to pb
+        pb = self.org[2 * sid_c + 1]
         pD = self.new_pvertex(DUMMY)
-        # part 0 of the crossed edge keeps the smaller original endpoint
-        part_a = 0 if pa == self.real_pid[self.edges[cross_eid][0]] else 1
-        self.segments[sid_c] = Segment((pa, pD), cross_eid, part_a)
-        sid_c2 = self.new_segment((pD, pb), cross_eid, 1 - part_a)
+        self.org[2 * sid_c + 1] = pD
+        sid_c2 = self.new_segment(pD, pb, cross_eid)
         # splice: at pb the old dart is renamed to the new segment
         rot_b = self.rotations[pb]
         rot_b[rot_b.index(2 * sid_c + 1)] = 2 * sid_c2 + 1
@@ -583,17 +574,13 @@ class _Builder(_Planarization):
         # the old faces now run through pD; each piece is attached on its own side:
         # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side
         # runs pb -> pD -> pa and leaves pD by 2*sid_c + 1
-        part_u = 0 if u <= v else 1
-        for vert, through, corner, part in (
-            (u, 2 * sid_c, 2 * sid_c2, part_u),
-            (v, 2 * sid_c2 + 1, 2 * sid_c + 1, 1 - part_u),
-        ):
+        for vert, through, corner in ((u, 2 * sid_c, 2 * sid_c2), (v, 2 * sid_c2 + 1, 2 * sid_c + 1)):
             walk = _face_at(self, through)
             pos_v = _walk_positions(self, walk, vert)
             if not pos_v:
                 raise NotOnFace(f"vertex {vert} lost sight of the crossing")
             p_vert = self.real_pid[vert]
-            sid = self.new_segment((p_vert, pD), new_eid, part)
+            sid = self.new_segment(p_vert, pD, new_eid)
             self.insert_before(p_vert, walk[pos_v[0]], 2 * sid)
             self.insert_before(pD, corner, 2 * sid + 1)
 
@@ -617,30 +604,32 @@ class _Builder(_Planarization):
         new_pid = {pid: i for i, pid in enumerate(p for p in range(len(self.pvertices)) if p not in dead)}
 
         # segments edge by edge, part 0 first; a dart maps to its new id
-        segments: list[Segment] = []
-        new_dart = [-1] * (2 * len(self.segments))
+        org: list[int] = []
+        seg_eid: list[int] = []
+        new_dart = [-1] * len(self.org)
         for eid in kept:
             sids = self.edge_sids[eid]
             if eid in merged:
                 pu, pv = (self.real_pid[vid] for vid in self.edges[eid])
                 for sid in sids:
-                    for end, p in enumerate(self.segments[sid].ends):
-                        if p not in dead:
-                            new_dart[2 * sid + end] = 2 * len(segments) + (p == pv)
-                segments.append(Segment((new_pid[pu], new_pid[pv]), new_eid[eid], 0))
+                    for x in (2 * sid, 2 * sid + 1):
+                        if self.org[x] not in dead:
+                            new_dart[x] = len(org) + (self.org[x] == pv)
+                org += (new_pid[pu], new_pid[pv])
+                seg_eid.append(new_eid[eid])
                 continue
-            if len(sids) == 2 and self.segments[sids[0]].part:
+            if len(sids) == 2 and self.seg_part(sids[0]):
                 sids = sids[::-1]
             for sid in sids:
-                (a, b), _, part = self.segments[sid]
-                new_dart[2 * sid] = 2 * len(segments)
-                new_dart[2 * sid + 1] = 2 * len(segments) + 1
-                segments.append(Segment((new_pid[a], new_pid[b]), new_eid[eid], part))
+                new_dart[2 * sid], new_dart[2 * sid + 1] = len(org), len(org) + 1
+                org += (new_pid[self.org[2 * sid]], new_pid[self.org[2 * sid + 1]])
+                seg_eid.append(new_eid[eid])
 
         self._load(
             [self.edges[eid] for eid in kept],
             [vid for pid, vid in enumerate(self.pvertices) if pid not in dead],
-            segments,
+            org,
+            seg_eid,
             [
                 [y for x in rot if (y := new_dart[x]) >= 0]
                 for pid, rot in enumerate(self.rotations)
@@ -705,7 +694,8 @@ def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDraw
     return OnePlanarDrawing(
         edges=tuple(edges),
         pvertices=tuple(range(n)),
-        segments=tuple(Segment(e, eid, 0) for eid, e in enumerate(edges)),
+        org=tuple([p for e in edges for p in e]),
+        seg_eid=tuple(range(len(edges))),
         rotations=tuple(rotations),
     )
 
@@ -722,8 +712,8 @@ def write_drawing(d: OnePlanarDrawing) -> str:
         else:
             a, b = d.crossing_edges(pid)
             lines.append(f"pv {pid} dummy {a} {b}")
-    for sid, seg in enumerate(d.segments):
-        lines.append(f"seg {sid} {seg.ends[0]} {seg.ends[1]} {seg.eid} {seg.part}")
+    for sid, eid in enumerate(d.seg_eid):
+        lines.append(f"seg {sid} {d.org[2 * sid]} {d.org[2 * sid + 1]} {eid} {d.seg_part(sid)}")
     for pid, rot in enumerate(d.rotations):
         lines.append(f"rot {pid}: {_darts_text(_canonical_walk(rot))}".rstrip())
     return "\n".join(lines) + "\n"
@@ -738,17 +728,20 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     if len(lines) - 1 < n_p + n_seg:
         raise ParseError(f"header counts {n_p} pvertices and {n_seg} segments, text has fewer records")
     pvs: list[int | None] = [None] * n_p
-    segs: list[Segment | None] = [None] * n_seg
+    seg_eid: list[int | None] = [None] * n_seg
+    org = [0] * (2 * n_seg)
     rots: list[tuple[int, ...] | None] = [None] * n_p
-    # the edge pair each dummy record names, checked against its rotation
+    # each dummy's edge pair and each segment's part, checked against the drawing
     named: dict[int, tuple[int, int]] = {}
+    stated = [0] * n_seg
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
         try:
             if kind == "seg":
                 _, sid, a, b, eid, part = parts
-                slots, i, record = segs, int(sid), Segment((int(a), int(b)), int(eid), int(part))
+                slots, i, record = seg_eid, int(sid), int(eid)
+                a, b, part = int(a), int(b), int(part)
             elif kind == "rot":
                 _, tag, *tokens = parts
                 if tag[-1:] != ":":
@@ -777,22 +770,25 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
         if slots[i] is not None:
             raise ParseError(f"repeated {kind} record: {ln!r}")
         slots[i] = record
-    if None in pvs or None in segs:
+        if kind == "seg":
+            org[2 * i], org[2 * i + 1], stated[i] = a, b, part
+    if None in pvs or None in seg_eid:
         raise ParseError("record ids disagree with header counts")
     if len(named) != n_dummy:
         raise ParseError(f"header counts {n_real} real vertices, text has {n_p - len(named)}")
 
     # edge ids are dense, so there are at most as many edges as segments
-    n_edges = 1 + max((seg.eid for seg in segs), default=-1)
+    n_edges = 1 + max(seg_eid, default=-1)
     if n_edges > n_seg:
         raise ParseError("edge ids are not dense")
-    derived = _derive_edges(pvs, segs, n_edges)
+    derived = _derive_edges(pvs, org, seg_eid, n_edges)
     if derived.violations:
         raise ParseError("invalid drawing: " + "; ".join(derived.violations))
     d = OnePlanarDrawing(
         edges=tuple(derived.edges),
         pvertices=tuple(pvs),
-        segments=tuple(segs),
+        org=tuple(org),
+        seg_eid=tuple(seg_eid),
         rotations=tuple([r or () for r in rots]),
     )
     d.__dict__["edge_derivation"] = derived
@@ -803,4 +799,10 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     for pid, (a, b) in named.items():
         if (a, b) != (want := d.crossing_edges(pid)):
             raise ParseError(f"pv {pid} dummy {a} {b}: its rotation makes it dummy {want[0]} {want[1]}")
+    # the derivation lists a crossed edge's halves in part order
+    for sids in derived.sids:
+        for want, sid in enumerate(sids):
+            if stated[sid] != want:
+                record = f"seg {sid} {org[2 * sid]} {org[2 * sid + 1]} {seg_eid[sid]} {stated[sid]}"
+                raise ParseError(f"{record}: its edge makes it part {want}")
     return d

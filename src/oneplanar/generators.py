@@ -25,7 +25,6 @@ from .embedding import (
     DUMMY,
     Face,
     OnePlanarDrawing,
-    Segment,
     _Builder,
     _face_at,
     _face_orbits,
@@ -300,11 +299,8 @@ def _hub_family(name: str, block: OnePlanarDrawing, g: int, delta: int) -> Famil
         pvertices=block.pvertices[:1] + tuple([
             DUMMY if vid == DUMMY else vid + k * nv for k in range(g) for vid in block.pvertices[1:]
         ]),
-        segments=tuple([
-            Segment((a and a + k * npv, b and b + k * npv), eid + k * ne, part)
-            for k in range(g)
-            for (a, b), eid, part in block.segments
-        ]),
+        org=tuple([p and p + k * npv for k in range(g) for p in block.org]),
+        seg_eid=tuple([eid + k * ne for k in range(g) for eid in block.seg_eid]),
         rotations=(tuple([x + 2 * k * ns for k in range(g - 1, -1, -1) for x in block.rotations[0]]),)
         + tuple([tuple([x + 2 * k * ns for x in rot]) for k in range(g) for rot in block.rotations[1:]]),
     )

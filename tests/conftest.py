@@ -45,6 +45,18 @@ def edit(d: OnePlanarDrawing, surgery: str, *args) -> OnePlanarDrawing:
     return b.freeze()
 
 
+def hand_built(edges, pvertices, segments, rotations) -> OnePlanarDrawing:
+    """A drawing built directly from its tables; each segment is an
+    (a, b, eid) triple, running from pvertex a to pvertex b on edge eid."""
+    return OnePlanarDrawing(
+        edges=tuple(edges),
+        pvertices=tuple(pvertices),
+        org=tuple([p for a, b, _ in segments for p in (a, b)]),
+        seg_eid=tuple([eid for _, _, eid in segments]),
+        rotations=tuple(rotations),
+    )
+
+
 def c4_drawing() -> OnePlanarDrawing:
     return drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]])
 

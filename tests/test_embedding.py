@@ -9,7 +9,6 @@ import pytest
 from oneplanar.embedding import (
     DUMMY,
     OnePlanarDrawing,
-    Segment,
     corner_positions,
     crossing_weighted_degree,
     drawing_from_faces,
@@ -46,7 +45,7 @@ from oneplanar.generators import (
 )
 from oneplanar.rng import SplitMix64
 
-from conftest import c4_drawing, corpus_params, edit, k4_drawing
+from conftest import c4_drawing, corpus_params, edit, hand_built, k4_drawing
 
 
 HEXAGON = [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]
@@ -64,19 +63,14 @@ def k33_one_crossing():
 def doubled_edge_drawing():
     """Triangle-ish multigraph: vertices 0,1,2; edge (0,1) doubled, plus
     (0,2) and (1,2).  The two parallel arcs bound one lens face."""
-    segs = (
-        Segment((0, 1), 0, 0),  # s0: first copy
-        Segment((0, 1), 1, 0),  # s1: second copy
-        Segment((0, 2), 2, 0),  # s2
-        Segment((1, 2), 3, 0),  # s3
-    )
-    rotations = ((2, 0, 4), (1, 3, 6), (7, 5))  # dart 2*sid + end
-    return OnePlanarDrawing(
-        edges=((0, 1), (0, 1), (0, 2), (1, 2)),
-        pvertices=(0, 1, 2),
-        segments=segs,
-        rotations=rotations,
-    )
+    segs = [
+        (0, 1, 0),  # s0: first copy
+        (0, 1, 1),  # s1: second copy
+        (0, 2, 2),  # s2
+        (1, 2, 3),  # s3
+    ]
+    rotations = [(2, 0, 4), (1, 3, 6), (7, 5)]  # dart 2*sid + end
+    return hand_built([(0, 1), (0, 1), (0, 2), (1, 2)], [0, 1, 2], segs, rotations)
 
 
 def test_c4_is_valid_with_two_faces():
@@ -93,15 +87,8 @@ def test_k4_has_four_triangular_faces():
 
 def test_dummy_degree_violation_is_reported():
     # a dummy with only 3 incident segment-ends
-    d = OnePlanarDrawing(
-        edges=((0, 1), (0, 2)),
-        pvertices=(0, 1, 2, DUMMY),
-        segments=(
-            Segment((0, 3), 0, 0),
-            Segment((3, 1), 0, 1),
-            Segment((0, 2), 1, 0),
-        ),
-        rotations=((0, 4), (3,), (5,), (1, 2)),
+    d = hand_built(
+        [(0, 1), (0, 2)], [0, 1, 2, DUMMY], [(0, 3, 0), (3, 1, 0), (0, 2, 1)], [(0, 4), (3,), (5,), (1, 2)]
     )
     report = validate(d)
     assert not report.valid
@@ -113,16 +100,11 @@ def test_dummy_rotation_must_alternate():
     # face is a bigon whatever the order at the dummy, so only that order
     # can make the drawing invalid
     def star(dummy_rotation):
-        return OnePlanarDrawing(
-            edges=((0, 2), (1, 3)),
-            pvertices=(0, 1, 2, 3, DUMMY),
-            segments=(
-                Segment((0, 4), 0, 0),
-                Segment((4, 2), 0, 1),
-                Segment((1, 4), 1, 0),
-                Segment((4, 3), 1, 1),
-            ),
-            rotations=((0,), (4,), (3,), (7,), dummy_rotation),
+        return hand_built(
+            [(0, 2), (1, 3)],
+            [0, 1, 2, 3, DUMMY],
+            [(0, 4, 0), (4, 2, 0), (1, 4, 1), (4, 3, 1)],
+            [(0,), (4,), (3,), (7,), dummy_rotation],
         )
 
     assert validate(star((1, 5, 2, 6))).valid
@@ -168,16 +150,11 @@ def test_crossed_eids_count_dummies():
 
 def test_single_crossing_pair_drawing():
     # two edges on four vertices crossing once: everything is crossed
-    d = OnePlanarDrawing(
-        edges=((0, 2), (1, 3)),
-        pvertices=(0, 1, 2, 3, DUMMY),
-        segments=(
-            Segment((0, 4), 0, 0),
-            Segment((4, 2), 0, 1),
-            Segment((1, 4), 1, 0),
-            Segment((4, 3), 1, 1),
-        ),
-        rotations=((0,), (4,), (3,), (7,), (1, 5, 2, 6)),
+    d = hand_built(
+        [(0, 2), (1, 3)],
+        [0, 1, 2, 3, DUMMY],
+        [(0, 4, 0), (4, 2, 0), (1, 4, 1), (4, 3, 1)],
+        [(0,), (4,), (3,), (7,), (1, 5, 2, 6)],
     )
     assert validate(d).valid
     assert d.crossed_eids == {0, 1}
@@ -189,21 +166,8 @@ def test_crossed_edge_part_0_starts_at_its_smaller_endpoint():
     text = write_drawing(k33_one_crossing())
     swapped = text.replace("seg 0 0 6 0 0\n", "seg 0 0 6 0 1\n").replace("seg 8 6 3 0 1\n", "seg 8 6 3 0 0\n")
     assert swapped != text
-    with pytest.raises(ParseError, match="part 0"):
+    with pytest.raises(ParseError, match="^seg 0 0 6 0 1: its edge makes it part 0$"):
         parse_drawing(swapped)
-    # the same, hand-built with the edge written from its part-0 end
-    d = OnePlanarDrawing(
-        edges=((2, 0), (1, 3)),
-        pvertices=(0, 1, 2, 3, DUMMY),
-        segments=(
-            Segment((0, 4), 0, 1),
-            Segment((4, 2), 0, 0),
-            Segment((1, 4), 1, 0),
-            Segment((4, 3), 1, 1),
-        ),
-        rotations=((0,), (4,), (3,), (7,), (1, 5, 2, 6)),
-    )
-    assert not validate(d).valid
 
 
 # edge 0 crosses edge 1 at dummy 3, leaving and re-entering real vertex 0:
@@ -219,16 +183,11 @@ def test_crossed_edge_back_to_its_start_is_a_loop():
     with pytest.raises(ParseError, match="edge 0 is a loop"):
         parse_drawing(LOOP_1PG)
     # the same, hand-built
-    d = OnePlanarDrawing(
-        edges=((0, 0), (1, 2)),
-        pvertices=(0, 1, 2, DUMMY),
-        segments=(
-            Segment((0, 3), 0, 0),
-            Segment((3, 0), 0, 1),
-            Segment((1, 3), 1, 0),
-            Segment((3, 2), 1, 1),
-        ),
-        rotations=((0, 3), (4,), (7,), (1, 5, 2, 6)),
+    d = hand_built(
+        [(0, 0), (1, 2)],
+        [0, 1, 2, DUMMY],
+        [(0, 3, 0), (3, 0, 0), (1, 3, 1), (3, 2, 1)],
+        [(0, 3), (4,), (7,), (1, 5, 2, 6)],
     )
     assert "edge 0 is a loop" in validate(d).violations
 
@@ -508,6 +467,8 @@ def test_builder_surgeries_return_the_faces_they_create(make):
 
 def test_faces_partition_every_dart():
     d = random_oneplanar(8, 2, 3)
+    segs = [(d.org[2 * sid], d.org[2 * sid + 1], eid) for sid, eid in enumerate(d.seg_eid)]
+    assert hand_built(d.edges, d.pvertices, segs, d.rotations) == d
     fs = _require_valid(d).faces
     seen = [x for f in fs for x in f]
     assert len(seen) == 2 * d.m_p
@@ -516,15 +477,12 @@ def test_faces_partition_every_dart():
 
 def test_two_component_drawing_is_valid_with_four_faces():
     tri = drawing_from_faces(3, [[0, 1, 2], [2, 1, 0]])
-    two = OnePlanarDrawing(
-        edges=tri.edges + tuple((u + 3, v + 3) for u, v in tri.edges),
-        pvertices=tri.pvertices + tuple(vid + 3 for vid in tri.pvertices),
-        segments=tri.segments
-        + tuple(
-            Segment((a + 3, b + 3), eid + 3, 0) for (a, b), eid, _ in tri.segments
-        ),
-        rotations=tri.rotations
-        + tuple(tuple(x + 6 for x in rot) for rot in tri.rotations),
+    # two copies of the triangle, each segment on the edge with its id
+    two = hand_built(
+        [(u + k, v + k) for k in (0, 3) for u, v in tri.edges],
+        [vid + k for k in (0, 3) for vid in tri.pvertices],
+        [(u + k, v + k, eid + k) for k in (0, 3) for eid, (u, v) in enumerate(tri.edges)],
+        [tuple(x + 2 * k for x in rot) for k in (0, 3) for rot in tri.rotations],
     )
     # Euler holds per component: each triangle has two faces
     assert len(_require_valid(two).faces) == 4
@@ -592,9 +550,9 @@ def test_corpus_drawings_are_valid(n, x, seed):
 
 def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
     """d with exactly one field corrupted: a pvertex id (which turns a real
-    vertex into DUMMY and back), a segment end, edge id or part, a swap or
-    replacement within one rotation, or an edge endpoint.  New values come
-    from [-1, bound] minus the old."""
+    vertex into DUMMY and back), a dart's origin or a segment's edge id, a
+    swap or replacement within one rotation, or an edge endpoint.  New
+    values come from [-1, bound] minus the old."""
 
     def other(x: int, bound: int) -> int:
         choices = [y for y in range(-1, bound + 1) if y != x]
@@ -608,15 +566,11 @@ def _one_field_mutant(d: OnePlanarDrawing, rng: SplitMix64) -> OnePlanarDrawing:
         pid = rng.below(d.n_p)
         return dataclasses.replace(d, pvertices=put(d.pvertices, pid, other(d.pvertices[pid], d.n_real)))
     if kind == 1:
-        sid = rng.below(d.m_p)
-        (a, b), eid, part = d.segments[sid]
-        seg = [
-            Segment((other(a, d.n_p), b), eid, part),
-            Segment((a, other(b, d.n_p)), eid, part),
-            Segment((a, b), other(eid, len(d.edges)), part),
-            Segment((a, b), eid, other(part, 2)),
-        ][rng.below(4)]
-        return dataclasses.replace(d, segments=put(d.segments, sid, seg))
+        sid, field = rng.below(d.m_p), rng.below(3)
+        if field < 2:
+            x = 2 * sid + field
+            return dataclasses.replace(d, org=put(d.org, x, other(d.org[x], d.n_p)))
+        return dataclasses.replace(d, seg_eid=put(d.seg_eid, sid, other(d.seg_eid[sid], len(d.edges))))
     if kind == 2:
         pid = rng.below(d.n_p)
         rot = list(d.rotations[pid])
@@ -770,14 +724,18 @@ def test_1pg_parse_rejects_garbage():
 
 
 # (edit of k33_one_crossing's text, the parse error it makes): a dummy record
-# names the two edges its rotation crosses, smaller first, and the header's
-# n_real counts the real records
+# names the two edges its rotation crosses, smaller first, a seg record's part
+# is 1 exactly for a crossed edge's half at its larger endpoint, and the
+# header's n_real counts the real records
 K33_RECORD_EDITS = {
     "dummy-names-an-edge-it-does-not-cross": (
         ("pv 6 dummy 0 8\n", "pv 6 dummy 0 7\n"), "pv 6 dummy 0 7: its rotation makes it dummy 0 8"
     ),
     "dummy-pair-unsorted": (("pv 6 dummy 0 8\n", "pv 6 dummy 8 0\n"), "pv 6 dummy 8 0: its rotation makes it dummy 0 8"),
     "header-n-real": (("1pg 6 1 11\n", "1pg 7 0 11\n"), "header counts 7 real vertices, text has 6"),
+    # edge 8 = (2, 5) runs 2 -> dummy 6 (seg 9) -> 5 (seg 10)
+    "crossed-half-part-flipped": (("seg 10 5 6 8 1\n", "seg 10 5 6 8 0\n"), "seg 10 5 6 8 0: its edge makes it part 1"),
+    "uncrossed-segment-part-1": (("seg 4 1 4 4 0\n", "seg 4 1 4 4 1\n"), "seg 4 1 4 4 1: its edge makes it part 0"),
 }
 
 
@@ -798,6 +756,15 @@ def test_1pg_records_must_agree_with_the_drawing(case, tmp_path, capsys):
 def test_rotation_table_must_cover_every_pvertex():
     d = dataclasses.replace(c4_drawing(), rotations=c4_drawing().rotations[:-1])
     assert validate(d).violations == ("rotation table size differs from pvertex count",)
+
+
+def test_origin_table_must_have_two_entries_per_segment():
+    d = dataclasses.replace(c4_drawing(), org=c4_drawing().org[:-1])
+    # the last dart lost its origin, so its pvertex's rotation no longer fits
+    assert validate(d).violations == (
+        "origin table size differs from two per segment",
+        "rotation at pvertex 3 inconsistent with incident segments",
+    )
 
 
 def _one_number_edit(text: str, seed: int) -> str:

@@ -19,9 +19,10 @@ import hashlib
 import pytest
 from conftest import greedy_independent_t
 
-from oneplanar.bounds import charging_run, write_ledger
+from oneplanar import bounds
+from oneplanar.bounds import ChargeLedger, charging_run, write_ledger
 from oneplanar.cli import main
-from oneplanar.embedding import OnePlanarDrawing, drawing_from_faces, write_drawing
+from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces, write_drawing
 from oneplanar.generators import family_delta3, random_oneplanar
 from oneplanar.graph import parse_graph
 from oneplanar.rng import SplitMix64
@@ -154,6 +155,15 @@ def test_generate_golden(tmp_path, capsys, argv):
     assert generate_digest(tmp_path, argv) == GENERATE[argv]
 
 
+def ledger_drawings_digest(ledger: ChargeLedger) -> str:
+    """sha256 over the `1pg` texts of a ledger's base, gamma_prime and final
+    drawings, each followed by a NUL."""
+    h = hashlib.sha256()
+    for d in (ledger.base, ledger.gamma_prime, ledger.final):
+        h.update(write_drawing(d).encode() + b"\0")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(CHARGE, key=str), ids=str)
 def test_charge_ledger_golden(tmp_path, capsys, key):
     stem, order_seed = key
@@ -165,6 +175,33 @@ def test_charge_ledger_greedy_s_golden(tmp_path, capsys, key):
     stem, order_seed = key
     digest = ledger_digest(tmp_path, capsys, stem, order_seed, greedy_s=True)
     assert digest == CHARGE_GREEDY_S[key]
+
+
+# (stem, order seed, S from the greedy T) -> `ledger_drawings_digest` of the
+# ledger behind each `check charge` digest above; the drawings' texts pin the
+# builder's renumbering of segments after a deletion, which the ledger dump
+# does not show
+CHARGE_DRAWINGS = {
+    ('delta3-s6', 7, False): "b26e97ff104221094ba378fb97974bd687cd563ea565fa3798b1351fda247432",
+    ('delta3-s6', None, False): "b26e97ff104221094ba378fb97974bd687cd563ea565fa3798b1351fda247432",
+    ('delta3-s7', 11, True): "afeec2585d873660b79d1a9a030a5b9ea5012a1dacd6fc98beb57cf9d23e1bf7",
+    ('delta3-s7', 7, True): "53c17697d4122921613fe9c1180478413672ccb69ebc3efe91a8a7284aff5804",
+    ('delta3-s7', None, True): "a652b5c57509857b2aa5c677b6e35e863642937b8ab2da4d6b3a2d55bfebd443",
+    ('random-n16-x3-seed5', 11, False): "a70a245b68e3f7978885299e67f92f60935039eabdb3c9b152636c8bf5b0b9ab",
+    ('random-n16-x3-seed5', 7, False): "c49d95b6ceccd59842be3ea6e0912949a3a40638b1216917b205d11ab80ca94f",
+    ('random-n16-x3-seed5', None, False): "a35bb9fd5d86ab14aebe8399a9c1e6959ad6b1943c2c7238c210177feea00575",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHARGE_DRAWINGS, key=str), ids=str)
+def test_charge_ledger_drawings_golden(tmp_path, capsys, monkeypatch, key):
+    stem, order_seed, greedy_s = key
+    ledgers = []
+    run = bounds.charging_run
+    monkeypatch.setattr(bounds, "charging_run", lambda *args, **kw: ledgers.append(run(*args, **kw)) or ledgers[-1])
+    ledger_digest(tmp_path, capsys, stem, order_seed, greedy_s)
+    (ledger,) = ledgers
+    assert ledger_drawings_digest(ledger) == CHARGE_DRAWINGS[key]
 
 
 def solve_digest(tmp_path, capsys, stem: str, mode: str) -> str:
@@ -311,3 +348,87 @@ def charging_digest(monkeypatch, key: tuple, order_seed: int | None) -> tuple[st
 def test_charging_run_golden(monkeypatch, key):
     got = {seed: charging_digest(monkeypatch, key, seed) for seed in ORDER_SEEDS}
     assert got == CHARGING_RUNS[key]
+
+
+# input -> {order seed: `ledger_drawings_digest`} of the charging runs above
+CHARGING_RUN_DRAWINGS = {
+    ('delta3', 12): {
+        None: "4f0acee388c31be9644ef3a2acd80a84b8bbd8e637248cafd6c24ab1fae407c1",
+        7: "4f0acee388c31be9644ef3a2acd80a84b8bbd8e637248cafd6c24ab1fae407c1",
+        11: "4f0acee388c31be9644ef3a2acd80a84b8bbd8e637248cafd6c24ab1fae407c1",
+        123: "4f0acee388c31be9644ef3a2acd80a84b8bbd8e637248cafd6c24ab1fae407c1",
+    },
+    ('delta3', 24): {
+        None: "34c8f2579b1f20ecee643071078bc50f3832b29d15fc5614e918c412f127ce30",
+        7: "34c8f2579b1f20ecee643071078bc50f3832b29d15fc5614e918c412f127ce30",
+        11: "34c8f2579b1f20ecee643071078bc50f3832b29d15fc5614e918c412f127ce30",
+        123: "34c8f2579b1f20ecee643071078bc50f3832b29d15fc5614e918c412f127ce30",
+    },
+    ('delta3', 48): {
+        None: "6d33033440e53c6b50fd20ffb75d6c1b572fb11023ea32fd2ebe3bad26730068",
+        7: "6d33033440e53c6b50fd20ffb75d6c1b572fb11023ea32fd2ebe3bad26730068",
+        11: "6d33033440e53c6b50fd20ffb75d6c1b572fb11023ea32fd2ebe3bad26730068",
+        123: "6d33033440e53c6b50fd20ffb75d6c1b572fb11023ea32fd2ebe3bad26730068",
+    },
+    ('random', 137, 1): {
+        None: "e61487550edc638a66dfc3bfa09dd64fc61606923ce461552406bbc7f180c26c",
+        7: "e8764e9304ecdfd311a7192efaef09922e9762d71e4dbc25b1e6cd5f0716d714",
+        11: "44b4fbb998a729f0d222120eef2d65e3c4a56cb5508acfb8957a72fc80bcaf5a",
+        123: "25faf6f69e4221c9c5caaabdc6eb3e3747f7d97b532e069c42a46117d2651af0",
+    },
+    ('random', 137, 2): {
+        None: "c99fc2966b327c6c7a8f8928ada4db6118bd361afbfcf995a4fdb17573476154",
+        7: "c37a6dbceb61c730e55e68204430ac4262d4649ce8eae6d0f49db83b0d43013d",
+        11: "bc88898c404a502bafc5caea84aacbdcbdd4e99e795ce05089c4b355440b90ce",
+        123: "a4df0a784835f35b797dd277e812cfb029bea89bcf052f9712cde8f6d55df07f",
+    },
+    ('random', 275, 1): {
+        None: "52544d0aed88551caeb86a04f93f3678dd11a49661505ac420399b7df0a6f91d",
+        7: "40b341e71d6deaf37e319b1a0ffbeb79e86c54f74f185ff3144271791c19cb08",
+        11: "a85c23b8bc2d6846ab4805df173095873c973d8b4a625ec034d70475f0e1f2b0",
+        123: "63b43fc7d321a4e88d82c7377c899b174aab7ae33f7995327a5e8eab9d465f6f",
+    },
+    ('random', 275, 2): {
+        None: "9b762fbb04ce6ba019a5e45620ba3c5b62645f9e7f09ce78ddd0ebeb1282c65f",
+        7: "92e8f48f0e0f3c2726ee438132c763b4f4a93d5b330be04f8cac9e1c8741f5f3",
+        11: "2ef1be5f37b4aedafc59d630f485d45daf49f919c954a62a72bdcdcf447ec8af",
+        123: "d404958d930250b21fc627f600255be6d7adf7e60a089f2350e36deaedc48610",
+    },
+    ('random', 40, 1): {
+        None: "33340f5ce6208e620b718712bb303ee6ca002d8f498d6267d1c637c4a606584a",
+        7: "61129cb06b0225e1b6db8ff8f7cec8db971e11679914a39f183e8371e2f46127",
+        11: "a3e5c6c163bcb266383de1e265fe7b70c1df23e3af8b8c883d7bc28b95d3460c",
+        123: "6ce6b7ead69c3b8cb72a2763cea8057925ed35ab5f5e50c1645a1062ac066e34",
+    },
+    ('random', 40, 2): {
+        None: "1847e6cb0208b708362e22d9e2c7846ecaa69f23cdc7cb0c967d3674ae7921de",
+        7: "9f88195accdc592ef392263a9f077855f8fdf6dd65c11c91fcf59eb4403aa6d0",
+        11: "3301e60a81b5d36cd4eebaf9c93793817ffdaeaf19a98c0603f55b02389f343c",
+        123: "bde4e3305faff07745d3ed41f121d5379ac848d9009eef3dfe063912855b94d0",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHARGING_RUN_DRAWINGS, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_charging_run_drawings_golden(key):
+    d, s, t = charging_input(key)
+    got = {seed: ledger_drawings_digest(charging_run(d, s, t, order_seed=seed)) for seed in ORDER_SEEDS}
+    assert got == CHARGING_RUN_DRAWINGS[key]
+
+
+# (n, crossings, seed) of a random drawing -> sha256 of its `1pg` text after
+# deleting its uncrossed edges of even id.  Every crossing stays, so the
+# builder renumbers the segments of each crossed edge, part 0 first, also
+# where the edge was built part 1 first, which no charging run above keeps.
+DELETIONS = {
+    (12, 3, 1): "e3e157489799e465322e669d86e2dfd89cde12aa01da0fc92323c561a7d1906d",
+    (40, 7, 1): "3c8c6733fa7f5a076716433cd143febd83e0b6e98a7db70435bbe52a328e49a0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DELETIONS), ids=lambda k: "-".join(map(str, k)))
+def test_delete_edges_golden(key):
+    d = random_oneplanar(*key)
+    work = _Builder(d)
+    work.delete_edges([eid for eid in range(0, len(d.edges), 2) if eid not in d.crossed_eids])
+    assert _sha(write_drawing(work.freeze()).encode()) == DELETIONS[key]

@@ -196,6 +196,10 @@ def _bound_line(chk: bounds.BoundCheck) -> str:
     return f"lhs={_fmt(chk.lhs)} rhs={_fmt(chk.rhs)} {word}{tight}"
 
 
+def _barrier_text(rep: bounds.CertReport) -> str:
+    return f"barrier A={{{','.join(map(str, sorted(rep.barrier)))}}}"
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     what = args.what
     if what == "theorem1":
@@ -204,9 +208,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise _UsageError(f"check theorem1 needs --delta in {sorted(bounds.BOUNDS)}")
         rep = bounds.certify_matching_bound(g, args.delta, _load_provenance(args))
         if not rep.certified:
-            barrier = ",".join(map(str, sorted(rep.barrier)))
             print(
-                f"|M|={rep.matching_size} not certified: barrier A={{{barrier}}} "
+                f"|M|={rep.matching_size} not certified: {_barrier_text(rep)} "
                 f"gives |M|<={rep.barrier_bound}" + "".join(f"; {v}" for v in rep.violations[:1])
             )
             return EXIT_VIOLATION
@@ -216,7 +219,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"not applicable (n={rep.n} < threshold {rep.threshold})"
             )
             return EXIT_PRECONDITION
-        word = "holds" if rep.holds else "violated"
+        # a counterexample's certificate is M with its barrier
+        word = "holds" if rep.holds else f"violated {_barrier_text(rep)}"
         tight = " tight" if rep.tight else ""
         print(f"|M|={rep.matching_size} bound={_fmt(rep.bound)} {word}{tight}")
         return EXIT_OK if rep.holds else EXIT_VIOLATION

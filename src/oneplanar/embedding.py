@@ -15,7 +15,8 @@ Conventions:
   * org[x] is the pvertex dart x leaves, and seg_eid[sid] the edge of
     segment sid; a crossed edge's two segments are its halves, part 1 at
     the edge's larger endpoint and part 0 at its smaller, and an uncrossed
-    edge's one segment is part 0: `seg_part` derives it, nothing stores it;
+    edge's one segment is part 0: `seg_part` derives it, nothing stores it,
+    and `write_drawing` derives every part in one pass over the dummies;
   * a crossing's two edges are the edges of the first two darts of its
     rotation, which a valid dummy alternates a, b, a, b;
   * rotations[p] lists, in cyclic order, the darts leaving p;
@@ -705,17 +706,35 @@ def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDraw
 
 
 def write_drawing(d: OnePlanarDrawing) -> str:
-    lines = [f"1pg {d.n_real} {d.n_p - d.n_real} {d.m_p}"]
-    for pid, vid in enumerate(d.pvertices):
+    """The `1pg` text of d, written from its tables: each id is stringified
+    once, and every part comes from one pass over the dummies' darts."""
+    pvertices, org, seg_eid, edges, rotations = d.pvertices, d.org, d.seg_eid, d.edges, d.rotations
+    n_p, m_p, n_real = len(pvertices), len(seg_eid), d.n_real
+    ids = list(map(str, range(max(n_p, m_p))))
+    # a dart leaving a dummy runs along a half to its real end: the half
+    # that ends at its edge's larger endpoint is part 1 (see `seg_part`)
+    part = ["0"] * m_p
+    lines = [f"1pg {n_real} {n_p - n_real} {m_p}"]
+    for pid, vid in enumerate(pvertices):
         if vid != DUMMY:
-            lines.append(f"pv {pid} real {vid}")
-        else:
-            a, b = d.crossing_edges(pid)
-            lines.append(f"pv {pid} dummy {a} {b}")
-    for sid, eid in enumerate(d.seg_eid):
-        lines.append(f"seg {sid} {d.org[2 * sid]} {d.org[2 * sid + 1]} {eid} {d.seg_part(sid)}")
-    for pid, rot in enumerate(d.rotations):
-        lines.append(f"rot {pid}: {_darts_text(_canonical_walk(rot))}".rstrip())
+            lines.append(f"pv {ids[pid]} real {ids[vid]}")
+            continue
+        a, b = d.crossing_edges(pid)
+        lines.append(f"pv {ids[pid]} dummy {ids[a]} {ids[b]}")
+        for x in rotations[pid]:
+            if pvertices[org[x ^ 1]] == edges[seg_eid[x >> 1]][1]:
+                part[x >> 1] = "1"
+    lines += [
+        f"seg {s} {ids[a]} {ids[b]} {ids[e]} {p}" for s, a, b, e, p in zip(ids, org[0::2], org[1::2], seg_eid, part)
+    ]
+    # each dart's `sid.end`, once; a rotation starts at its smallest dart
+    dart = [s + end for s in ids[:m_p] for end in (".0", ".1")].__getitem__
+    for pid, rot in enumerate(rotations):
+        if not rot:
+            lines.append(f"rot {ids[pid]}:")
+            continue
+        k = rot.index(min(rot))
+        lines.append(f"rot {ids[pid]}: " + " ".join(map(dart, rot[k:] + rot[:k])))
     return "\n".join(lines) + "\n"
 
 

@@ -270,17 +270,49 @@ def test_charging_holds_for_every_admissible_t():
 
 
 # ledger corruptions the auditor must report (not crash on): each maps a
-# valid ledger to the replaced fields and to the edge or vertex that one
-# of the violations must name
+# valid ledger to the replaced fields and to the full violation tuple.  The
+# ledger's T-vertex 5 has deg 3, crossing-weighted degree 6 and three
+# uncrossed edges in the augmented drawing, and is charged 18; the last four
+# cases store its c(t) at the edge of each per-vertex bound
+def _c5(lg, c):
+    return {"vertex_charge": ((5, c),) + lg.vertex_charge[1:]}
+
+
 LEDGER_MUTATIONS = {
     "charge-outside-2-3-6": lambda lg: (
-        {"charge_class": ((0, 5),) + lg.charge_class[1:]}, "edge 0 charged 5"),
+        {"charge_class": ((0, 5),) + lg.charge_class[1:]},
+        ("edge 0 charged 5, expected 6", "stored total 228 != recomputed 227",
+         "sum of c(t) = 228 != total 227", "c(5) stored 18 != recomputed 17")),
     "charge-edge-id-unknown": lambda lg: (
         {"charge_class": lg.charge_class + ((len(lg.final.edges), 6),)},
-        f"edge {len(lg.final.edges)} "),
-    "charge-entry-dropped": lambda lg: ({"charge_class": lg.charge_class[1:]}, "edge 0 "),
-    "t-vertex-uncharged": lambda lg: ({"vertex_charge": lg.vertex_charge[1:]}, "c(5)"),
-    "t-vertex-unknown": lambda lg: ({"t": lg.t | {999}}, "T-vertex 999 "),
+        ("edge 63 charged 6 is not an edge of the final drawing", "stored total 228 != recomputed 234",
+         "sum of c(t) = 228 != total 234")),
+    "charge-entry-dropped": lambda lg: (
+        {"charge_class": lg.charge_class[1:]},
+        ("edge 0 (0, 5) has no charge", "stored total 228 != recomputed 222",
+         "sum of c(t) = 228 != total 222", "c(5) stored 18 != recomputed 12")),
+    "t-vertex-uncharged": lambda lg: (
+        {"vertex_charge": lg.vertex_charge[1:]},
+        ("sum of c(t) = 210 != total 228", "c(5) missing from the ledger")),
+    "t-vertex-unknown": lambda lg: (
+        {"t": lg.t | {999}},
+        ("stored rhs 252 != recomputed 264", "T-vertex 999 is not a vertex of the drawing")),
+    "c-13": lambda lg: (
+        _c5(lg, 13),
+        ("sum of c(t) = 223 != total 228", "c(5) stored 13 != recomputed 18", "c(5) = 13 < 14",
+         "c(5) = 13 < 3*deg+6 = 15 despite 3 uncrossed edges", "c(5) = 13 < 3*cw-degree = 18")),
+    "c-3deg+5": lambda lg: (
+        _c5(lg, 14),
+        ("sum of c(t) = 224 != total 228", "c(5) stored 14 != recomputed 18",
+         "c(5) = 14 < 3*deg+6 = 15 despite 3 uncrossed edges", "c(5) = 14 < 3*cw-degree = 18")),
+    "c-3deg+6": lambda lg: (
+        _c5(lg, 15),
+        ("sum of c(t) = 225 != total 228", "c(5) stored 15 != recomputed 18",
+         "c(5) = 15 < 3*cw-degree = 18")),
+    "c-3cw-1": lambda lg: (
+        _c5(lg, 17),
+        ("sum of c(t) = 227 != total 228", "c(5) stored 17 != recomputed 18",
+         "c(5) = 17 < 3*cw-degree = 18")),
 }
 
 
@@ -289,13 +321,14 @@ def test_charge_verify_reports_corrupted_ledgers(kind):
     import dataclasses
 
     inst = family_delta3(5)
-    ledger = charging_run(inst.drawing, inst.witness, frozenset(range(5, 23)))
+    # vertices 6 and 7 join the witness, which leaves vertex 5 three uncrossed edges
+    t = frozenset(range(8, 23)) | {5}
+    ledger = charging_run(inst.drawing, frozenset(range(23)) - t, t)
     assert charge_verify(ledger).ok
-    assert ledger.charge_class[0] == (0, 6) and ledger.vertex_charge[0][0] == 5
-    changes, names = LEDGER_MUTATIONS[kind](ledger)
-    report = charge_verify(dataclasses.replace(ledger, **changes))
-    assert report.violations
-    assert any(names in v for v in report.violations), report.violations
+    assert ledger.charge_class[0] == (0, 6) and ledger.vertex_charge[0] == (5, 18)
+    assert (crossing_weighted_degree(ledger.base, 5), ledger.base.graph.degree(5)) == (6, 3)
+    changes, violations = LEDGER_MUTATIONS[kind](ledger)
+    assert charge_verify(dataclasses.replace(ledger, **changes)).violations == violations
 
 
 # --- deficiency bounds ----------------------------------------------------

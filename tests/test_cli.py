@@ -186,6 +186,16 @@ def test_theorem1_names_the_barrier_that_does_not_prove_the_matching(
     ))
 
 
+def test_theorem1_violated_names_the_barrier(delta3_s4, capsys, monkeypatch):
+    # no 1-planar graph violates Theorem 1, so the test raises the delta-3
+    # bound: b = 38 makes it (16 - (5*16 - 38)/7)/2 = 5 at n = 16
+    provenance = delta3_s4.replace(".graph", ".1pg")
+    monkeypatch.setitem(bounds.BOUNDS, 3, (5, 38, 7, 2, 7))
+    assert run(capsys, "check", "theorem1", delta3_s4, "--delta", "3", "--provenance", provenance) == (
+        4, "|M|=4 bound=5 violated barrier A={0,1,2,3}\n"
+    )
+
+
 def test_check_matching_certificate_not_applicable(tmp_path, capsys):
     run(capsys, "generate", "delta4", "--s", "4", "-o", str(tmp_path))
     code, out = run(

@@ -14,6 +14,7 @@ diff its output against a checkout that still passes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
@@ -22,8 +23,8 @@ from conftest import greedy_independent_t
 from oneplanar import bounds
 from oneplanar.bounds import ChargeLedger, charging_run, write_ledger
 from oneplanar.cli import main
-from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces, write_drawing
-from oneplanar.generators import family_delta3, random_oneplanar
+from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces, parse_drawing, write_drawing
+from oneplanar.generators import FAMILIES, family_delta3, family_delta5, family_delta6, family_delta7, random_oneplanar
 from oneplanar.graph import parse_graph
 from oneplanar.rng import SplitMix64
 
@@ -426,9 +427,44 @@ DELETIONS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(DELETIONS), ids=lambda k: "-".join(map(str, k)))
-def test_delete_edges_golden(key):
+def deleted(key: tuple[int, int, int]) -> OnePlanarDrawing:
     d = random_oneplanar(*key)
     work = _Builder(d)
     work.delete_edges([eid for eid in range(0, len(d.edges), 2) if eid not in d.crossed_eids])
-    assert _sha(write_drawing(work.freeze()).encode()) == DELETIONS[key]
+    return work.freeze()
+
+
+@pytest.mark.parametrize("key", sorted(DELETIONS), ids=lambda k: "-".join(map(str, k)))
+def test_delete_edges_golden(key):
+    assert _sha(write_drawing(deleted(key)).encode()) == DELETIONS[key]
+
+
+# drawing name -> maker, for the part oracle: every family at two sizes, 20
+# seeded random drawings, the final drawings of the charging runs above
+# (which carry parallel chords) and the deletion drawings
+PART_DRAWINGS = {
+    **{f"{name}-{size}": (lambda fn=fn, size=size: fn(size).drawing)
+       for name, (fn, pname) in FAMILIES.items()
+       for size in ((4, 8) if pname == "s" else (1, 3))},
+    **{f"random-{seed}": (lambda seed=seed: random_oneplanar(8 + seed, seed % 5, seed)) for seed in range(20)},
+    **{"final-" + "-".join(map(str, key)): (lambda key=key: charging_run(*charging_input(key), order_seed=7).final)
+       for key in CHARGING_RUN_DRAWINGS},
+    **{"deleted-" + "-".join(map(str, key)): functools.partial(deleted, key) for key in DELETIONS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PART_DRAWINGS))
+def test_written_parts_match_seg_part(name):
+    # the writer derives every part in one pass over the dummies; seg_part
+    # derives each from its segment's ends
+    d = PART_DRAWINGS[name]()
+    seg = [ln.split() for ln in write_drawing(d).splitlines() if ln.startswith("seg ")]
+    assert [(int(r[1]), int(r[5])) for r in seg] == [(sid, d.seg_part(sid)) for sid in range(d.m_p)]
+
+
+# the largest hub families the generate benchmark builds
+@pytest.mark.parametrize("make, g", [(family_delta5, 100), (family_delta6, 60), (family_delta7, 20)],
+                         ids=["delta5-g100", "delta6-g60", "delta7-g20"])
+def test_largest_hub_drawings_round_trip(make, g):
+    text = write_drawing(make(g).drawing)
+    assert write_drawing(parse_drawing(text)) == text

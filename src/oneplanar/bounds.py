@@ -321,11 +321,6 @@ def charging_run(
         vertex_charge=tuple(vertex_charge),
         totals=(total, rhs),
     )
-    bad = _three_consecutive_crossed(ledger)
-    if bad:
-        raise InvalidDrawing(
-            f"chord saturation left three consecutive crossed edges at T-vertices {bad}"
-        )
     return ledger
 
 

@@ -24,8 +24,9 @@ Conventions:
     reversal at the head vertex.
 
 Surgeries (chord, vertex and crossed-edge insertion, and deletion) are
-methods of the one mutable drawing, `_Builder`: they edit it in place and
-walk only the faces they touch, as in edge-addition planarity testing.
+methods of the one mutable drawing, `_Builder`: each checks all its
+preconditions before its first edit, edits the drawing in place and walks
+only the faces it touches, each once, as in edge-addition planarity testing.
 `_Builder(d)` thaws a drawing and `freeze()` returns the edited one;
 generators and the charging engine keep one builder for a whole
 construction.
@@ -496,11 +497,10 @@ class _Builder(_Planarization):
         if u == v:
             raise NotOnFace("chord endpoints must differ")
         if occurrences is None:
-            pos_u = _walk_positions(self, face, u)
-            pos_v = _walk_positions(self, face, v)
-            if not pos_u or not pos_v:
-                raise NotOnFace(f"vertex {u if not pos_u else v} is not a corner of the face")
-            i, j = pos_u[0], pos_v[0]
+            first = _first_positions(self, face)
+            if u not in first or v not in first:
+                raise NotOnFace(f"vertex {u if u not in first else v} is not a corner of the face")
+            i, j = first[u], first[v]
         else:
             i, j = occurrences
             if not (0 <= i < len(face) and 0 <= j < len(face)):
@@ -521,13 +521,11 @@ class _Builder(_Planarization):
     def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
         """Join new real vertex n_real to k >= 2 corners of `face`; returns the k pieces of `face`."""
         _check_face(self, face)
-        positions = []
+        first = _first_positions(self, face)
         for vid in attach:
-            occ = _walk_positions(self, face, vid)
-            if not occ:
+            if vid not in first:
                 raise BadAttachment(f"vertex {vid} is not a corner of the face")
-            positions.append(occ[0])
-        pairs = sorted(zip(positions, attach))
+        pairs = sorted((first[vid], vid) for vid in attach)
         if len({p for p, _ in pairs}) != len(pairs) or len(pairs) < 2:
             raise BadAttachment("attachments must be distinct corners")
         z = self.n_real
@@ -544,6 +542,8 @@ class _Builder(_Planarization):
 
     def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
         """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its two sides."""
+        if u == v:
+            raise NotOnFace("crossing edge endpoints must differ")
         cross_eid = self.eid_of.get(tuple(sorted(cross)))
         if cross_eid is None:
             raise NotOnFace(f"edge {cross} not in drawing")
@@ -551,15 +551,21 @@ class _Builder(_Planarization):
         if len(sids) != 1:
             raise NotOnFace(f"edge {cross} is already crossed")
         sid_c = sids[0]
-        side_a = real_corners(self, _face_at(self, 2 * sid_c))
-        side_b = real_corners(self, _face_at(self, 2 * sid_c + 1))
-        if u in side_a and v in side_b:
-            pass
-        elif u in side_b and v in side_a:
+        side_a, side_b = _face_at(self, 2 * sid_c), _face_at(self, 2 * sid_c + 1)
+        if side_a == side_b:
+            raise NotOnFace(f"edge {cross} has one face on both sides")
+        # side a runs pa -> pb, side b pb -> pa; the split adds only darts
+        # larger than every other, so each keeps its walk's start and corner
+        # order, except that a side-b walk starting at pb's corner ends there
+        if side_b[0] == 2 * sid_c + 1:
+            side_b = side_b[1:] + side_b[:1]
+        first_a, first_b = _first_positions(self, side_a), _first_positions(self, side_b)
+        if u not in first_a or v not in first_b:
+            if u not in first_b or v not in first_a:
+                raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
             u, v = v, u
-        else:
-            raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
         new_eid = self.new_edge(u, v)
+        at_u, at_v = side_a[first_a[u]], side_b[first_b[v]]
 
         # split the crossed segment pa -> pb at a fresh dummy pD: it now ends
         # at pD, and a new segment runs on from pD to pb
@@ -567,22 +573,21 @@ class _Builder(_Planarization):
         pD = self.new_pvertex(DUMMY)
         self.org[2 * sid_c + 1] = pD
         sid_c2 = self.new_segment(pD, pb, cross_eid)
-        # splice: at pb the old dart is renamed to the new segment
+        # splice: at pb the old dart is renamed to the new segment, also
+        # where it marks v's first corner
         rot_b = self.rotations[pb]
         rot_b[rot_b.index(2 * sid_c + 1)] = 2 * sid_c2 + 1
         self.rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
+        if at_v == 2 * sid_c + 1:
+            at_v = 2 * sid_c2 + 1
 
-        # the old faces now run through pD; each piece is attached on its own side:
+        # each half of (u, v) is attached at its first corner on its own side:
         # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side
         # runs pb -> pD -> pa and leaves pD by 2*sid_c + 1
-        for vert, through, corner in ((u, 2 * sid_c, 2 * sid_c2), (v, 2 * sid_c2 + 1, 2 * sid_c + 1)):
-            walk = _face_at(self, through)
-            pos_v = _walk_positions(self, walk, vert)
-            if not pos_v:
-                raise NotOnFace(f"vertex {vert} lost sight of the crossing")
+        for vert, at, corner in ((u, at_u, 2 * sid_c2), (v, at_v, 2 * sid_c + 1)):
             p_vert = self.real_pid[vert]
             sid = self.new_segment(p_vert, pD, new_eid)
-            self.insert_before(p_vert, walk[pos_v[0]], 2 * sid)
+            self.insert_before(p_vert, at, 2 * sid)
             self.insert_before(pD, corner, 2 * sid + 1)
 
     def delete_edges(self, eids: Iterable[int]) -> None:
@@ -639,9 +644,9 @@ class _Builder(_Planarization):
         )
 
 
-def _walk_positions(d: _Planarization, face: Face, vid: int) -> list[int]:
-    """Positions on the walk whose corner is the real vertex vid."""
-    return [i for i, v in corner_positions(d, face) if v == vid]
+def _first_positions(d: _Planarization, face: Face) -> dict[int, int]:
+    """Each real corner of the walk -> its first walk position (read in reverse, so the first wins)."""
+    return {vid: i for i, vid in reversed(corner_positions(d, face))}
 
 
 def _check_face(d: _Planarization, face: Face) -> None:

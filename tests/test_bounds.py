@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from oneplanar.bounds import (
     check_deficiency,
     write_ledger,
 )
+from oneplanar.cli import main
 from oneplanar.embedding import _Builder, _face_orbits, crossing_weighted_degree, drawing_from_faces, validate
 from oneplanar.errors import (
     DegreeTooLow,
@@ -135,13 +137,24 @@ def test_charging_preconditions():
         charging_run(c4, {0, 1, 2}, {3})
 
 
-def test_charging_postcondition_is_a_typed_error(monkeypatch):
-    # a saturation that left three consecutive crossed edges is reported
-    # by an explicit check, not an assert that `python -O` strips
+def test_charging_postcondition_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # a saturation that left three consecutive crossed edges at a T-vertex
+    # is a violation of the run, not of its input: the auditor reports it,
+    # and `check charge` prints it and exits 4
     monkeypatch.setattr(bounds, "_three_consecutive_crossed", lambda ledger: [5])
-    inst = family_delta3(4)
-    with pytest.raises(InvalidDrawing, match=r"T-vertices \[5\]"):
-        charging_run(inst.drawing, inst.witness, DELTA3_T)
+    assert main(["generate", "delta3", "--s", "4", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["check", "charge", str(tmp_path / "delta3-s4.1pg"), "--S", str(tmp_path / "delta3-s4.witness")])
+    assert code == 4
+    assert capsys.readouterr().out == "violations: 1\n  T-vertex 5 keeps three consecutive crossed edges\n"
+
+
+def test_three_consecutive_crossed_finds_the_all_crossed_center():
+    # only the center's rotation has three crossed edges in a row; the
+    # check reads a ledger's augmented drawing and its T alone
+    d = hexagon_center_all_crossed()
+    ledger = SimpleNamespace(gamma_prime=d, t=frozenset(range(d.n_real)))
+    assert bounds._three_consecutive_crossed(ledger) == [6]
 
 
 def test_degree_bounds_reject_parallel_edges():

@@ -30,6 +30,7 @@ from oneplanar.errors import (
     InvalidDrawing,
     NotBipartite,
     NotOnFace,
+    OnePlanarError,
     ParseError,
     WouldCreateBigon,
 )
@@ -336,74 +337,93 @@ def _first_face_edit(d, surgery, *args):
     return edit(d, surgery, _require_valid(d).faces[0], *args)
 
 
-def _chord_at_swapped_positions():
-    d = c4_drawing()
-    f = _require_valid(d).faces[0]
-    at = {vid: i for i, vid in corner_positions(d, f)}
-    edit(d, "add_chord", f, 0, 2, (at[2], at[0]))
+def _chord_at_swapped_positions(b):
+    f = _face_orbits(b)[0]
+    at = {vid: i for i, vid in corner_positions(b, f)}
+    b.add_chord(f, 0, 2, (at[2], at[0]))
 
 
-def _chord_at_positions(i, j):
+def _chord_at_positions(b, i, j):
     """c4's first face split by a chord between its corners at walk
     positions 0 and 2, asked for at positions (i, j)."""
-    d = c4_drawing()
-    f = _require_valid(d).faces[0]
-    at = dict(corner_positions(d, f))
-    edit(d, "add_chord", f, at[0], at[2], (i, j))
+    f = _face_orbits(b)[0]
+    at = dict(corner_positions(b, f))
+    b.add_chord(f, at[0], at[2], (i, j))
 
 
-def _vertex_off_the_face():
-    d = k4_drawing()
-    f = _require_valid(d).faces[0]
-    missing = (set(range(4)) - set(real_corners(d, f))).pop()
-    edit(d, "insert_vertex", f, [real_corners(d, f)[0], missing])
+def _vertex_off_the_face(b):
+    f = _face_orbits(b)[0]
+    missing = (set(range(4)) - set(real_corners(b, f))).pop()
+    b.insert_vertex(f, [real_corners(b, f)[0], missing])
 
 
-def _second_chord_on_the_other_side():
-    d = c4_drawing()
-    b = _Builder(d)
-    first, second = _require_valid(d).faces
-    b.add_chord(first, 0, 2)
-    b.add_chord(second, 0, 2)
+def _c4_with_chord():
+    """c4 with chord (0, 2) in its first face."""
+    return _first_face_edit(c4_drawing(), "add_chord", 0, 2)
 
 
 def _crossed_square():
     """c4 with chord (0, 2), crossed by (1, 3)."""
-    return edit(_first_face_edit(c4_drawing(), "add_chord", 0, 2), "add_crossed", 1, 3, (0, 2))
+    return edit(_c4_with_chord(), "add_crossed", 1, 3, (0, 2))
 
 
-# name -> (a call that must raise, the error, its message pattern)
+# name -> (the drawing a `_Builder` is thawed from, a call on that builder
+# that must raise, the error, its message pattern); a face-list row has no
+# drawing, and its call takes no builder
 REJECTIONS = {
-    "chord-loop": (lambda: _first_face_edit(c4_drawing(), "add_chord", 2, 2), NotOnFace, "must differ"),
-    "chord-occurrences": (_chord_at_swapped_positions, NotOnFace, "do not match"),
-    "chord-occurrence-past-the-walk": (lambda: _chord_at_positions(0, 9), NotOnFace, r"\(0,9\) are off a walk"),
-    "chord-occurrence-negative": (lambda: _chord_at_positions(-4, 2), NotOnFace, r"\(-4,2\) are off a walk"),
-    "chord-duplicate": (_second_chord_on_the_other_side, DuplicateEdge, r"^edge \(0,2\) already exists$"),
-    "vertex-off-face": (_vertex_off_the_face, BadAttachment, "not a corner"),
-    "crossed-missing-edge": (lambda: edit(c4_drawing(), "add_crossed", 1, 3, (0, 2)), NotOnFace, "not in drawing"),
-    "crossed-twice": (lambda: edit(_crossed_square(), "add_crossed", 1, 3, (0, 2)), NotOnFace, "already crossed"),
+    "chord-loop": (c4_drawing, lambda b: b.add_chord(_face_orbits(b)[0], 2, 2), NotOnFace, "must differ"),
+    "chord-occurrences": (c4_drawing, _chord_at_swapped_positions, NotOnFace, "do not match"),
+    "chord-occurrence-past-the-walk": (
+        c4_drawing, lambda b: _chord_at_positions(b, 0, 9), NotOnFace, r"\(0,9\) are off a walk"
+    ),
+    "chord-occurrence-negative": (
+        c4_drawing, lambda b: _chord_at_positions(b, -4, 2), NotOnFace, r"\(-4,2\) are off a walk"
+    ),
+    # the chord again, in c4's other face
+    "chord-duplicate": (
+        _c4_with_chord,
+        lambda b: b.add_chord(_require_valid(c4_drawing()).faces[1], 0, 2),
+        DuplicateEdge,
+        r"^edge \(0,2\) already exists$",
+    ),
+    "vertex-off-face": (k4_drawing, _vertex_off_the_face, BadAttachment, "not a corner"),
+    "crossed-missing-edge": (c4_drawing, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "not in drawing"),
+    "crossed-twice": (_crossed_square, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "already crossed"),
     "crossed-one-side": (
-        lambda: edit(_first_face_edit(drawing_from_faces(6, HEXAGON), "add_chord", 0, 3), "add_crossed", 1, 2, (0, 3)),
+        lambda: _first_face_edit(drawing_from_faces(6, HEXAGON), "add_chord", 0, 3),
+        lambda b: b.add_crossed(1, 2, (0, 3)),
         NotOnFace,
         "opposite sides",
     ),
-    "delete-missing-edge": (lambda: edit(c4_drawing(), "delete_edges", [99]), BadVertex, "out of range"),
+    # 2 is a corner on both sides of (0, 1)
+    "crossed-loop": (
+        c4_drawing, lambda b: b.add_crossed(2, 2, (0, 1)), NotOnFace, "^crossing edge endpoints must differ$"
+    ),
+    # each edge of a star is a bridge: the star's one face runs along both its sides
+    "crossed-bridge": (
+        lambda: drawing_from_faces(5, [[0, 1, 0, 2, 0, 3, 0, 4]]),
+        lambda b: b.add_crossed(2, 3, (0, 1)),
+        NotOnFace,
+        r"^edge \(0, 1\) has one face on both sides$",
+    ),
+    "delete-missing-edge": (c4_drawing, lambda b: b.delete_edges([99]), BadVertex, "out of range"),
     "faces-vertex-out-of-range": (
-        lambda: drawing_from_faces(3, [[0, 1, 5], [5, 1, 0]]), InvalidDrawing, r"^vertex 5 out of range \(n=3\)$"
+        None, lambda: drawing_from_faces(3, [[0, 1, 5], [5, 1, 0]]), InvalidDrawing, r"^vertex 5 out of range \(n=3\)$"
     ),
     "faces-loop-side": (
-        lambda: drawing_from_faces(3, [[0, 1, 1, 2], [2, 1, 0]]), InvalidDrawing, r"side \(1,1\) is a loop"
+        None, lambda: drawing_from_faces(3, [[0, 1, 1, 2], [2, 1, 0]]), InvalidDrawing, r"side \(1,1\) is a loop"
     ),
     "faces-side-twice": (
-        lambda: drawing_from_faces(3, [[0, 1, 2], [0, 1, 2]]), InvalidDrawing, "run twice in one direction"
+        None, lambda: drawing_from_faces(3, [[0, 1, 2], [0, 1, 2]]), InvalidDrawing, "run twice in one direction"
     ),
     "faces-one-direction": (
-        lambda: drawing_from_faces(3, [[0, 1, 2]]), InvalidDrawing, r"side \(0,1\) is run in one direction only"
+        None, lambda: drawing_from_faces(3, [[0, 1, 2]]), InvalidDrawing, r"side \(0,1\) is run in one direction only"
     ),
     "faces-isolated-vertex": (
-        lambda: drawing_from_faces(4, [[0, 1, 2], [2, 1, 0]]), InvalidDrawing, "vertex 3 is not on exactly one"
+        None, lambda: drawing_from_faces(4, [[0, 1, 2], [2, 1, 0]]), InvalidDrawing, "vertex 3 is not on exactly one"
     ),
     "faces-pinched-vertex": (
+        None,
         lambda: drawing_from_faces(5, [[0, 1, 2], [2, 1, 0], [0, 3, 4], [4, 3, 0]]),
         InvalidDrawing,
         "vertex 0 is not on exactly one cycle of corners",
@@ -413,9 +433,56 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", REJECTIONS)
 def test_surgeries_and_face_lists_reject_bad_requests(case):
-    call, error, pattern = REJECTIONS[case]
+    make, call, error, pattern = REJECTIONS[case]
+    if make is None:
+        with pytest.raises(error, match=pattern):
+            call()
+        return
+    b = _Builder(make())
+    before = b.freeze()
     with pytest.raises(error, match=pattern):
-        call()
+        call(b)
+    # a surgery checks everything before its first edit, so a refused one
+    # leaves the builder holding the drawing it held
+    assert b.freeze() == before
+
+
+# sha256 over the outcome of add_crossed(u, v, e) for every ordered pair
+# u != v and every edge e of c4, K4, the hexagon and the triangular prism,
+# 570 calls: the written `1pg` text, or the error's type and text, each
+# followed by a NUL.  Pinned before the surgery reused its two side walks;
+# in 34 of the calls v's first corner is at the far end of the crossed
+# segment, whose dart there the split renames.
+CROSSED_OUTCOMES = "a607aeee49b044bbea7e5d898ff4e6782b90c06cb9f246766c64a1ed75b95cc4"
+PRISM = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
+
+
+def test_add_crossed_outcomes_on_small_drawings():
+    h = hashlib.sha256()
+    calls = 0
+    for d in (c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM)):
+        for u in range(d.n_real):
+            for v in (v for v in range(d.n_real) if v != u):
+                for e in d.edges:
+                    b = _Builder(d)
+                    try:
+                        b.add_crossed(u, v, e)
+                        out = write_drawing(b.freeze())
+                    except OnePlanarError as exc:
+                        out = f"{type(exc).__name__}: {exc}"
+                    h.update(out.encode() + b"\0")
+                    calls += 1
+    assert (calls, h.hexdigest()) == (570, CROSSED_OUTCOMES)
+
+
+def test_crossed_edge_end_at_a_repeated_corner_takes_its_first_after_the_split():
+    # 1 is twice a corner of the outer face, whose walk starts at 1 along
+    # (1, 0); split at its crossing, that corner ends the walk, so (3, 1)
+    # leaves 1 at its other corner, between (1, 2) and (1, 5)
+    faces = [[0, 1, 2, 3], [1, 4, 5], [0, 3, 2, 1, 5, 4, 1]]
+    d = edit(drawing_from_faces(6, faces), "add_crossed", 3, 1, (0, 1))
+    assert validate(d).valid
+    assert [d.edges[d.seg_eid[x >> 1]] for x in d.rotations[1]] == [(0, 1), (1, 2), (1, 3), (1, 5), (1, 4)]
 
 
 def test_local_face_walk_matches_full_enumeration():
@@ -609,8 +676,6 @@ def test_validate_flags_every_one_field_mutation(name):
 def test_random_surgery_chains_stay_valid():
     # alternate chord additions and vertex insertions wherever legal;
     # validity and the face-count deltas must hold at every step
-    from oneplanar.errors import OnePlanarError
-
     for seed in (1, 5, 17):
         d = random_oneplanar(6, 1, seed)
         for step in range(6):

@@ -45,6 +45,12 @@ GENERATE = {
     ("delta5", "--g", "100"): "fc5d930f42ff2db6aa2737a426155d048e8c0bfb75ba2e8abf5fc96e4c1950b0",
     ("delta6", "--g", "60"): "5a28c395d847dfd397e139743c0cd00782e33b950e5494fed77fba569664e9ae",
     ("delta7", "--g", "20"): "f2497cd2fc673aa3651d05233159b12c28395cabc13f67c84f2b58f2662f394e",
+    # the largest surgery-built instances it builds, pinned before the
+    # crossed-edge insertion reused its two side walks
+    ("delta3", "--s", "10"): "2781b9528d99314fb8a55b551ade6f923faf2e9832ced1f5a55274d3561420a1",
+    ("delta4", "--s", "22"): "8c163efdf8f1f391db750ab422996656e4f1abbb24594ab25c6f8132faa50232",
+    ("delta4-k5", "--k", "18"): "8c86159f8c8289a4ae27dde24493a36321484e7e879b6969ed8364017fc3e144",
+    ("random", "--n", "40", "--x", "7", "--seed", "1"): "1909f5ca9da4cdbcc33c943b8fb1a4987d78d64972211ff0db9ab47958d51299",
     ("random", "--n", "12", "--x", "3", "--seed", "1"): "d9831ede584a6dd275e5635b5cf5425206ec37a074eb3d16fdd20e187c0a82bc",
     ("random", "--n", "16", "--x", "4", "--seed", "2"): "d8d5c1d171434b1eedad05662d6b8805fc310548a7eaad48579eab689e138b8d",
     ("random", "--n", "20", "--x", "5", "--seed", "3"): "b410e075dc17a270cfce4edeef976c04b5c947a58ae3d81e2ad3fc6a818bc79e",

@@ -4,7 +4,9 @@ A drawing is a rotation system over *planarization vertices*: the real
 vertices plus one degree-4 dummy per crossing.  Each original edge is one
 segment (uncrossed) or two segments meeting at its dummy (crossed).  There
 are no coordinates anywhere; planarity is checked through Euler's formula
-on the face orbits of the rotation system.
+on the face orbits of the rotation system.  Drawings are good: two edges
+that share an endpoint never cross, so `validate` refuses such a dummy
+and `_Builder.add_crossed` such an edge.
 
 Conventions:
   * pvertices[p] is the real vertex id of pvertex p, or DUMMY for a
@@ -353,7 +355,8 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    # dummies: degree four, alternating between the two crossing edges
+    # dummies: degree four, alternating between two crossing edges that
+    # share no endpoint (the drawing is good)
     for pid, vid in enumerate(d.pvertices):
         if vid != DUMMY:
             continue
@@ -364,6 +367,11 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
         eids = [d.seg_eid[x >> 1] for x in rot]
         if eids[0] != eids[2] or eids[1] != eids[3] or eids[0] == eids[1]:
             bad.append(f"dummy {pid} rotation does not alternate (a,b,a,b)")
+            continue
+        (u, v), ends = d.edges[eids[0]], d.edges[eids[1]]
+        if u in ends or v in ends:
+            a, b = sorted(eids[:2])
+            bad.append(f"dummy {pid} crosses edges {a} and {b}, which share vertex {u if u in ends else v}")
     if bad:
         return ValidationReport(tuple(bad))
 
@@ -376,10 +384,11 @@ def _validate_uncached(d: OnePlanarDrawing) -> ValidationReport:
     if d.n_p - d.m_p + len(orbits) != planar:
         bad.append(f"fails Euler: n={d.n_p} m={d.m_p} f={len(orbits)} in {k} components, want n - m + f = {planar}")
 
-    # bigons are forbidden; only parallel edges can make one
+    # bigons are forbidden: a face of two darts on two segments (one segment
+    # walked both ways is a bridge) joins two real vertices by parallel
+    # edges, since a dummy's neighbouring segments share no real end
     if not bad:
-        for face in _bigon_faces(d, orbits):
-            bad.append(f"bigon face {_darts_text(face)}")
+        bad.extend(f"bigon face {_darts_text(f)}" for f in orbits if len(f) == 2 and f[0] >> 1 != f[1] >> 1)
     if bad:
         return ValidationReport(tuple(bad))
     return ValidationReport((), tuple(orbits))
@@ -390,18 +399,6 @@ def _require_valid(d: OnePlanarDrawing) -> ValidationReport:
     if not report.valid:
         raise InvalidDrawing("; ".join(report.violations))
     return report
-
-
-def _bigon_faces(d: OnePlanarDrawing, orbit_list: list[Face]) -> list[Face]:
-    out = []
-    for face in orbit_list:
-        if len(face) != 2:
-            continue
-        # a segment walked twice (a bridge) or two halves of one edge are no bigon
-        e0, e1 = (d.seg_eid[x >> 1] for x in face)
-        if e0 != e1 and d.edges[e0] == d.edges[e1]:
-            out.append(face)
-    return out
 
 
 def crossing_weighted_degree(d: OnePlanarDrawing, v: int) -> int:
@@ -541,9 +538,12 @@ class _Builder(_Planarization):
         return [_face_at(self, x) for x in self.rotations[pz]]
 
     def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
-        """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its two sides."""
+        """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its
+        two sides; neither may be an end of `cross`, so the drawing stays good."""
         if u == v:
             raise NotOnFace("crossing edge endpoints must differ")
+        if u in cross or v in cross:
+            raise NotOnFace(f"({u},{v}) shares an endpoint with edge {cross}")
         cross_eid = self.eid_of.get(tuple(sorted(cross)))
         if cross_eid is None:
             raise NotOnFace(f"edge {cross} not in drawing")
@@ -554,11 +554,9 @@ class _Builder(_Planarization):
         side_a, side_b = _face_at(self, 2 * sid_c), _face_at(self, 2 * sid_c + 1)
         if side_a == side_b:
             raise NotOnFace(f"edge {cross} has one face on both sides")
-        # side a runs pa -> pb, side b pb -> pa; the split adds only darts
-        # larger than every other, so each keeps its walk's start and corner
-        # order, except that a side-b walk starting at pb's corner ends there
-        if side_b[0] == 2 * sid_c + 1:
-            side_b = side_b[1:] + side_b[:1]
+        # side a runs pa -> pb, side b pb -> pa; u and v are attached at their
+        # first corners on these walks, which the split leaves in place: it
+        # renames only the dart leaving pb, an end of `cross`
         first_a, first_b = _first_positions(self, side_a), _first_positions(self, side_b)
         if u not in first_a or v not in first_b:
             if u not in first_b or v not in first_a:
@@ -573,13 +571,10 @@ class _Builder(_Planarization):
         pD = self.new_pvertex(DUMMY)
         self.org[2 * sid_c + 1] = pD
         sid_c2 = self.new_segment(pD, pb, cross_eid)
-        # splice: at pb the old dart is renamed to the new segment, also
-        # where it marks v's first corner
+        # splice: at pb the old dart is renamed to the new segment
         rot_b = self.rotations[pb]
         rot_b[rot_b.index(2 * sid_c + 1)] = 2 * sid_c2 + 1
         self.rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
-        if at_v == 2 * sid_c + 1:
-            at_v = 2 * sid_c2 + 1
 
         # each half of (u, v) is attached at its first corner on its own side:
         # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side

@@ -326,6 +326,17 @@ LEDGER_MUTATIONS = {
         _c5(lg, 17),
         ("sum of c(t) = 227 != total 228", "c(5) stored 17 != recomputed 18",
          "c(5) = 17 < 3*cw-degree = 18")),
+    # the final drawing's auxiliary edge gives each T-vertex 8..22, whose
+    # charge is 14, a second uncrossed edge: the 3*deg+6 bound then applies
+    "gamma-prime-two-uncrossed": lambda lg: (
+        {"gamma_prime": lg.final},
+        tuple(f"c({t}) = 14 < 3*deg+6 = 15 despite 2 uncrossed edges" for t in range(8, 23))),
+    # two fewer S-vertices make the bound 228, one less than the total
+    "total-one-over-the-bound": lambda lg: (
+        {"s": lg.s - {6, 7}, "charge_class": ((0, 7),) + lg.charge_class[1:]},
+        ("edge 0 charged 7, expected 6", "stored total 228 != recomputed 229", "stored rhs 252 != recomputed 228",
+         "total charges 229 exceed bound 228", "sum of c(t) = 228 != total 229", "c(5) stored 18 != recomputed 19")),
+    "delta-edge-dropped": lambda lg: ({"delta_edges": lg.delta_edges[1:]}, ("|E_delta| = 14 != 3*5",)),
 }
 
 

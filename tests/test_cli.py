@@ -241,6 +241,21 @@ def test_check_charge_long_csv_matches_witness_file(tmp_path, capsys):
     assert out_csv == out_file
 
 
+# random_oneplanar(8, 1, 3) with (0, 9) drawn across (0, 5), as
+# `add_crossed(0, 9, (0, 5))` wrote it before a crossing of two edges that
+# share an endpoint was refused.  While such a drawing was accepted, `check
+# charge` on it printed "total charges 102 exceed bound 96" and exited 4,
+# blaming the implementation for a drawing outside the model
+ADJACENT_CROSSING = Path(__file__).parent / "data" / "adjacent-crossing.1pg"
+
+
+def test_check_charge_refuses_a_crossing_of_two_edges_that_share_an_endpoint(capsys):
+    assert main(["check", "charge", str(ADJACENT_CROSSING), "--S", "1,2,3,4,5,8,9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: invalid drawing: dummy 11 crosses edges 9 and 24, which share vertex 0\n"
+
+
 def test_check_degree_bound_commands(tmp_path, capsys):
     run(capsys, "generate", "delta3", "--s", "4", "-o", str(tmp_path))
     t_arg = ",".join(str(v) for v in range(4, 16))

@@ -26,6 +26,7 @@ from .embedding import (
     OnePlanarDrawing,
     _Builder,
     _Planarization,
+    _bigon_free,
     _darts_text,
     _require_valid,
     corner_positions,
@@ -151,7 +152,7 @@ class _FaceRecord(NamedTuple):
     s_occ: dict[int, list[int]]  # S-corner -> its walk positions
     t_occ: dict[int, list[int]]  # T-corner -> its walk positions
     pairs: list[tuple[int, int]]  # every (S-corner, T-corner), sorted
-    chord: tuple[int, int, int, int] | None  # first bigon-free (sv, tv, pi, pj) in pair order
+    chord: tuple[int, int] | None  # the first pair with a bigon-free chord
 
 
 def _face_record(d: _Planarization, face: Face, s: frozenset[int], t: frozenset[int]) -> _FaceRecord:
@@ -163,26 +164,13 @@ def _face_record(d: _Planarization, face: Face, s: frozenset[int], t: frozenset[
         elif vid in t:
             t_occ.setdefault(vid, []).append(pos)
     pairs = [(sv, tv) for sv in sorted(s_occ) for tv in sorted(t_occ)]
-    k = len(face)
-    chord = next(
-        ((sv, tv, *occ) for sv, tv in pairs if (occ := _bigon_free(s_occ[sv], t_occ[tv], k))),
-        None,
-    )
+    chord = next((pair for pair in pairs if _bigon_free(s_occ[pair[0]], t_occ[pair[1]], len(face))), None)
     return _FaceRecord(s_occ, t_occ, pairs, chord)
-
-
-def _bigon_free(s_pos: list[int], t_pos: list[int], k: int) -> tuple[int, int] | None:
-    """The first pair of walk positions, one from each list, not adjacent on a k-walk."""
-    for pi in s_pos:
-        for pj in t_pos:
-            if (pj - pi) % k != 1 and (pi - pj) % k != 1:
-                return pi, pj
-    return None
 
 
 def _next_chord(
     queue: list[Face], records: dict[Face, _FaceRecord], rng: SplitMix64 | None
-) -> tuple[Face, tuple[int, int, int, int]] | None:
+) -> tuple[Face, tuple[int, int]] | None:
     """The next chord of step 1 and its face.  In canonical order `queue`
     holds the faces with a chord and the first one wins; under a seed it
     holds every face, and the faces and each visited face's pairs are
@@ -198,9 +186,8 @@ def _next_chord(
         if rec.chord is None:  # no pair has a bigon-free occurrence
             continue
         for sv, tv in pairs:
-            occ = _bigon_free(rec.s_occ[sv], rec.t_occ[tv], len(face))
-            if occ:
-                return face, (sv, tv, *occ)
+            if _bigon_free(rec.s_occ[sv], rec.t_occ[tv], len(face)):
+                return face, (sv, tv)
     return None
 
 
@@ -224,7 +211,8 @@ def charging_run(
 
     Steps 1 and 2 read each face's corners once, when the face appears,
     into a `_FaceRecord`: the walk positions of its S- and T-corners,
-    its sorted S-T pairs and the first pair's bigon-free chord, if any.
+    its sorted S-T pairs and the first pair with a chord, if any; a move
+    is a face and a pair, and `add_chord` finds where the chord goes.
     Only the split face's pieces are new after an edit, so only they are
     read.  In canonical order step 1 takes the first face with a chord
     and step 2 the first with three or more T-corners; under a seed,
@@ -258,10 +246,10 @@ def charging_run(
     chords: list[tuple[int, int]] = []
     cap = 3 * (work.n_p + 1) ** 2
     while (found := _next_chord(queue, records, rng)) is not None:
-        face, (sv, tv, pi, pj) = found
+        face, (sv, tv) = found
         queue.remove(face)
         del records[face]
-        for piece in work.add_chord(face, sv, tv, occurrences=(pi, pj)):
+        for piece in work.add_chord(face, sv, tv):
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if rng is not None or rec.chord:
                 bisect.insort(queue, piece)

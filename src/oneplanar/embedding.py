@@ -17,8 +17,8 @@ Conventions:
   * org[x] is the pvertex dart x leaves, and seg_eid[sid] the edge of
     segment sid; a crossed edge's two segments are its halves, part 1 at
     the edge's larger endpoint and part 0 at its smaller, and an uncrossed
-    edge's one segment is part 0: `seg_part` derives it, nothing stores it,
-    and `write_drawing` derives every part in one pass over the dummies;
+    edge's one segment is part 0: nothing stores it, `_parts` derives
+    every segment's in one pass over the dummies;
   * a crossing's two edges are the edges of the first two darts of its
     rotation, which a valid dummy alternates a, b, a, b;
   * rotations[p] lists, in cyclic order, the darts leaving p;
@@ -31,7 +31,8 @@ preconditions before its first edit, edits the drawing in place and walks
 only the faces it touches, each once, as in edge-addition planarity testing.
 `_Builder(d)` thaws a drawing and `freeze()` returns the edited one;
 generators and the charging engine keep one builder for a whole
-construction.
+construction.  Every chord goes at the first pair of its ends' corners,
+in walk order, that is not a face side.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ class _Planarization:
     @property
     def m_p(self) -> int:
         return len(self.seg_eid)
-
-    def seg_part(self, sid: int) -> int:
-        """1 for the half of a crossed edge at the edge's larger endpoint, else 0."""
-        ends = self.pvertices[self.org[2 * sid]], self.pvertices[self.org[2 * sid + 1]]
-        return int(DUMMY in ends and self.edges[self.seg_eid[sid]][1] in ends)
 
     def crossing_edges(self, pid: int) -> tuple[int, int]:
         """The two edges crossing at dummy pid, smaller id first."""
@@ -179,7 +175,7 @@ class ValidationReport:
 
 
 class _EdgeDerivation(NamedTuple):
-    sids: list[list[int]]  # edge id -> its segment ids, a crossed edge's in part order
+    sids: list[list[int]]  # edge id -> its segment ids
     edges: list[tuple[int, int] | None]  # the endpoints they join, None if they join none
     violations: list[str]
 
@@ -188,9 +184,8 @@ def _derive_edges(pvertices: Sequence[int], org: Sequence[int], seg_eid: Sequenc
     """Each edge's segments and the real endpoints they join.
 
     An uncrossed edge is one segment between two real pvertices.  A crossed
-    edge is two segments, one from each of its real endpoints to one dummy,
-    listed in part order: the half at its smaller endpoint first.  The two
-    real endpoints differ, so no derived edge is a loop.
+    edge is two segments, one from each of its real endpoints to one dummy.
+    The two real endpoints differ, so no derived edge is a loop.
     `parse_drawing` takes its edges from here and `validate` checks a
     drawing's edges against them.
     """
@@ -232,11 +227,8 @@ def _derive_edges(pvertices: Sequence[int], org: Sequence[int], seg_eid: Sequenc
                 bad.append(f"edge {eid} segments do not share one dummy")
             elif u == v:
                 bad.append(f"edge {eid} is a loop")
-            elif u < v:
-                edges[eid] = (u, v)
             else:
-                edges[eid] = (v, u)
-                sids.reverse()
+                edges[eid] = (u, v) if u < v else (v, u)
         else:
             bad.append(f"edge {eid} has {len(sids)} segments, not 1 or 2")
     return _EdgeDerivation(groups, edges, bad)
@@ -485,31 +477,25 @@ class _Builder(_Planarization):
 
     # -- surgeries --------------------------------------------------
 
-    def add_chord(
-        self, face: Face, u: int, v: int, occurrences: tuple[int, int] | None = None
-    ) -> tuple[Face, Face]:
-        """Split `face` by chord (u, v) between the first (or the given walk
-        positions') corner occurrences; returns the two pieces of `face`."""
+    def add_chord(self, face: Face, u: int, v: int) -> tuple[Face, Face]:
+        """Split `face` by chord (u, v) at the first pair of u's and v's corners
+        that is not a face side (`_bigon_free`); returns the two pieces."""
         _check_face(self, face)
         if u == v:
             raise NotOnFace("chord endpoints must differ")
-        if occurrences is None:
-            first = _first_positions(self, face)
-            if u not in first or v not in first:
-                raise NotOnFace(f"vertex {u if u not in first else v} is not a corner of the face")
-            i, j = first[u], first[v]
-        else:
-            i, j = occurrences
-            if not (0 <= i < len(face) and 0 <= j < len(face)):
-                raise NotOnFace(f"occurrence positions ({i},{j}) are off a walk of length {len(face)}")
-            pid_u, pid_v = self.real_pid.get(u), self.real_pid.get(v)
-            if self.org[face[i]] != pid_u or self.org[face[j]] != pid_v:
-                raise NotOnFace("occurrence positions do not match the given vertices")
-        k = len(face)
-        if (j - i) % k == 1 or (i - j) % k == 1:
+        org, pu, pv = self.org, self.real_pid.get(u), self.real_pid.get(v)
+        at_u, at_v = [], []
+        for pos, x in enumerate(face):
+            if org[x] == pu:
+                at_u.append(pos)
+            elif org[x] == pv:
+                at_v.append(pos)
+        if not at_u or not at_v:
+            raise NotOnFace(f"vertex {v if at_u else u} is not a corner of the face")
+        if (occ := _bigon_free(at_u, at_v, len(face))) is None:
             raise WouldCreateBigon(f"chord ({u},{v}) duplicates a face side")
+        i, j = occ
         eid = self.new_edge(u, v)
-        pu, pv = self.org[face[i]], self.org[face[j]]
         sid = self.new_segment(pu, pv, eid)
         self.insert_before(pu, face[i], 2 * sid)
         self.insert_before(pv, face[j], 2 * sid + 1)
@@ -605,6 +591,7 @@ class _Builder(_Planarization):
         new_pid = {pid: i for i, pid in enumerate(p for p in range(len(self.pvertices)) if p not in dead)}
 
         # segments edge by edge, part 0 first; a dart maps to its new id
+        part = _parts(self)
         org: list[int] = []
         seg_eid: list[int] = []
         new_dart = [-1] * len(self.org)
@@ -619,7 +606,7 @@ class _Builder(_Planarization):
                 org += (new_pid[pu], new_pid[pv])
                 seg_eid.append(new_eid[eid])
                 continue
-            if len(sids) == 2 and self.seg_part(sids[0]):
+            if len(sids) == 2 and part[sids[0]]:
                 sids = sids[::-1]
             for sid in sids:
                 new_dart[2 * sid], new_dart[2 * sid + 1] = len(org), len(org) + 1
@@ -637,6 +624,15 @@ class _Builder(_Planarization):
                 if pid not in dead
             ],
         )
+
+
+def _bigon_free(u_pos: list[int], v_pos: list[int], k: int) -> tuple[int, int] | None:
+    """The first pair of walk positions, one from each list, not adjacent on a k-walk."""
+    for pi in u_pos:
+        for pj in v_pos:
+            if (pj - pi) % k != 1 and (pi - pj) % k != 1:
+                return pi, pj
+    return None
 
 
 def _first_positions(d: _Planarization, face: Face) -> dict[int, int]:
@@ -705,15 +701,25 @@ def drawing_from_faces(n: int, cycles: Sequence[Sequence[int]]) -> OnePlanarDraw
 # `1pg` text format
 
 
+def _parts(d: _Planarization) -> list[int]:
+    """Every segment's part, from one pass over the dummies' darts: a half
+    of a crossed edge that ends at the edge's larger endpoint is 1, all else 0."""
+    pvertices, org, seg_eid, edges, rotations = d.pvertices, d.org, d.seg_eid, d.edges, d.rotations
+    part = [0] * len(seg_eid)
+    for pid, vid in enumerate(pvertices):
+        if vid == DUMMY:
+            for x in rotations[pid]:
+                if pvertices[org[x ^ 1]] == edges[seg_eid[x >> 1]][1]:
+                    part[x >> 1] = 1
+    return part
+
+
 def write_drawing(d: OnePlanarDrawing) -> str:
     """The `1pg` text of d, written from its tables: each id is stringified
-    once, and every part comes from one pass over the dummies' darts."""
-    pvertices, org, seg_eid, edges, rotations = d.pvertices, d.org, d.seg_eid, d.edges, d.rotations
+    once, and every part comes from `_parts`."""
+    pvertices, org, seg_eid, rotations = d.pvertices, d.org, d.seg_eid, d.rotations
     n_p, m_p, n_real = len(pvertices), len(seg_eid), d.n_real
     ids = list(map(str, range(max(n_p, m_p))))
-    # a dart leaving a dummy runs along a half to its real end: the half
-    # that ends at its edge's larger endpoint is part 1 (see `seg_part`)
-    part = ["0"] * m_p
     lines = [f"1pg {n_real} {n_p - n_real} {m_p}"]
     for pid, vid in enumerate(pvertices):
         if vid != DUMMY:
@@ -721,12 +727,8 @@ def write_drawing(d: OnePlanarDrawing) -> str:
             continue
         a, b = d.crossing_edges(pid)
         lines.append(f"pv {ids[pid]} dummy {ids[a]} {ids[b]}")
-        for x in rotations[pid]:
-            if pvertices[org[x ^ 1]] == edges[seg_eid[x >> 1]][1]:
-                part[x >> 1] = "1"
-    lines += [
-        f"seg {s} {ids[a]} {ids[b]} {ids[e]} {p}" for s, a, b, e, p in zip(ids, org[0::2], org[1::2], seg_eid, part)
-    ]
+    segs = zip(ids, org[0::2], org[1::2], seg_eid, _parts(d))
+    lines += [f"seg {s} {ids[a]} {ids[b]} {ids[e]} {ids[p]}" for s, a, b, e, p in segs]
     # each dart's `sid.end`, once; a rotation starts at its smallest dart
     dart = [s + end for s in ids[:m_p] for end in (".0", ".1")].__getitem__
     for pid, rot in enumerate(rotations):
@@ -818,10 +820,9 @@ def parse_drawing(text: str) -> OnePlanarDrawing:
     for pid, (a, b) in named.items():
         if (a, b) != (want := d.crossing_edges(pid)):
             raise ParseError(f"pv {pid} dummy {a} {b}: its rotation makes it dummy {want[0]} {want[1]}")
-    # the derivation lists a crossed edge's halves in part order
-    for sids in derived.sids:
-        for want, sid in enumerate(sids):
-            if stated[sid] != want:
-                record = f"seg {sid} {org[2 * sid]} {org[2 * sid + 1]} {seg_eid[sid]} {stated[sid]}"
-                raise ParseError(f"{record}: its edge makes it part {want}")
+    # a seg record states its segment's part; the smallest wrong one is reported
+    for sid, want in enumerate(_parts(d)):
+        if stated[sid] != want:
+            record = f"seg {sid} {org[2 * sid]} {org[2 * sid + 1]} {seg_eid[sid]} {stated[sid]}"
+            raise ParseError(f"{record}: its edge makes it part {want}")
     return d

@@ -32,7 +32,7 @@ from oneplanar.generators import (
 from oneplanar.graph import build_graph
 from oneplanar.matcher import Matching
 
-from conftest import cube_drawing, greedy_independent_t, make_k, share_an_endpoint
+from conftest import cube_drawing, edit, greedy_independent_t, make_k, share_an_endpoint
 
 
 def hexagon_center_all_crossed():
@@ -337,6 +337,22 @@ LEDGER_MUTATIONS = {
         ("edge 0 charged 7, expected 6", "stored total 228 != recomputed 229", "stored rhs 252 != recomputed 228",
          "total charges 229 exceed bound 228", "sum of c(t) = 228 != total 229", "c(5) stored 18 != recomputed 19")),
     "delta-edge-dropped": lambda lg: ({"delta_edges": lg.delta_edges[1:]}, ("|E_delta| = 14 != 3*5",)),
+    # T-vertex 8, two of whose three edges are crossed, listed as a sixth auxiliary vertex
+    "delta-vertex-on-crossed-edges": lambda lg: (
+        {"delta_attach": lg.delta_attach + ((8, (9, 10, 11)),)},
+        ("|E_delta| = 15 != 3*6", "auxiliary edge (0,8) is crossed", "auxiliary edge (4,8) is crossed",
+         "edge 3 charged 6, expected 2", "edge 4 charged 3, expected 2", "edge 11 charged 3, expected 2")),
+    # step 1 added no chord; a new edge drawn across (0, 5) in gamma_prime reads as a crossed chord
+    "chord-crossed": lambda lg: (
+        {"gamma_prime": edit(lg.gamma_prime, "add_crossed", 1, 3, (0, 5))}, ("added chord (1, 3) is crossed",)),
+    # gamma_prime's five T-heavy faces, each with exactly three T-corners, kept as the final drawing
+    "t-heavy-faces-kept": lambda lg: (
+        {"final": lg.gamma_prime},
+        (*(f"edge {eid} charged 2 is not an edge of the final drawing" for eid in range(48, 63)),
+         *(f"c({t}) stored 14 != recomputed 12" for t in range(8, 23)),
+         *(f"face with >=3 T-corners survived: {walk}" for walk in (
+             "5.1 13.1 7.1 15.1 11.1 17.1", "20.1 28.1 23.1 30.1 26.1 32.1", "35.1 43.1 37.1 45.1 41.1 47.1",
+             "50.1 58.1 52.1 60.1 56.1 62.1", "65.1 73.1 68.1 75.1 71.1 77.1")))),
 }
 
 

@@ -285,6 +285,19 @@ def test_add_chord_rejects_bigon():
         edit(d, "add_chord", f, 0, 1)
 
 
+def test_add_chord_takes_the_first_occurrences_that_are_not_a_face_side():
+    # the bowtie's outer walk has corners (1, 0, 4, 3, 0, 2): 0's first
+    # occurrence is beside 4, so chord (0, 4) leaves from its second
+    d = drawing_from_faces(5, [[0, 1, 2], [0, 3, 4], [0, 2, 1, 0, 4, 3]])
+    outer = next(f for f in _face_orbits(d) if len(f) == 6)
+    assert real_corners(d, outer) == (1, 0, 4, 3, 0, 2)
+    b = _Builder(d)
+    b.multi_allowed = True  # as in charging: the chord parallels side (0, 4)
+    pieces = b.add_chord(outer, 0, 4)
+    assert [real_corners(b, p) for p in pieces] == [(3, 0, 4), (1, 0, 4, 0, 2)]
+    assert validate(b.freeze()).valid
+
+
 def test_add_chord_rejects_corner_not_on_face():
     d = k4_drawing()
     f = _require_valid(d).faces[0]
@@ -371,20 +384,6 @@ def _first_face_edit(d, surgery, *args):
     return edit(d, surgery, _require_valid(d).faces[0], *args)
 
 
-def _chord_at_swapped_positions(b):
-    f = _face_orbits(b)[0]
-    at = {vid: i for i, vid in corner_positions(b, f)}
-    b.add_chord(f, 0, 2, (at[2], at[0]))
-
-
-def _chord_at_positions(b, i, j):
-    """c4's first face split by a chord between its corners at walk
-    positions 0 and 2, asked for at positions (i, j)."""
-    f = _face_orbits(b)[0]
-    at = dict(corner_positions(b, f))
-    b.add_chord(f, at[0], at[2], (i, j))
-
-
 def _vertex_off_the_face(b):
     f = _face_orbits(b)[0]
     missing = (set(range(4)) - set(real_corners(b, f))).pop()
@@ -406,13 +405,6 @@ def _crossed_square():
 # drawing, and its call takes no builder
 REJECTIONS = {
     "chord-loop": (c4_drawing, lambda b: b.add_chord(_face_orbits(b)[0], 2, 2), NotOnFace, "must differ"),
-    "chord-occurrences": (c4_drawing, _chord_at_swapped_positions, NotOnFace, "do not match"),
-    "chord-occurrence-past-the-walk": (
-        c4_drawing, lambda b: _chord_at_positions(b, 0, 9), NotOnFace, r"\(0,9\) are off a walk"
-    ),
-    "chord-occurrence-negative": (
-        c4_drawing, lambda b: _chord_at_positions(b, -4, 2), NotOnFace, r"\(-4,2\) are off a walk"
-    ),
     # the chord again, in c4's other face
     "chord-duplicate": (
         _c4_with_chord,
@@ -529,7 +521,7 @@ def _chord_site(b, fs):
         for i, u in occ:
             for j, v in occ:
                 if u != v and (i - j) % len(f) not in (1, len(f) - 1):
-                    return f, u, v, (i, j)
+                    return f, u, v
     return None
 
 
@@ -547,8 +539,8 @@ def test_builder_surgeries_return_the_faces_they_create(make):
         before = _face_orbits(b)
         site = _chord_site(b, before) if step % 2 else None
         if site is not None:
-            face, u, v, occ = site
-            new = b.add_chord(face, u, v, occurrences=occ)
+            face, u, v = site
+            new = b.add_chord(face, u, v)
             done["chord"] += 1
         else:
             # two spokes leave a face with room for a chord, three do not
@@ -585,8 +577,8 @@ class BuilderSurgeries(RuleBasedStateMachine):
     @rule(data=st.data())
     def add_chord(self, data):
         face = data.draw(st.sampled_from(_face_orbits(self.b)))
-        (i, u), (j, v) = data.draw(st.permutations(corner_positions(self.b, face)))[:2]
-        self._apply("add_chord", face, u, v, (i, j) if data.draw(st.booleans()) else None)
+        u, v = data.draw(st.permutations(real_corners(self.b, face)))[:2]
+        self._apply("add_chord", face, u, v)
 
     @rule(data=st.data(), k=st.integers(2, 4))
     def insert_vertex(self, data, k):

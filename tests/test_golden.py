@@ -23,7 +23,7 @@ from conftest import greedy_independent_t
 from oneplanar import bounds
 from oneplanar.bounds import ChargeLedger, charging_run, write_ledger
 from oneplanar.cli import main
-from oneplanar.embedding import OnePlanarDrawing, _Builder, drawing_from_faces, parse_drawing, write_drawing
+from oneplanar.embedding import DUMMY, OnePlanarDrawing, _Builder, drawing_from_faces, parse_drawing, write_drawing
 from oneplanar.generators import FAMILIES, family_delta3, family_delta5, family_delta6, family_delta7, random_oneplanar
 from oneplanar.graph import parse_graph
 from oneplanar.rng import SplitMix64
@@ -459,13 +459,19 @@ PART_DRAWINGS = {
 }
 
 
+def seg_part(d, sid):
+    """1 for the half of a crossed edge at the edge's larger endpoint, else 0."""
+    ends = d.pvertices[d.org[2 * sid]], d.pvertices[d.org[2 * sid + 1]]
+    return int(DUMMY in ends and d.edges[d.seg_eid[sid]][1] in ends)
+
+
 @pytest.mark.parametrize("name", sorted(PART_DRAWINGS))
 def test_written_parts_match_seg_part(name):
-    # the writer derives every part in one pass over the dummies; seg_part
-    # derives each from its segment's ends
+    # the writer takes every part from `_parts`, one pass over the dummies;
+    # this oracle derives each from its segment's ends
     d = PART_DRAWINGS[name]()
     seg = [ln.split() for ln in write_drawing(d).splitlines() if ln.startswith("seg ")]
-    assert [(int(r[1]), int(r[5])) for r in seg] == [(sid, d.seg_part(sid)) for sid in range(d.m_p)]
+    assert [(int(r[1]), int(r[5])) for r in seg] == [(sid, seg_part(d, sid)) for sid in range(d.m_p)]
 
 
 # the largest hub families the generate benchmark builds

@@ -194,16 +194,15 @@ def _next_chord(
 def charging_run(
     d: OnePlanarDrawing,
     s: Iterable[int],
-    t: Iterable[int],
     order_seed: int | None = None,
 ) -> ChargeLedger:
     """Run the charge-assignment procedure and return its full ledger.
 
-    Step 0 deletes S-S edges, step 1 greedily adds uncrossed S-T chords
-    face by face until no bigon-free candidate remains (multi-edges
-    allowed), step 2 inserts an auxiliary vertex into every face with
-    three or more distinct T-corners, step 3 assigns 6/3/2 charges to
-    uncrossed/crossed/auxiliary edges.
+    T is V - S.  Step 0 deletes S-S edges, step 1 greedily adds uncrossed
+    S-T chords face by face until no bigon-free candidate remains
+    (multi-edges allowed), step 2 inserts an auxiliary vertex into every
+    face with three or more distinct T-corners, step 3 assigns 6/3/2
+    charges to uncrossed/crossed/auxiliary edges.
 
     With order_seed=None faces and chord candidates are processed in
     canonical order; a seed shuffles both (the structural claims must
@@ -219,10 +218,10 @@ def charging_run(
     step 1 still shuffles the whole face list and each visited face's
     pairs, so the draws are those of a full rescan.
     """
-    s_set = frozenset(s)
-    t_set = frozenset(t)
-    if s_set & t_set or s_set | t_set != frozenset(range(d.n_real)):
-        raise BadVertex("S and T must partition the vertex set")
+    s_set, everyone = frozenset(s), frozenset(range(d.n_real))
+    if s_set - everyone:
+        raise BadVertex(f"S vertex {min(s_set - everyone)} out of range (n={d.n_real})")
+    t_set = everyone - s_set
     if len(s_set) < 3:
         raise STooSmall(f"|S| = {len(s_set)} < 3")
     _check_t_preconditions(d, t_set)
@@ -234,7 +233,6 @@ def charging_run(
     work = _Builder(d)
     work.delete_edges(ss_edges)
     base = work.freeze()
-    work.multi_allowed = True
 
     # step 1: chord saturation.  `records` holds every current face's
     # record; `queue` the faces step 1 may pick, in canonical order: every

@@ -229,9 +229,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         d = embedding.parse_drawing(_read_text(args.input))
         if not args.S:
             raise _UsageError("check charge needs --S")
-        s = _load_vertex_set(args.S)
-        t = frozenset(range(d.n_real)) - s
-        ledger = bounds.charging_run(d, s, t, order_seed=args.order_seed)
+        ledger = bounds.charging_run(d, _load_vertex_set(args.S), order_seed=args.order_seed)
         report = bounds.charge_verify(ledger)
         if args.dump:
             sys.stdout.write(bounds.write_ledger(ledger))

@@ -44,7 +44,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     BadAttachment,
     BadVertex,
-    DuplicateEdge,
     InvalidDrawing,
     NotOnFace,
     ParseError,
@@ -410,13 +409,11 @@ class _Builder(_Planarization):
     Besides the drawing's own lists it keeps `real_pid`, the first id of
     every vertex pair (`eid_of`) and each edge's segment ids (`edge_sids`)
     up to date.  New edges, pvertices and segments are appended, so ids
-    keep their creation order.
+    keep their creation order; a new edge may parallel an existing one.
     """
 
     def __init__(self, d: OnePlanarDrawing):
         self._load(list(d.edges), list(d.pvertices), list(d.org), list(d.seg_eid), [list(r) for r in d.rotations])
-        # a drawing that already has parallel edges may gain more
-        self.multi_allowed = len(self.eid_of) != len(self.edges)
 
     def _load(self, edges, pvertices, org, seg_eid, rotations) -> None:
         self.edges: list[tuple[int, int]] = edges
@@ -448,8 +445,6 @@ class _Builder(_Planarization):
 
     def new_edge(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
-        if not self.multi_allowed and e in self.eid_of:
-            raise DuplicateEdge(f"edge ({e[0]},{e[1]}) already exists")
         self.eid_of.setdefault(e, len(self.edges))
         self.edges.append(e)
         self.edge_sids.append([])

@@ -11,7 +11,7 @@ class InvalidEdge(OnePlanarError):
 
 
 class DuplicateEdge(OnePlanarError):
-    """Repeated unordered pair where parallel edges are not allowed."""
+    """Repeated unordered pair in `build_graph`'s edges; drawings keep parallel copies."""
 
 
 class BadVertex(OnePlanarError):

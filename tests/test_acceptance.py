@@ -168,7 +168,7 @@ def test_criterion_7_charging_properties(drawing_corpus):
         s = frozenset(range(g.n)) - t
         assert t and len(s) >= 3, "corpus instance unusable for charging"
         for seed in ORDER_SEEDS:
-            ledger = charging_run(d, s, t, order_seed=seed)
+            ledger = charging_run(d, s, order_seed=seed)
             assert len(ledger.delta_edges) == 3 * len(ledger.delta_vertices)
             n_minus = sum(1 for _, c in ledger.charge_class if c == 6)
             n_cross = sum(1 for _, c in ledger.charge_class if c == 3)
@@ -268,7 +268,7 @@ def test_criterion_9_bipartite_edge_budget(drawing_corpus):
         g = d.graph
         t = greedy_independent_t(g)
         s = frozenset(range(g.n)) - t
-        ledger = charging_run(d, s, t)
+        ledger = charging_run(d, s)
         final = ledger.final
         t_side = ledger.t
         s_side = frozenset(range(final.n_real)) - t_side

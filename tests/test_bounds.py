@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -122,7 +123,8 @@ def test_cw_bound_on_delta3():
 @pytest.mark.parametrize("seed", [None, 11, 12, 13, 14, 15])
 def test_charging_delta3_all_orders(seed):
     inst = family_delta3(4)
-    ledger = charging_run(inst.drawing, inst.witness, DELTA3_T, order_seed=seed)
+    ledger = charging_run(inst.drawing, inst.witness, order_seed=seed)
+    assert ledger.t == DELTA3_T
     assert ledger.totals[0] <= ledger.totals[1] == 168
     report = charge_verify(ledger)
     assert report.ok, report.violations
@@ -131,10 +133,10 @@ def test_charging_delta3_all_orders(seed):
 def test_charging_preconditions():
     k4 = drawing_from_faces(4, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
     with pytest.raises(STooSmall):
-        charging_run(k4, {0, 1}, {2, 3})
+        charging_run(k4, {0, 1})
     c4 = drawing_from_faces(4, [[0, 1, 2, 3], [3, 2, 1, 0]])
     with pytest.raises(DegreeTooLow):
-        charging_run(c4, {0, 1, 2}, {3})
+        charging_run(c4, {0, 1, 2})
 
 
 def test_charging_postcondition_is_a_typed_error(tmp_path, capsys, monkeypatch):
@@ -162,7 +164,7 @@ def test_degree_bounds_reject_parallel_edges():
     # bounds count each vertex pair once, so they refuse such a drawing
     d = random_oneplanar(7, 0, 3)
     t = greedy_independent_t(d.graph)
-    final = charging_run(d, frozenset(range(d.n_real)) - t, t).final
+    final = charging_run(d, frozenset(range(d.n_real)) - t).final
     assert final.has_parallel_edges and not d.has_parallel_edges
     for check in (check_degree_bound, check_cw_degree_bound):
         with pytest.raises(InvalidDrawing, match="^degree bounds require a drawing without parallel edges$"):
@@ -173,7 +175,7 @@ def test_charging_case_two_vertices_get_exactly_fourteen():
     # degree-3 T-vertices with one uncrossed leg end up with charge
     # 6 + 3 + 3 + 2, the last through an auxiliary edge
     inst = family_delta3(4)
-    ledger = charging_run(inst.drawing, inst.witness, DELTA3_T)
+    ledger = charging_run(inst.drawing, inst.witness)
     crossed = ledger.gamma_prime.crossed_eids
     vc = dict(ledger.vertex_charge)
     aux_neighbors = {t for _, attach in ledger.delta_attach for t in attach}
@@ -194,7 +196,7 @@ def test_charging_planar_bipartite_case_one():
     # all legs uncrossed: every c(t) >= 3 deg(t) + 6
     cube = cube_drawing()
     t = frozenset({0, 3, 5, 6})
-    ledger = charging_run(cube, frozenset(range(8)) - t, t)
+    ledger = charging_run(cube, frozenset(range(8)) - t)
     g = ledger.base.graph
     for tv, c in ledger.vertex_charge:
         assert c >= 3 * g.degree(tv) + 6
@@ -203,7 +205,7 @@ def test_charging_planar_bipartite_case_one():
 
 def test_charging_aux_edges_are_triples():
     inst = family_delta3(4)
-    ledger = charging_run(inst.drawing, inst.witness, DELTA3_T)
+    ledger = charging_run(inst.drawing, inst.witness)
     assert len(ledger.delta_edges) == 3 * len(ledger.delta_vertices)
     assert len(ledger.delta_vertices) == 4
 
@@ -212,7 +214,7 @@ def test_charging_survives_step0_disconnection():
     # hexagon-with-center: deleting S-S edges uncrosses the spokes and
     # leaves degree-0 S vertices; the run must still audit cleanly
     d = hexagon_center_all_crossed()
-    ledger = charging_run(d, frozenset(range(6)), frozenset({6}))
+    ledger = charging_run(d, frozenset(range(6)))
     assert charge_verify(ledger).ok
     assert not ledger.base.crossed_eids
 
@@ -236,7 +238,7 @@ def test_charging_reads_each_face_once(monkeypatch, which):
         return corner_positions(drawing, face)
 
     monkeypatch.setattr(bounds, "corner_positions", counted)
-    ledger = charging_run(d, s, frozenset(range(d.n_real)) - s)
+    ledger = charging_run(d, s)
     assert ledger.added_chords or ledger.delta_vertices
     created = 2 * len(ledger.added_chords) + 3 * len(ledger.delta_vertices)
     assert reads <= len(validate(ledger.base).faces) + created
@@ -244,7 +246,7 @@ def test_charging_reads_each_face_once(monkeypatch, which):
 
 def test_ledger_dump_shape():
     inst = family_delta3(4)
-    ledger = charging_run(inst.drawing, inst.witness, DELTA3_T)
+    ledger = charging_run(inst.drawing, inst.witness)
     text = write_ledger(ledger)
     lines = text.strip().split("\n")
     assert lines[0] == "ledger"
@@ -262,7 +264,7 @@ def test_charging_on_corpus_sample():
         if not t or len(s) < 3:
             continue
         for order in (None, 5):
-            report = charge_verify(charging_run(d, s, t, order_seed=order))
+            report = charge_verify(charging_run(d, s, order_seed=order))
             assert report.ok, report.violations
 
 
@@ -278,7 +280,7 @@ def test_charging_holds_for_every_admissible_t():
             s = frozenset(range(g.n)) - t
             if len(s) < 3:
                 continue
-            report = charge_verify(charging_run(d, s, t))
+            report = charge_verify(charging_run(d, s))
             assert report.ok, (seed, sorted(t), report.violations)
 
 
@@ -289,6 +291,10 @@ def test_charging_holds_for_every_admissible_t():
 # cases store its c(t) at the edge of each per-vertex bound
 def _c5(lg, c):
     return {"vertex_charge": ((5, c),) + lg.vertex_charge[1:]}
+
+
+def _swap_first_two(rot):
+    return (rot[1], rot[0]) + rot[2:]
 
 
 LEDGER_MUTATIONS = {
@@ -336,6 +342,15 @@ LEDGER_MUTATIONS = {
         {"s": lg.s - {6, 7}, "charge_class": ((0, 7),) + lg.charge_class[1:]},
         ("edge 0 charged 7, expected 6", "stored total 228 != recomputed 229", "stored rhs 252 != recomputed 228",
          "total charges 229 exceed bound 228", "sum of c(t) = 228 != total 229", "c(5) stored 18 != recomputed 19")),
+    # the first two darts at pvertex 0 swapped: the final drawing's faces no longer fit Euler's formula
+    "final-rotation-swapped": lambda lg: (
+        {"final": dataclasses.replace(lg.final, rotations=(_swap_first_two(lg.final.rotations[0]),)
+                                      + lg.final.rotations[1:])},
+        ("final drawing invalid: fails Euler: n=43 m=93 f=52 in 3 components, want n - m + f = 4",)),
+    # T-vertex 5 moved to S: |S| + |T| and the charges stay, and its three edges join S to S
+    "t-vertex-moved-to-s": lambda lg: (
+        {"s": lg.s | {5}, "t": lg.t - {5}},
+        tuple(f"edge ({u},5) does not have exactly one T endpoint" for u in (0, 1, 3))),
     "delta-edge-dropped": lambda lg: ({"delta_edges": lg.delta_edges[1:]}, ("|E_delta| = 14 != 3*5",)),
     # T-vertex 8, two of whose three edges are crossed, listed as a sixth auxiliary vertex
     "delta-vertex-on-crossed-edges": lambda lg: (
@@ -358,12 +373,10 @@ LEDGER_MUTATIONS = {
 
 @pytest.mark.parametrize("kind", sorted(LEDGER_MUTATIONS))
 def test_charge_verify_reports_corrupted_ledgers(kind):
-    import dataclasses
-
     inst = family_delta3(5)
     # vertices 6 and 7 join the witness, which leaves vertex 5 three uncrossed edges
     t = frozenset(range(8, 23)) | {5}
-    ledger = charging_run(inst.drawing, frozenset(range(23)) - t, t)
+    ledger = charging_run(inst.drawing, frozenset(range(23)) - t)
     assert charge_verify(ledger).ok
     assert ledger.charge_class[0] == (0, 6) and ledger.vertex_charge[0] == (5, 18)
     assert (crossing_weighted_degree(ledger.base, 5), ledger.base.graph.degree(5)) == (6, 3)
@@ -391,6 +404,12 @@ def test_deficiency_bound_delta4_tight():
 def test_deficiency_bound_requires_two_vertices():
     with pytest.raises(STooSmall):
         check_deficiency(family_delta3(4).graph, {0}, 3)
+
+
+def test_deficiency_bound_needs_a_tabled_delta():
+    inst = family_delta3(4)
+    with pytest.raises(ValueError, match=r"^delta must be one of \[3, 4, 5\]$"):
+        check_deficiency(inst.graph, inst.witness, 6)
 
 
 def test_deficiency_bound_degree_gate():

@@ -313,7 +313,7 @@ def test_check_edge_budget_counts_each_parallel_copy(tmp_path, capsys):
 
     d = random_oneplanar(7, 0, 3)
     t = greedy_independent_t(d.graph)
-    final = bounds.charging_run(d, frozenset(range(d.n_real)) - t, t).final
+    final = bounds.charging_run(d, frozenset(range(d.n_real)) - t).final
     # step 1 doubled one edge: 10 uncrossed edges over 9 vertex pairs
     assert (final.n_real, len(final.edges), len(set(final.edges)), len(final.crossed_eids)) == (7, 10, 9, 0)
     p = tmp_path / "final.1pg"
@@ -431,3 +431,43 @@ def test_generate_error_leaves_no_output_directory(tmp_path, capsys):
     assert main(["generate", "delta3", "--s", "2", "-o", str(tmp_path / "newdir2")]) == 3
     capsys.readouterr()
     assert not list(tmp_path.iterdir())
+
+
+# exit-3 refusals no other test runs: name -> (argv, with DIR for a directory
+# holding delta3-s4 and the drawings `edge`, `hexagon` and `k4`, and the
+# first line of stderr)
+PRECONDITIONS = {
+    "lemma5-t-out-of-range": (
+        ("check", "lemma5", "DIR/delta3-s4.1pg", "--T", "99"), "precondition: BadVertex: vertex 99 out of range"),
+    "obs1-too-small": (("check", "obs1", "DIR/edge.1pg"), "precondition: TooSmall: edge budget needs n >= 3"),
+    "obs1-sides-not-a-partition": (
+        ("check", "obs1", "DIR/hexagon.1pg", "--side0", "0,2,4,9"),
+        "precondition: NotBipartite: sides do not partition the vertex set"),
+    "obs1-odd-cycle": (("check", "obs1", "DIR/k4.1pg"), "precondition: NotBipartite: odd cycle through edge (1,2)"),
+    "delta4-too-small": (
+        ("generate", "delta4", "--s", "2", "-o", "DIR/out"), "precondition: TooSmall: family delta4 needs s >= 4, got 2"),
+    "delta4-k5-too-small": (
+        ("generate", "delta4-k5", "--k", "0", "-o", "DIR/out"),
+        "precondition: TooSmall: family delta4-k5 needs k >= 1, got 0"),
+    "delta5-too-small": (
+        ("generate", "delta5", "--g", "0", "-o", "DIR/out"), "precondition: TooSmall: family delta5 needs g >= 1, got 0"),
+    "charge-s-out-of-range": (
+        ("check", "charge", "DIR/delta3-s4.1pg", "--S", "0,1,2,99"),
+        "precondition: BadVertex: S vertex 99 out of range (n=16)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITIONS))
+def test_precondition_refusals_exit_3_with_their_message(delta3_s4, capsys, case):
+    from oneplanar.embedding import drawing_from_faces, write_drawing
+    from conftest import k4_drawing
+
+    here = Path(delta3_s4).parent
+    hexagon = drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
+    for name, d in (("edge", drawing_from_faces(2, [[0, 1]])), ("hexagon", hexagon), ("k4", k4_drawing())):
+        (here / f"{name}.1pg").write_text(write_drawing(d))
+    argv, first_line = PRECONDITIONS[case]
+    assert main([a.replace("DIR", str(here)) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.split("\n")[0]) == ("", first_line)
+    assert not (here / "out").exists()

@@ -28,7 +28,6 @@ from oneplanar.cli import main
 from oneplanar.errors import (
     BadAttachment,
     BadVertex,
-    DuplicateEdge,
     InvalidDrawing,
     NotBipartite,
     NotOnFace,
@@ -136,7 +135,6 @@ def test_crossed_parallel_copy_is_not_a_bigon():
     # the 4-cycle 0, 2, 1, 3 with chord (0, 1) drawn once in each face: each
     # copy separates 2 from 3, so the two copies bound no face together
     b = _Builder(drawing_from_faces(4, [[0, 2, 1, 3], [3, 1, 2, 0]]))
-    b.multi_allowed = True
     for face in _face_orbits(b):
         b.add_chord(face, 0, 1)
     assert validate(b.freeze()).violations == ()
@@ -287,15 +285,28 @@ def test_add_chord_rejects_bigon():
 
 def test_add_chord_takes_the_first_occurrences_that_are_not_a_face_side():
     # the bowtie's outer walk has corners (1, 0, 4, 3, 0, 2): 0's first
-    # occurrence is beside 4, so chord (0, 4) leaves from its second
+    # occurrence is beside 4, so chord (0, 4), a parallel copy of side
+    # (0, 4), leaves from its second
     d = drawing_from_faces(5, [[0, 1, 2], [0, 3, 4], [0, 2, 1, 0, 4, 3]])
     outer = next(f for f in _face_orbits(d) if len(f) == 6)
     assert real_corners(d, outer) == (1, 0, 4, 3, 0, 2)
     b = _Builder(d)
-    b.multi_allowed = True  # as in charging: the chord parallels side (0, 4)
     pieces = b.add_chord(outer, 0, 4)
     assert [real_corners(b, p) for p in pieces] == [(3, 0, 4), (1, 0, 4, 0, 2)]
     assert validate(b.freeze()).valid
+
+
+def test_add_chord_keeps_a_parallel_copy():
+    # the chord (0, 2) again, in c4's other face: the builder keeps both
+    # copies, uncrossed, and the drawing validates and writes back
+    b = _Builder(_c4_with_chord())
+    b.add_chord(_require_valid(c4_drawing()).faces[1], 0, 2)
+    d = b.freeze()
+    assert validate(d).violations == ()
+    assert d.has_parallel_edges and d.edges.count((0, 2)) == 2
+    assert not d.crossed_eids
+    text = write_drawing(d)
+    assert write_drawing(parse_drawing(text)) == text
 
 
 def test_add_chord_rejects_corner_not_on_face():
@@ -405,13 +416,6 @@ def _crossed_square():
 # drawing, and its call takes no builder
 REJECTIONS = {
     "chord-loop": (c4_drawing, lambda b: b.add_chord(_face_orbits(b)[0], 2, 2), NotOnFace, "must differ"),
-    # the chord again, in c4's other face
-    "chord-duplicate": (
-        _c4_with_chord,
-        lambda b: b.add_chord(_require_valid(c4_drawing()).faces[1], 0, 2),
-        DuplicateEdge,
-        r"^edge \(0,2\) already exists$",
-    ),
     "vertex-off-face": (k4_drawing, _vertex_off_the_face, BadAttachment, "not a corner"),
     "crossed-missing-edge": (c4_drawing, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "not in drawing"),
     "crossed-twice": (_crossed_square, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "already crossed"),
@@ -484,9 +488,10 @@ def test_surgeries_and_face_lists_reject_bad_requests(case):
 # u != v and every edge e of c4, K4, the hexagon and the triangular prism,
 # 570 calls: the written `1pg` text, or the error's type and text, each
 # followed by a NUL.  The 370 calls with u or v an end of e are refused as
-# adjacent crossings; the other 200 (72 of which succeed) give the outcomes
-# they gave before that refusal existed.
-CROSSED_OUTCOMES = "d1dc165aeedad48926643fcd5fb99e26d19a3d1128b7281fb89ee8e2b48e3ca2"
+# adjacent crossings, and 60 more as not on opposite sides of e; the other
+# 140 succeed, and in 68 of them (u, v) is already an edge, so the drawing
+# keeps a crossed parallel copy of it.
+CROSSED_OUTCOMES = "447ea6d5e432dc4e3368b13c24b99587464cc09c9d062b538896c10229f793ae"
 PRISM = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
 
 
@@ -533,7 +538,6 @@ def test_builder_surgeries_return_the_faces_they_create(make):
     # after each edit the returned faces are exactly the faces the drawing
     # gained, and the face passed in is the only face it lost
     b = _Builder(make())
-    b.multi_allowed = True
     done = {"chord": 0, "vertex": 0}
     for step in range(16):
         before = _face_orbits(b)

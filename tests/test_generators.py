@@ -21,6 +21,7 @@ from oneplanar.generators import (
 )
 from oneplanar.graph import is_independent, min_degree, odd_components
 from oneplanar.matcher import maximum_matching, tutte_berge_bruteforce
+from oneplanar.rng import SplitMix64
 
 
 @pytest.mark.parametrize("s,want_faces", [(3, 2), (4, 4), (10, 16)])
@@ -204,6 +205,18 @@ def test_random_planar_when_no_crossings():
     d = random_oneplanar(10, 0, 1)
     assert validate(d).valid
     assert not d.crossed_eids
+
+
+def test_random_drawings_have_no_parallel_edges(drawing_corpus):
+    # the builder keeps parallel copies, so a simple drawing is the
+    # generator's own doing; `check_instance` checks the families
+    larger = [random_oneplanar(n, 3 * n // 16, seed) for n in range(12, 41) for seed in (1, 2)]
+    assert [d for d in drawing_corpus + larger if d.has_parallel_edges] == []
+
+
+def test_prng_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+        SplitMix64(1).below(0)
 
 
 def test_random_rejects_bad_params():

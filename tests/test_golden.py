@@ -325,19 +325,18 @@ CHARGING_RUNS = {
 ORDER_SEEDS = (None, 7, 11, 123)
 
 
-def charging_input(key: tuple) -> tuple[OnePlanarDrawing, frozenset[int], frozenset[int]]:
+def charging_input(key: tuple) -> tuple[OnePlanarDrawing, frozenset[int]]:
+    """A drawing and its S; T is the rest."""
     if key[0] == "delta3":
         inst = family_delta3(key[1])
-        d, s = inst.drawing, inst.witness
-        return d, s, frozenset(range(d.n_real)) - s
+        return inst.drawing, inst.witness
     _, n, seed = key
     d = random_oneplanar(n, 3 * n // 16, seed)
-    t = greedy_independent_t(d.graph)
-    return d, frozenset(range(d.n_real)) - t, t
+    return d, frozenset(range(d.n_real)) - greedy_independent_t(d.graph)
 
 
 def charging_digest(monkeypatch, key: tuple, order_seed: int | None) -> tuple[str, int]:
-    d, s, t = charging_input(key)
+    d, s = charging_input(key)
     draws = 0
     next_u64 = SplitMix64.next_u64
 
@@ -347,7 +346,7 @@ def charging_digest(monkeypatch, key: tuple, order_seed: int | None) -> tuple[st
         return next_u64(self)
 
     monkeypatch.setattr(SplitMix64, "next_u64", counted)
-    ledger = charging_run(d, s, t, order_seed=order_seed)
+    ledger = charging_run(d, s, order_seed=order_seed)
     return _sha(write_ledger(ledger).encode()), draws
 
 
@@ -418,8 +417,8 @@ CHARGING_RUN_DRAWINGS = {
 
 @pytest.mark.parametrize("key", sorted(CHARGING_RUN_DRAWINGS, key=str), ids=lambda k: "-".join(map(str, k)))
 def test_charging_run_drawings_golden(key):
-    d, s, t = charging_input(key)
-    got = {seed: ledger_drawings_digest(charging_run(d, s, t, order_seed=seed)) for seed in ORDER_SEEDS}
+    d, s = charging_input(key)
+    got = {seed: ledger_drawings_digest(charging_run(d, s, order_seed=seed)) for seed in ORDER_SEEDS}
     assert got == CHARGING_RUN_DRAWINGS[key]
 
 

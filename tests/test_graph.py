@@ -42,6 +42,16 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 2)])
 
 
+def test_build_rejects_negative_vertex_count():
+    with pytest.raises(BadVertex, match="^negative vertex count -1$"):
+        build_graph(-1, [])
+
+
+def test_has_edge_reads_either_order():
+    g = make_path(3)
+    assert [g.has_edge(1, 0), g.has_edge(2, 0)] == [g.has_edge(0, 1), g.has_edge(0, 2)] == [True, False]
+
+
 def test_odd_components_p5_middle():
     assert odd_components(make_path(5), {2}) == 0  # two pairs
     assert odd_components(make_path(5), {1}) == 2  # a singleton and a triple

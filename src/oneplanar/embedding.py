@@ -29,10 +29,11 @@ Surgeries (chord, vertex and crossed-edge insertion, and deletion) are
 methods of the one mutable drawing, `_Builder`: each checks all its
 preconditions before its first edit, edits the drawing in place and walks
 only the faces it touches, each once, as in edge-addition planarity testing.
-`_Builder(d)` thaws a drawing and `freeze()` returns the edited one;
-generators and the charging engine keep one builder for a whole
-construction.  Every chord goes at the first pair of its ends' corners,
-in walk order, that is not a face side.
+`_Builder(d)` thaws a drawing into its tables plus `real_pid`, and
+`freeze()` returns the edited one; generators and the charging engine
+keep one builder for a whole construction.  Every chord goes at the first
+pair of its ends' corners, in walk order, that is not a face side, and
+`add_crossed` crosses the uncrossed copy of least segment id.
 """
 
 from __future__ import annotations
@@ -406,10 +407,10 @@ def crossing_weighted_degree(d: OnePlanarDrawing, v: int) -> int:
 class _Builder(_Planarization):
     """One drawing under construction; each surgery edits it in place.
 
-    Besides the drawing's own lists it keeps `real_pid`, the first id of
-    every vertex pair (`eid_of`) and each edge's segment ids (`edge_sids`)
-    up to date.  New edges, pvertices and segments are appended, so ids
-    keep their creation order; a new edge may parallel an existing one.
+    It is the drawing's own tables, as lists, plus `real_pid`, the pvertex
+    of each real vertex.  New edges, pvertices and segments are appended,
+    so ids keep their creation order; a new edge may parallel an existing
+    one, and `add_crossed` crosses the uncrossed copy of least segment id.
     """
 
     def __init__(self, d: OnePlanarDrawing):
@@ -422,11 +423,6 @@ class _Builder(_Planarization):
         self.seg_eid: list[int] = seg_eid
         self.rotations: list[list[int]] = rotations
         self.real_pid = {vid: pid for pid, vid in enumerate(pvertices) if vid != DUMMY}
-        # reversed, so that the first of several parallel copies wins
-        self.eid_of = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
-        self.edge_sids: list[list[int]] = [[] for _ in edges]
-        for sid, eid in enumerate(seg_eid):
-            self.edge_sids[eid].append(sid)
 
     @property
     def n_real(self) -> int:
@@ -444,10 +440,7 @@ class _Builder(_Planarization):
     # -- appending --------------------------------------------------
 
     def new_edge(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        self.eid_of.setdefault(e, len(self.edges))
-        self.edges.append(e)
-        self.edge_sids.append([])
+        self.edges.append((u, v) if u < v else (v, u))
         return len(self.edges) - 1
 
     def new_pvertex(self, vid: int) -> int:
@@ -462,12 +455,11 @@ class _Builder(_Planarization):
     def new_segment(self, a: int, b: int, eid: int) -> int:
         self.org += (a, b)
         self.seg_eid.append(eid)
-        self.edge_sids[eid].append(len(self.seg_eid) - 1)
         return len(self.seg_eid) - 1
 
-    def insert_before(self, pid: int, anchor: int, new: int) -> None:
-        """Insert `new` into the rotation at pid, directly before `anchor`."""
-        rot = self.rotations[pid]
+    def insert_before(self, anchor: int, new: int) -> None:
+        """Insert `new` into the rotation at anchor's origin, directly before `anchor`."""
+        rot = self.rotations[self.org[anchor]]
         rot.insert(rot.index(anchor), new)
 
     # -- surgeries --------------------------------------------------
@@ -492,8 +484,8 @@ class _Builder(_Planarization):
         i, j = occ
         eid = self.new_edge(u, v)
         sid = self.new_segment(pu, pv, eid)
-        self.insert_before(pu, face[i], 2 * sid)
-        self.insert_before(pv, face[j], 2 * sid + 1)
+        self.insert_before(face[i], 2 * sid)
+        self.insert_before(face[j], 2 * sid + 1)
         return _face_at(self, 2 * sid), _face_at(self, 2 * sid + 1)
 
     def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
@@ -511,9 +503,8 @@ class _Builder(_Planarization):
         spoke_darts: list[int] = []
         for pos, vid in pairs:
             eid = self.new_edge(vid, z)
-            pu = self.org[face[pos]]
-            sid = self.new_segment(pu, pz, eid)
-            self.insert_before(pu, face[pos], 2 * sid)
+            sid = self.new_segment(self.org[face[pos]], pz, eid)
+            self.insert_before(face[pos], 2 * sid)
             spoke_darts.append(2 * sid + 1)
         self.rotations[pz] = spoke_darts[::-1]
         return [_face_at(self, x) for x in self.rotations[pz]]
@@ -525,13 +516,20 @@ class _Builder(_Planarization):
             raise NotOnFace("crossing edge endpoints must differ")
         if u in cross or v in cross:
             raise NotOnFace(f"({u},{v}) shares an endpoint with edge {cross}")
-        cross_eid = self.eid_of.get(tuple(sorted(cross)))
-        if cross_eid is None:
-            raise NotOnFace(f"edge {cross} not in drawing")
-        sids = self.edge_sids[cross_eid]
-        if len(sids) != 1:
-            raise NotOnFace(f"edge {cross} is already crossed")
-        sid_c = sids[0]
+        # an uncrossed copy of `cross` is a segment joining its ends' real
+        # pvertices, as a crossed half ends at a dummy; the copy of least sid
+        # is crossed, read off the shorter rotation (a hub's is long)
+        org, rotations = self.org, self.rotations
+        p, q = (self.real_pid.get(w) for w in cross)
+        copies = []
+        if p is not None and q is not None:
+            if len(rotations[p]) > len(rotations[q]):
+                p, q = q, p
+            copies = [x >> 1 for x in rotations[p] if org[x ^ 1] == q]
+        if not copies:
+            state = "is already crossed" if tuple(sorted(cross)) in self.edges else "not in drawing"
+            raise NotOnFace(f"edge {cross} {state}")
+        sid_c = min(copies)
         side_a, side_b = _face_at(self, 2 * sid_c), _face_at(self, 2 * sid_c + 1)
         if side_a == side_b:
             raise NotOnFace(f"edge {cross} has one face on both sides")
@@ -548,23 +546,22 @@ class _Builder(_Planarization):
 
         # split the crossed segment pa -> pb at a fresh dummy pD: it now ends
         # at pD, and a new segment runs on from pD to pb
-        pb = self.org[2 * sid_c + 1]
+        pb = org[2 * sid_c + 1]
         pD = self.new_pvertex(DUMMY)
-        self.org[2 * sid_c + 1] = pD
-        sid_c2 = self.new_segment(pD, pb, cross_eid)
+        org[2 * sid_c + 1] = pD
+        sid_c2 = self.new_segment(pD, pb, self.seg_eid[sid_c])
         # splice: at pb the old dart is renamed to the new segment
-        rot_b = self.rotations[pb]
+        rot_b = rotations[pb]
         rot_b[rot_b.index(2 * sid_c + 1)] = 2 * sid_c2 + 1
-        self.rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
+        rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
 
         # each half of (u, v) is attached at its first corner on its own side:
         # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side
         # runs pb -> pD -> pa and leaves pD by 2*sid_c + 1
-        for vert, at, corner in ((u, at_u, 2 * sid_c2), (v, at_v, 2 * sid_c + 1)):
-            p_vert = self.real_pid[vert]
-            sid = self.new_segment(p_vert, pD, new_eid)
-            self.insert_before(p_vert, at, 2 * sid)
-            self.insert_before(pD, corner, 2 * sid + 1)
+        for at, corner in ((at_u, 2 * sid_c2), (at_v, 2 * sid_c + 1)):
+            sid = self.new_segment(org[at], pD, new_eid)
+            self.insert_before(at, 2 * sid)
+            self.insert_before(corner, 2 * sid + 1)
 
     def delete_edges(self, eids: Iterable[int]) -> None:
         """Remove edges, uncrossing their partners; what is kept keeps its order."""
@@ -590,8 +587,11 @@ class _Builder(_Planarization):
         org: list[int] = []
         seg_eid: list[int] = []
         new_dart = [-1] * len(self.org)
+        edge_sids: list[list[int]] = [[] for _ in self.edges]
+        for sid, eid in enumerate(self.seg_eid):
+            edge_sids[eid].append(sid)
         for eid in kept:
-            sids = self.edge_sids[eid]
+            sids = edge_sids[eid]
             if eid in merged:
                 pu, pv = (self.real_pid[vid] for vid in self.edges[eid])
                 for sid in sids:

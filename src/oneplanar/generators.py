@@ -199,12 +199,11 @@ def family_delta4_k5(k: int) -> FamilyInstance:
     if k < 1:
         raise TooSmall(f"family delta4-k5 needs k >= 1, got {k}")
     d = _Builder(drawing_from_faces(2, [[0, 1]]))
-    # each block grows on the side of the (0,1) segment's first dart
-    side01 = 2 * d.edge_sids[0][0]
     for i in range(k):
         p1, p3, p2 = 3 * i + 2, 3 * i + 3, 3 * i + 4
-        d.insert_vertex(_face_at(d, side01), [0, 1])  # p1
-        pieces = d.insert_vertex(_face_at(d, side01), [0, 1])  # p3
+        # each block grows on the side of dart 0, which leaves 0 on the (0,1) segment
+        d.insert_vertex(_face_at(d, 0), [0, 1])  # p1
+        pieces = d.insert_vertex(_face_at(d, 0), [0, 1])  # p3
         rim = _face_with_corner_set(d, pieces, {0, 1, p1, p3})
         d.insert_vertex(rim, real_corners(d, rim))  # p2
         d.add_crossed(p1, p3, (0, p2))

@@ -1,4 +1,6 @@
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -471,3 +473,34 @@ def test_precondition_refusals_exit_3_with_their_message(delta3_s4, capsys, case
     captured = capsys.readouterr()
     assert (captured.out, captured.err.split("\n")[0]) == ("", first_line)
     assert not (here / "out").exists()
+
+
+README = Path(__file__).parent.parent / "README.md"
+CUBE = Path(__file__).parent / "data" / "cube.1pg"
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The argv of each `oneplanar` line of the README's CLI block, with its
+    `# ...` comment dropped and the contents of its optional `[...]` parts kept."""
+    block = README.read_text().split("## CLI\n", 1)[1].split("```")[1]
+    return [
+        shlex.split(ln.split("#")[0].replace("[", "").replace("]", ""))[1:]
+        for ln in block.splitlines()
+        if ln.startswith("oneplanar ")
+    ]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # the block runs from the repository root, the one file it reads there
+    # being the cube drawing
+    from conftest import cube_drawing
+    from oneplanar.embedding import write_drawing
+
+    assert CUBE.read_text() == write_drawing(cube_drawing())
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    shutil.copy(CUBE, tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 17
+    for argv in lines:
+        assert main(argv) == 0, argv

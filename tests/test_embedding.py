@@ -419,6 +419,9 @@ REJECTIONS = {
     "vertex-off-face": (k4_drawing, _vertex_off_the_face, BadAttachment, "not a corner"),
     "crossed-missing-edge": (c4_drawing, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "not in drawing"),
     "crossed-twice": (_crossed_square, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "already crossed"),
+    "crossed-missing-vertex": (
+        c4_drawing, lambda b: b.add_crossed(1, 3, (0, 9)), NotOnFace, r"^edge \(0, 9\) not in drawing$"
+    ),
     "crossed-one-side": (
         lambda: _first_face_edit(drawing_from_faces(6, HEXAGON), "add_chord", 0, 3),
         lambda b: b.add_crossed(1, 2, (0, 3)),
@@ -495,13 +498,15 @@ CROSSED_OUTCOMES = "447ea6d5e432dc4e3368b13c24b99587464cc09c9d062b538896c10229f7
 PRISM = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
 
 
-def test_add_crossed_outcomes_on_small_drawings():
+def _crossed_outcomes(drawings) -> tuple[int, str]:
+    """(calls, sha256) over add_crossed(u, v, e) on each drawing, for every
+    ordered pair u != v and every distinct edge e in sorted order."""
     h = hashlib.sha256()
     calls = 0
-    for d in (c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM)):
+    for d in drawings:
         for u in range(d.n_real):
             for v in (v for v in range(d.n_real) if v != u):
-                for e in d.edges:
+                for e in sorted(set(d.edges)):
                     b = _Builder(d)
                     try:
                         b.add_crossed(u, v, e)
@@ -510,7 +515,64 @@ def test_add_crossed_outcomes_on_small_drawings():
                         out = f"{type(exc).__name__}: {exc}"
                     h.update(out.encode() + b"\0")
                     calls += 1
-    assert (calls, h.hexdigest()) == (570, CROSSED_OUTCOMES)
+    return calls, h.hexdigest()
+
+
+def test_add_crossed_outcomes_on_small_drawings():
+    drawings = (c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM))
+    assert _crossed_outcomes(drawings) == (570, CROSSED_OUTCOMES)
+
+
+def _chord_in_each_face(d, u, v):
+    """d with chord (u, v) added in each of its faces."""
+    b = _Builder(d)
+    for f in _face_orbits(b):
+        b.add_chord(f, u, v)
+    return b.freeze()
+
+
+def _double_01():
+    """The 4-cycle 0, 2, 1, 3 with chord (0, 1) in both faces: edges 4 and 5."""
+    return _chord_in_each_face(drawing_from_faces(4, [[0, 2, 1, 3], [3, 1, 2, 0]]), 0, 1)
+
+
+def test_add_crossed_crosses_an_uncrossed_parallel_copy():
+    b = _Builder(_double_01())
+    b.add_crossed(2, 3, (0, 1))
+    assert b.edges[4:] == [(0, 1), (0, 1), (2, 3)]
+    # edge 4 is crossed now, so the second call crosses edge 5
+    b.add_crossed(2, 3, (0, 1))
+    d = b.freeze()
+    assert _require_valid(d)
+    assert d.crossed_eids == {4, 5, 6, 7}
+    assert [d.crossing_edges(pid) for pid in (4, 5)] == [(4, 6), (5, 7)]
+    text = write_drawing(d)
+    assert write_drawing(parse_drawing(text)) == text
+    with pytest.raises(NotOnFace, match=r"^edge \(0, 1\) is already crossed$"):
+        b.add_crossed(2, 3, (0, 1))
+
+
+# as CROSSED_OUTCOMES, over drawings with parallel copies, for every ordered
+# pair u != v and every distinct edge e: c4 with chord (0, 2) in both faces,
+# the hexagon with chord (0, 3) in both faces, `_double_01`, and
+# `_double_01` with edge 4 crossed by (2, 3), where (0, 1) has one crossed
+# and one uncrossed copy; 402 calls.  286 are refused as adjacent crossings,
+# 88 as not on opposite sides and 2, on the last drawing, as already
+# crossed.  The 26 others succeed, which pins the copy each one crosses;
+# two of them, (2, 3) and (3, 2) across the uncrossed copy on the last
+# drawing, were refused while only the first copy of a pair was looked up.
+PARALLEL_CROSSED_OUTCOMES = "86e33ca7d98492a6ee2a070b2d44262bf87623320d5d971597f941ea8c08d173"
+
+
+def test_add_crossed_outcomes_on_drawings_with_parallel_copies():
+    double_01 = _double_01()
+    drawings = (
+        _chord_in_each_face(c4_drawing(), 0, 2),
+        _chord_in_each_face(drawing_from_faces(6, HEXAGON), 0, 3),
+        double_01,
+        edit(double_01, "add_crossed", 2, 3, (0, 1)),
+    )
+    assert _crossed_outcomes(drawings) == (402, PARALLEL_CROSSED_OUTCOMES)
 
 
 def test_local_face_walk_matches_full_enumeration():
@@ -562,21 +624,27 @@ def test_builder_surgeries_return_the_faces_they_create(make):
 class BuilderSurgeries(RuleBasedStateMachine):
     """One builder, from c4, under chords, vertices and crossed edges at
     drawn faces, corners and edges.  After every step the drawing is valid,
-    and so good, the faces a surgery returned are faces of it, and its `1pg`
-    text writes back byte for byte; a refused surgery changes nothing."""
+    and so good, and its `1pg` text writes back byte for byte; a chord or a
+    vertex took away exactly the face it was given and added exactly the
+    faces it returned, and a refused surgery changes nothing."""
 
     def __init__(self):
         super().__init__()
         self.b = _Builder(c4_drawing())
-        self.returned: list = []
+        self.faces = set(validate(self.b.freeze()).faces)
+        # (faces lost, faces gained) by the last step, sorted; None after a
+        # crossed edge, which returns no faces
+        self.change: tuple[list, list] | None = ([], [])
 
     def _apply(self, surgery, *args):
         before = self.b.freeze()
         try:
-            self.returned = getattr(self.b, surgery)(*args) or []
+            new = getattr(self.b, surgery)(*args)
         except OnePlanarError:
             assert self.b.freeze() == before
-            self.returned = []
+            self.change = ([], [])
+        else:
+            self.change = None if new is None else ([args[0]], sorted(new))
 
     @rule(data=st.data())
     def add_chord(self, data):
@@ -607,7 +675,10 @@ class BuilderSurgeries(RuleBasedStateMachine):
         d = self.b.freeze()
         report = validate(d)
         assert report.violations == ()
-        assert set(self.returned) <= set(report.faces)
+        faces = set(report.faces)
+        if self.change is not None:
+            assert (sorted(self.faces - faces), sorted(faces - self.faces)) == self.change
+        self.faces = faces
         text = write_drawing(d)
         assert write_drawing(parse_drawing(text)) == text
 

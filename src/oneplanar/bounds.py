@@ -28,6 +28,7 @@ from .embedding import (
     _Planarization,
     _bigon_free,
     _darts_text,
+    _face_at,
     _require_valid,
     corner_positions,
     crossing_weighted_degree,
@@ -247,7 +248,8 @@ def charging_run(
         face, (sv, tv) = found
         queue.remove(face)
         del records[face]
-        for piece in work.add_chord(face, sv, tv):
+        for x in work.add_chord(face[0], sv, tv):
+            piece = _face_at(work, x)
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if rng is not None or rec.chord:
                 bisect.insort(queue, piece)
@@ -265,7 +267,8 @@ def charging_run(
         face = heavy.pop(0)
         attach = tuple(sorted(records.pop(face).t_occ)[:3])
         z = work.n_real
-        for piece in work.insert_vertex(face, attach):
+        for x in work.insert_vertex(face[0], attach):
+            piece = _face_at(work, x)
             records[piece] = rec = _face_record(work, piece, s_set, t_set)
             if len(rec.t_occ) >= 3:
                 bisect.insort(heavy, piece)

@@ -29,6 +29,7 @@ Surgeries (chord, vertex and crossed-edge insertion, and deletion) are
 methods of the one mutable drawing, `_Builder`: each checks all its
 preconditions before its first edit, edits the drawing in place and walks
 only the faces it touches, each once, as in edge-addition planarity testing.
+A face surgery takes a dart of its face and returns darts on the pieces.
 `_Builder(d)` thaws a drawing into its tables plus `real_pid`, and
 `freeze()` returns the edited one; generators and the charging engine
 keep one builder for a whole construction.  Every chord goes at the first
@@ -411,6 +412,8 @@ class _Builder(_Planarization):
     of each real vertex.  New edges, pvertices and segments are appended,
     so ids keep their creation order; a new edge may parallel an existing
     one, and `add_crossed` crosses the uncrossed copy of least segment id.
+    A face surgery walks the face of its dart once and returns darts on the
+    pieces, unwalked: callers walk only the pieces they read.
     """
 
     def __init__(self, d: OnePlanarDrawing):
@@ -464,18 +467,24 @@ class _Builder(_Planarization):
 
     # -- surgeries --------------------------------------------------
 
-    def add_chord(self, face: Face, u: int, v: int) -> tuple[Face, Face]:
-        """Split `face` by chord (u, v) at the first pair of u's and v's corners
-        that is not a face side (`_bigon_free`); returns the two pieces."""
-        _check_face(self, face)
+    def _face_of_dart(self, x: int) -> Face:
+        """The face of dart x, which every in-range dart lies on."""
+        if not (0 <= x < 2 * self.m_p):
+            raise NotOnFace(f"dart {x} is not a dart of this drawing")
+        return _face_at(self, x)
+
+    def add_chord(self, x: int, u: int, v: int) -> tuple[int, int]:
+        """Split the face of dart x by chord (u, v) at the first pair of u's and v's
+        corners that is not a face side (`_bigon_free`); returns the chord's darts."""
+        face = self._face_of_dart(x)
         if u == v:
             raise NotOnFace("chord endpoints must differ")
         org, pu, pv = self.org, self.real_pid.get(u), self.real_pid.get(v)
         at_u, at_v = [], []
-        for pos, x in enumerate(face):
-            if org[x] == pu:
+        for pos, y in enumerate(face):
+            if org[y] == pu:
                 at_u.append(pos)
-            elif org[x] == pv:
+            elif org[y] == pv:
                 at_v.append(pos)
         if not at_u or not at_v:
             raise NotOnFace(f"vertex {v if at_u else u} is not a corner of the face")
@@ -486,28 +495,30 @@ class _Builder(_Planarization):
         sid = self.new_segment(pu, pv, eid)
         self.insert_before(face[i], 2 * sid)
         self.insert_before(face[j], 2 * sid + 1)
-        return _face_at(self, 2 * sid), _face_at(self, 2 * sid + 1)
+        return 2 * sid, 2 * sid + 1
 
-    def insert_vertex(self, face: Face, attach: Sequence[int]) -> list[Face]:
-        """Join new real vertex n_real to k >= 2 corners of `face`; returns the k pieces of `face`."""
-        _check_face(self, face)
+    def insert_vertex(self, x: int, attach: Sequence[int]) -> list[int]:
+        """Join new real vertex n_real to k >= 2 corners of the face of dart x;
+        returns the spokes leaving it, in `attach` order.  The piece through
+        attach[i]'s spoke runs from that corner along the old face to the
+        next attachment."""
+        face = self._face_of_dart(x)
         first = _first_positions(self, face)
         for vid in attach:
             if vid not in first:
                 raise BadAttachment(f"vertex {vid} is not a corner of the face")
-        pairs = sorted((first[vid], vid) for vid in attach)
-        if len({p for p, _ in pairs}) != len(pairs) or len(pairs) < 2:
+        if len(set(attach)) != len(attach) or len(attach) < 2:
             raise BadAttachment("attachments must be distinct corners")
         z = self.n_real
         pz = self.new_pvertex(z)
-        spoke_darts: list[int] = []
-        for pos, vid in pairs:
-            eid = self.new_edge(vid, z)
-            sid = self.new_segment(self.org[face[pos]], pz, eid)
+        spokes = [0] * len(attach)
+        for pos, i in sorted((first[vid], i) for i, vid in enumerate(attach)):
+            sid = self.new_segment(self.org[face[pos]], pz, self.new_edge(attach[i], z))
             self.insert_before(face[pos], 2 * sid)
-            spoke_darts.append(2 * sid + 1)
-        self.rotations[pz] = spoke_darts[::-1]
-        return [_face_at(self, x) for x in self.rotations[pz]]
+            spokes[i] = 2 * sid + 1
+        # made in walk order, the spokes run against it around z
+        self.rotations[pz] = sorted(spokes, reverse=True)
+        return spokes
 
     def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
         """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its
@@ -633,15 +644,6 @@ def _bigon_free(u_pos: list[int], v_pos: list[int], k: int) -> tuple[int, int] |
 def _first_positions(d: _Planarization, face: Face) -> dict[int, int]:
     """Each real corner of the walk -> its first walk position (read in reverse, so the first wins)."""
     return {vid: i for i, vid in reversed(corner_positions(d, face))}
-
-
-def _check_face(d: _Planarization, face: Face) -> None:
-    """Verify that `face` is an actual orbit of d, canonically rotated.
-
-    Only the face through the walk's first dart is walked.
-    """
-    if not (face and 0 <= face[0] < 2 * d.m_p and _face_at(d, face[0]) == face):
-        raise NotOnFace("face is not a face of this drawing")
 
 
 # ---------------------------------------------------------------------

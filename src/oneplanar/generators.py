@@ -62,16 +62,6 @@ def _corner_keyed(d: _Builder, f: Face) -> tuple[tuple[int, ...], Face]:
     return tuple(sorted(real_corners(d, f))), f
 
 
-def _face_with_corner_set(d: _Builder, faces: Iterable[Face], want: set[int]) -> Face:
-    """The first face of `faces`, in canonical order, whose real corners are `want`, each once."""
-    matches = [
-        f for f in faces if len(c := real_corners(d, f)) == len(want) and set(c) == want
-    ]
-    if not matches:
-        raise InvalidDrawing(f"no face with corner set {sorted(want)}")
-    return min(matches)
-
-
 # ---------------------------------------------------------------------
 # planar substrates
 
@@ -87,8 +77,8 @@ def _stacked(
     keyed = sorted(_corner_keyed(d, f) for f in _face_orbits(d))
     for _ in range(cycle, s):
         _, face = keyed.pop(rng.below(len(keyed)) if rng is not None else 0)
-        for f in d.insert_vertex(face, attach(real_corners(d, face))):
-            bisect.insort(keyed, _corner_keyed(d, f))
+        for x in d.insert_vertex(face[0], attach(real_corners(d, face))):
+            bisect.insort(keyed, _corner_keyed(d, _face_at(d, x)))
     return d, [f for _, f in keyed]
 
 
@@ -121,11 +111,13 @@ def _fill_triangle(d: _Builder, face: Face) -> None:
     """
     c0, c1, c2 = real_corners(d, face)
     a = d.n_real
-    pieces = d.insert_vertex(face, [c0, c1])
+    # the piece at a's spoke to c1 runs c1, c2, c0, a
+    spokes = d.insert_vertex(face[0], [c0, c1])
     b = d.n_real
-    pieces = d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, c2, a}), [c1, c2])
+    # the piece at b's spoke to c2 runs c2, c0, a, c1, b
+    spokes = d.insert_vertex(spokes[1], [c1, c2])
     c = d.n_real
-    d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, c2, a, b}), [c2, c0])
+    d.insert_vertex(spokes[1], [c2, c0])
     d.add_crossed(b, c0, (a, c1))
     d.add_crossed(c, c1, (b, c2))
     d.add_crossed(a, c2, (c, c0))
@@ -139,9 +131,10 @@ def _fill_quad(d: _Builder, face: Face) -> None:
     """
     c0, c1, c2, c3 = real_corners(d, face)
     a = d.n_real
-    pieces = d.insert_vertex(face, [c0, c1, c2, c3])
+    # the piece at a's spoke to c0 runs c0, c1, a
+    spokes = d.insert_vertex(face[0], [c0, c1, c2, c3])
     b = d.n_real
-    d.insert_vertex(_face_with_corner_set(d, pieces, {c0, c1, a}), [c0, c1])
+    d.insert_vertex(spokes[0], [c0, c1])
     d.add_crossed(b, c2, (a, c1))
     d.add_crossed(b, c3, (a, c0))
 
@@ -155,7 +148,7 @@ def _cross_quad_face(d: _Builder, face: Face) -> None:
     w = real_corners(d, face)
     if len(w) != 4 or len(set(w)) != 4:
         raise InvalidDrawing(f"not a quadrilateral face: {w}")
-    d.add_chord(face, w[0], w[2])
+    d.add_chord(face[0], w[0], w[2])
     d.add_crossed(w[1], w[3], (min(w[0], w[2]), max(w[0], w[2])))
 
 
@@ -202,10 +195,10 @@ def family_delta4_k5(k: int) -> FamilyInstance:
     for i in range(k):
         p1, p3, p2 = 3 * i + 2, 3 * i + 3, 3 * i + 4
         # each block grows on the side of dart 0, which leaves 0 on the (0,1) segment
-        d.insert_vertex(_face_at(d, 0), [0, 1])  # p1
-        pieces = d.insert_vertex(_face_at(d, 0), [0, 1])  # p3
-        rim = _face_with_corner_set(d, pieces, {0, 1, p1, p3})
-        d.insert_vertex(rim, real_corners(d, rim))  # p2
+        d.insert_vertex(0, [0, 1])  # p1
+        # the piece at p3's spoke to 1 runs 1, p1, 0, p3
+        spokes = d.insert_vertex(0, [0, 1])  # p3
+        d.insert_vertex(spokes[1], [0, 1, p1, p3])  # p2
         d.add_crossed(p1, p3, (0, p2))
         if d.n_real != 3 * i + 5:
             raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")
@@ -355,11 +348,12 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
         face = fs[fi]
         u, v, w = real_corners(d, face)
         z = d.n_real
-        pieces = d.insert_vertex(face, [u, v])
+        # the piece at z's spoke to v runs v, w, u, z
+        spokes = d.insert_vertex(face[0], [u, v])
         y = d.n_real
-        pieces = d.insert_vertex(_face_with_corner_set(d, pieces, {u, v, w, z}), [w, z])
-        quad = _face_with_corner_set(d, pieces, {w, u, z, y})
-        d.add_chord(quad, z, w)
+        # the piece at y's spoke to w runs w, u, z, y
+        spokes = d.insert_vertex(spokes[1], [w, z])
+        d.add_chord(spokes[0], z, w)
         d.add_crossed(u, y, (min(z, w), max(z, w)))
     return d.freeze()
 

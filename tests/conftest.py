@@ -39,7 +39,7 @@ def petersen() -> Graph:
 
 
 def edit(d: OnePlanarDrawing, surgery: str, *args) -> OnePlanarDrawing:
-    """d after one `_Builder` surgery, e.g. edit(d, "add_chord", face, 0, 2)."""
+    """d after one `_Builder` surgery, e.g. edit(d, "add_chord", x, 0, 2)."""
     b = _Builder(d)
     getattr(b, surgery)(*args)
     return b.freeze()

@@ -37,8 +37,6 @@ ALLOWED: list[tuple[str, str, str]] = [
     ("bounds", "continue",
      "_three_consecutive_crossed, degree < 3: T-vertices have degree >= 3 and steps 0-1 delete none of their edges"),
     ("cli", "sys.exit(main())", "runs only as `python -m oneplanar.cli`; tier-1 calls `main` in process"),
-    ("generators", 'raise InvalidDrawing(f"no face with corner set {sorted(want)}")',
-     "internal guard: every caller asks among the pieces of the surgery that made the face"),
     ("generators", 'raise InvalidDrawing(f"not a quadrilateral face: {w}")',
      "internal guard: `_with_crossed_quads` passes only the 4-cycles of its face list"),
     ("generators", 'raise InvalidDrawing(f"{name}: built {d.n_real} vertices, expected {n}")',

@@ -15,7 +15,15 @@ from oneplanar.bounds import (
     write_ledger,
 )
 from oneplanar.cli import main
-from oneplanar.embedding import _Builder, _face_orbits, crossing_weighted_degree, drawing_from_faces, validate
+from oneplanar.embedding import (
+    _Builder,
+    _face_orbits,
+    corner_positions,
+    crossing_weighted_degree,
+    drawing_from_faces,
+    validate,
+    write_drawing,
+)
 from oneplanar.errors import (
     DegreeTooLow,
     EmptyT,
@@ -39,7 +47,7 @@ from conftest import cube_drawing, edit, greedy_independent_t, make_k, share_an_
 def hexagon_center_all_crossed():
     """Hexagon with a center vertex whose three spokes are all crossed."""
     b = _Builder(drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]))
-    b.insert_vertex(_face_orbits(b)[0], [0, 2, 4])
+    b.insert_vertex(0, [0, 2, 4])
     b.add_crossed(1, 5, (0, 6))
     b.add_crossed(1, 3, (2, 6))
     b.add_crossed(3, 5, (4, 6))
@@ -242,6 +250,65 @@ def test_charging_reads_each_face_once(monkeypatch, which):
     assert ledger.added_chords or ledger.delta_vertices
     created = 2 * len(ledger.added_chords) + 3 * len(ledger.delta_vertices)
     assert reads <= len(validate(ledger.base).faces) + created
+
+
+def _reference_charging(d, s):
+    """Canonical steps 0-2 by full rescans: (chords, aux attachments, final
+    drawing).  Each iteration walks every face, takes the first with an S-T
+    pair that has a chord position off the face's sides (step 1), or with
+    three or more T-corners (step 2), and keeps nothing for the next."""
+    t = frozenset(range(d.n_real)) - s
+    b = _Builder(d)
+    b.delete_edges([eid for eid, (u, v) in enumerate(d.edges) if u in s and v in s])
+
+    def occurrences(face, side):
+        occ = {}
+        for i, vid in corner_positions(b, face):
+            if vid in side:
+                occ.setdefault(vid, []).append(i)
+        return occ
+
+    def chord(face):
+        at_s, at_t, k = occurrences(face, s), occurrences(face, t), len(face)
+        for sv in sorted(at_s):
+            for tv in sorted(at_t):
+                if any((i - j) % k not in (1, k - 1) for i in at_s[sv] for j in at_t[tv]):
+                    return sv, tv
+        return None
+
+    chords, attached = [], []
+    while found := next(((f[0], c) for f in _face_orbits(b) if (c := chord(f))), None):
+        b.add_chord(found[0], *found[1])
+        chords.append(found[1])
+    while face := next((f for f in _face_orbits(b) if len(occurrences(f, t)) >= 3), None):
+        attach = tuple(sorted(occurrences(face, t))[:3])
+        attached.append((b.n_real, attach))
+        b.insert_vertex(face[0], attach)
+    return chords, attached, write_drawing(b.freeze())
+
+
+def _reference_inputs():
+    """(drawing, S): delta3 with its witness, and random drawings with S the
+    complement of the greedy T."""
+    for size in (4, 6, 10):
+        inst = family_delta3(size)
+        yield inst.drawing, inst.witness
+    for seed in range(57):
+        d = random_oneplanar(8 + seed % 17, seed % 4, seed)
+        yield d, frozenset(range(d.n_real)) - greedy_independent_t(d.graph)
+
+
+def test_charging_run_equals_a_full_rescan_reference():
+    # the engine keeps per-face records across edits and walks only new
+    # pieces; a rescan of every face after every edit must agree with it
+    inputs, chords, aux = 0, 0, 0
+    for d, s in _reference_inputs():
+        ledger = charging_run(d, s)
+        want = (list(ledger.added_chords), list(ledger.delta_attach), write_drawing(ledger.final))
+        assert _reference_charging(d, s) == want
+        inputs, chords, aux = inputs + 1, chords + len(ledger.added_chords), aux + len(ledger.delta_attach)
+    # delta3 brings all 28 auxiliary vertices
+    assert (inputs, chords, aux) == (60, 456, 28)
 
 
 def test_ledger_dump_shape():

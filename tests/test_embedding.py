@@ -136,7 +136,7 @@ def test_crossed_parallel_copy_is_not_a_bigon():
     # copy separates 2 from 3, so the two copies bound no face together
     b = _Builder(drawing_from_faces(4, [[0, 2, 1, 3], [3, 1, 2, 0]]))
     for face in _face_orbits(b):
-        b.add_chord(face, 0, 1)
+        b.add_chord(face[0], 0, 1)
     assert validate(b.freeze()).violations == ()
     # the first copy crossed by (2, 3) stays parallel to the uncrossed one
     b.add_crossed(2, 3, (0, 1))
@@ -271,7 +271,7 @@ def test_cw_degree_all_crossed():
 def test_add_chord_splits_face():
     d = c4_drawing()
     f = _require_valid(d).faces[0]
-    d2 = edit(d, "add_chord", f, 0, 2)
+    d2 = edit(d, "add_chord", f[0], 0, 2)
     assert validate(d2).valid
     assert len(_require_valid(d2).faces) == 3
 
@@ -280,7 +280,7 @@ def test_add_chord_rejects_bigon():
     d = c4_drawing()
     f = _require_valid(d).faces[0]
     with pytest.raises(WouldCreateBigon):
-        edit(d, "add_chord", f, 0, 1)
+        edit(d, "add_chord", f[0], 0, 1)
 
 
 def test_add_chord_takes_the_first_occurrences_that_are_not_a_face_side():
@@ -291,8 +291,8 @@ def test_add_chord_takes_the_first_occurrences_that_are_not_a_face_side():
     outer = next(f for f in _face_orbits(d) if len(f) == 6)
     assert real_corners(d, outer) == (1, 0, 4, 3, 0, 2)
     b = _Builder(d)
-    pieces = b.add_chord(outer, 0, 4)
-    assert [real_corners(b, p) for p in pieces] == [(3, 0, 4), (1, 0, 4, 0, 2)]
+    darts = b.add_chord(outer[0], 0, 4)
+    assert [real_corners(b, _face_at(b, x)) for x in darts] == [(3, 0, 4), (1, 0, 4, 0, 2)]
     assert validate(b.freeze()).valid
 
 
@@ -300,7 +300,7 @@ def test_add_chord_keeps_a_parallel_copy():
     # the chord (0, 2) again, in c4's other face: the builder keeps both
     # copies, uncrossed, and the drawing validates and writes back
     b = _Builder(_c4_with_chord())
-    b.add_chord(_require_valid(c4_drawing()).faces[1], 0, 2)
+    b.add_chord(_require_valid(c4_drawing()).faces[1][0], 0, 2)
     d = b.freeze()
     assert validate(d).violations == ()
     assert d.has_parallel_edges and d.edges.count((0, 2)) == 2
@@ -315,7 +315,7 @@ def test_add_chord_rejects_corner_not_on_face():
     missing = (set(range(4)) - set(real_corners(d, f))).pop()
     present = real_corners(d, f)[0]
     with pytest.raises(NotOnFace):
-        edit(d, "add_chord", f, present, missing)
+        edit(d, "add_chord", f[0], present, missing)
 
 
 def test_add_chord_between_dummy_separated_corners():
@@ -333,7 +333,7 @@ def test_add_chord_between_dummy_separated_corners():
                 break
     assert target is not None
     f, (u, v) = target
-    d2 = edit(d, "add_chord", f, u, v)
+    d2 = edit(d, "add_chord", f[0], u, v)
     assert validate(d2).valid
     assert len(_require_valid(d2).faces) == len(_require_valid(d).faces) + 1
 
@@ -341,7 +341,7 @@ def test_add_chord_between_dummy_separated_corners():
 def test_insert_vertex_in_face():
     d = c4_drawing()
     f = _require_valid(d).faces[0]
-    d2 = edit(d, "insert_vertex", f, [0, 1, 2])
+    d2 = edit(d, "insert_vertex", f[0], [0, 1, 2])
     assert validate(d2).valid
     assert len(_require_valid(d2).faces) == len(_require_valid(d).faces) + 2
     assert d2.n_real == 5
@@ -351,7 +351,7 @@ def test_insert_vertex_in_face():
 def test_insert_vertex_hexagonal_face_alternating():
     hexagon = drawing_from_faces(6, HEXAGON)
     f = _require_valid(hexagon).faces[0]
-    d2 = edit(hexagon, "insert_vertex", f, [0, 2, 4])
+    d2 = edit(hexagon, "insert_vertex", f[0], [0, 2, 4])
     assert validate(d2).valid
     assert len(_require_valid(d2).faces) == 4  # three new faces replace one
 
@@ -360,45 +360,33 @@ def test_insert_vertex_rejects_repeats():
     d = c4_drawing()
     f = _require_valid(d).faces[0]
     with pytest.raises(BadAttachment):
-        edit(d, "insert_vertex", f, [0, 1, 1])
+        edit(d, "insert_vertex", f[0], [0, 1, 1])
 
 
-def _bogus_faces():
-    """(drawing, not-a-face) pairs; each walk must be rejected, not crash."""
-    d = k4_drawing()
-    f = _require_valid(d).faces[0]
-    split = edit(c4_drawing(), "add_chord", _require_valid(c4_drawing()).faces[0], 0, 2)
-    stale = _require_valid(c4_drawing()).faces[0]
-    return {
-        "stale-split-face": (split, stale),
-        "rotated": (d, f[1:] + f[:1]),
-        "doubled": (d, f * 2),
-        "sid-too-large": (d, (2 * (d.m_p + 3),) + f[1:]),
-        "sid-negative": (d, (-2,) + f[1:]),
-        # (sid, 2) as an int is the next segment's first dart
-        "end-out-of-range": (d, (2 * (f[0] >> 1) + 2,) + f[1:]),
-        "empty": (d, ()),
-    }
+# every in-range dart names a face, so a surgery refuses only a dart out of
+# range, one below 0 or past K4's last
+BAD_DARTS = {"sid-negative": -1, "sid-too-large": 2 * k4_drawing().m_p}
 
 
-@pytest.mark.parametrize("case", sorted(_bogus_faces()))
+@pytest.mark.parametrize("case", sorted(BAD_DARTS))
 def test_surgeries_reject_walks_that_are_not_faces(case):
-    d, bogus = _bogus_faces()[case]
-    with pytest.raises(NotOnFace):
-        edit(d, "add_chord", bogus, 0, 2)
-    with pytest.raises(NotOnFace):
-        edit(d, "insert_vertex", bogus, [0, 1, 2])
+    x = BAD_DARTS[case]
+    b = _Builder(k4_drawing())
+    for surgery, args in (("add_chord", (0, 2)), ("insert_vertex", ([0, 1, 2],))):
+        with pytest.raises(NotOnFace, match=rf"^dart {x} is not a dart of this drawing$"):
+            getattr(b, surgery)(x, *args)
+        assert b.freeze() == k4_drawing()
 
 
 def _first_face_edit(d, surgery, *args):
-    """d after `surgery` on its first face."""
-    return edit(d, surgery, _require_valid(d).faces[0], *args)
+    """d after `surgery` on the face of dart 0, its first face."""
+    return edit(d, surgery, 0, *args)
 
 
 def _vertex_off_the_face(b):
     f = _face_orbits(b)[0]
     missing = (set(range(4)) - set(real_corners(b, f))).pop()
-    b.insert_vertex(f, [real_corners(b, f)[0], missing])
+    b.insert_vertex(f[0], [real_corners(b, f)[0], missing])
 
 
 def _c4_with_chord():
@@ -415,7 +403,7 @@ def _crossed_square():
 # that must raise, the error, its message pattern); a face-list row has no
 # drawing, and its call takes no builder
 REJECTIONS = {
-    "chord-loop": (c4_drawing, lambda b: b.add_chord(_face_orbits(b)[0], 2, 2), NotOnFace, "must differ"),
+    "chord-loop": (c4_drawing, lambda b: b.add_chord(0, 2, 2), NotOnFace, "must differ"),
     "vertex-off-face": (k4_drawing, _vertex_off_the_face, BadAttachment, "not a corner"),
     "crossed-missing-edge": (c4_drawing, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "not in drawing"),
     "crossed-twice": (_crossed_square, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "already crossed"),
@@ -527,7 +515,7 @@ def _chord_in_each_face(d, u, v):
     """d with chord (u, v) added in each of its faces."""
     b = _Builder(d)
     for f in _face_orbits(b):
-        b.add_chord(f, u, v)
+        b.add_chord(f[0], u, v)
     return b.freeze()
 
 
@@ -597,8 +585,9 @@ def _chord_site(b, fs):
     ids=["stacked", "random"],
 )
 def test_builder_surgeries_return_the_faces_they_create(make):
-    # after each edit the returned faces are exactly the faces the drawing
-    # gained, and the face passed in is the only face it lost
+    # after each edit the faces through the returned darts are exactly the
+    # faces the drawing gained, and the face of the dart passed in is the
+    # only face it lost; a vertex's i-th spoke leaves it toward attach[i]
     b = _Builder(make())
     done = {"chord": 0, "vertex": 0}
     for step in range(16):
@@ -606,27 +595,31 @@ def test_builder_surgeries_return_the_faces_they_create(make):
         site = _chord_site(b, before) if step % 2 else None
         if site is not None:
             face, u, v = site
-            new = b.add_chord(face, u, v)
+            new = b.add_chord(face[step % len(face)], u, v)
             done["chord"] += 1
         else:
-            # two spokes leave a face with room for a chord, three do not
-            spokes = 2 if step % 4 == 0 else 3
+            # two spokes leave a face with room for a chord, three do not;
+            # the corners go in descending order, against the walk
             face = before[step % len(before)]
-            new = b.insert_vertex(face, sorted(set(real_corners(b, face)))[:spokes])
+            attach = sorted(set(real_corners(b, face)))[:2 if step % 4 == 0 else 3][::-1]
+            z = b.n_real
+            new = b.insert_vertex(face[step % len(face)], attach)
+            assert [(b.pvertices[b.org[x]], b.pvertices[b.org[x ^ 1]]) for x in new] == [(z, a) for a in attach]
             done["vertex"] += 1
         kept = [f for f in before if f != face]
         assert len(kept) == len(before) - 1
-        assert sorted(_face_orbits(b)) == sorted(kept + list(new))
+        assert sorted(_face_orbits(b)) == sorted(kept + [_face_at(b, x) for x in new])
     assert min(done.values()) >= 4
     assert validate(b.freeze()).valid
 
 
 class BuilderSurgeries(RuleBasedStateMachine):
     """One builder, from c4, under chords, vertices and crossed edges at
-    drawn faces, corners and edges.  After every step the drawing is valid,
+    drawn darts, corners and edges.  After every step the drawing is valid,
     and so good, and its `1pg` text writes back byte for byte; a chord or a
-    vertex took away exactly the face it was given and added exactly the
-    faces it returned, and a refused surgery changes nothing."""
+    vertex took away exactly the face of the dart it was given and added
+    exactly the faces through the darts it returned, and a refused surgery
+    changes nothing."""
 
     def __init__(self):
         super().__init__()
@@ -644,18 +637,25 @@ class BuilderSurgeries(RuleBasedStateMachine):
             assert self.b.freeze() == before
             self.change = ([], [])
         else:
-            self.change = None if new is None else ([args[0]], sorted(new))
+            self.change = None if new is None else (
+                [_face_at(before, args[0])], sorted(_face_at(self.b, x) for x in new)
+            )
+
+    def _draw_dart(self, data):
+        """Any dart of the drawing, and the real corners of its face."""
+        x = data.draw(st.integers(0, 2 * self.b.m_p - 1))
+        return x, real_corners(self.b, _face_at(self.b, x))
 
     @rule(data=st.data())
     def add_chord(self, data):
-        face = data.draw(st.sampled_from(_face_orbits(self.b)))
-        u, v = data.draw(st.permutations(real_corners(self.b, face)))[:2]
-        self._apply("add_chord", face, u, v)
+        x, corners = self._draw_dart(data)
+        u, v = data.draw(st.permutations(corners))[:2]
+        self._apply("add_chord", x, u, v)
 
     @rule(data=st.data(), k=st.integers(2, 4))
     def insert_vertex(self, data, k):
-        face = data.draw(st.sampled_from(_face_orbits(self.b)))
-        self._apply("insert_vertex", face, data.draw(st.permutations(real_corners(self.b, face)))[:k])
+        x, corners = self._draw_dart(data)
+        self._apply("insert_vertex", x, data.draw(st.permutations(corners))[:k])
 
     @rule(data=st.data(), legal=st.booleans())
     def add_crossed(self, data, legal):
@@ -753,12 +753,12 @@ def test_wedge_merges_one_face():
 def test_surgery_chain_keeps_euler():
     d = c4_drawing()
     f = _require_valid(d).faces[0]
-    d = edit(d, "insert_vertex", f, [0, 1, 2])
+    d = edit(d, "insert_vertex", f[0], [0, 1, 2])
     for f in _require_valid(d).faces:
         if len(set(real_corners(d, f))) >= 2:
             u, v = sorted(set(real_corners(d, f)))[:2]
             try:
-                d = edit(d, "add_chord", f, u, v)
+                d = edit(d, "add_chord", f[0], u, v)
             except Exception:
                 continue
             break
@@ -841,11 +841,11 @@ def test_random_surgery_chains_stay_valid():
             reals = sorted(set(real_corners(d, f)))
             before = len(fs)
             if step % 2 == 0 and len(reals) >= 3:
-                d2 = edit(d, "insert_vertex", f, reals[:3])
+                d2 = edit(d, "insert_vertex", f[0], reals[:3])
                 assert len(_require_valid(d2).faces) == before + 2
             elif len(reals) >= 2:
                 try:
-                    d2 = edit(d, "add_chord", f, reals[0], reals[1])
+                    d2 = edit(d, "add_chord", f[0], reals[0], reals[1])
                 except OnePlanarError:
                     continue
                 assert len(_require_valid(d2).faces) == before + 1

@@ -29,12 +29,12 @@ Surgeries (chord, vertex and crossed-edge insertion, and deletion) are
 methods of the one mutable drawing, `_Builder`: each checks all its
 preconditions before its first edit, edits the drawing in place and walks
 only the faces it touches, each once, as in edge-addition planarity testing.
-A face surgery takes a dart of its face and returns darts on the pieces.
+A face surgery takes a dart of its face, and `add_crossed` a dart of the
+segment it crosses; chords and vertices return darts on the pieces.
 `_Builder(d)` thaws a drawing into its tables plus `real_pid`, and
 `freeze()` returns the edited one; generators and the charging engine
 keep one builder for a whole construction.  Every chord goes at the first
-pair of its ends' corners, in walk order, that is not a face side, and
-`add_crossed` crosses the uncrossed copy of least segment id.
+pair of its ends' corners, in walk order, that is not a face side.
 """
 
 from __future__ import annotations
@@ -410,10 +410,10 @@ class _Builder(_Planarization):
 
     It is the drawing's own tables, as lists, plus `real_pid`, the pvertex
     of each real vertex.  New edges, pvertices and segments are appended,
-    so ids keep their creation order; a new edge may parallel an existing
-    one, and `add_crossed` crosses the uncrossed copy of least segment id.
-    A face surgery walks the face of its dart once and returns darts on the
-    pieces, unwalked: callers walk only the pieces they read.
+    so ids keep their creation order, and a new edge may parallel an
+    existing one.  A face surgery walks the face of its dart once, and
+    `add_chord` and `insert_vertex` return darts on the pieces, unwalked:
+    callers walk only the pieces they read.
     """
 
     def __init__(self, d: OnePlanarDrawing):
@@ -467,16 +467,16 @@ class _Builder(_Planarization):
 
     # -- surgeries --------------------------------------------------
 
-    def _face_of_dart(self, x: int) -> Face:
-        """The face of dart x, which every in-range dart lies on."""
+    def _dart(self, x: int) -> int:
+        """x, which must be a dart of this drawing: every such dart lies on one face."""
         if not (0 <= x < 2 * self.m_p):
             raise NotOnFace(f"dart {x} is not a dart of this drawing")
-        return _face_at(self, x)
+        return x
 
     def add_chord(self, x: int, u: int, v: int) -> tuple[int, int]:
         """Split the face of dart x by chord (u, v) at the first pair of u's and v's
         corners that is not a face side (`_bigon_free`); returns the chord's darts."""
-        face = self._face_of_dart(x)
+        face = _face_at(self, self._dart(x))
         if u == v:
             raise NotOnFace("chord endpoints must differ")
         org, pu, pv = self.org, self.real_pid.get(u), self.real_pid.get(v)
@@ -502,7 +502,7 @@ class _Builder(_Planarization):
         returns the spokes leaving it, in `attach` order.  The piece through
         attach[i]'s spoke runs from that corner along the old face to the
         next attachment."""
-        face = self._face_of_dart(x)
+        face = _face_at(self, self._dart(x))
         first = _first_positions(self, face)
         for vid in attach:
             if vid not in first:
@@ -520,40 +520,30 @@ class _Builder(_Planarization):
         self.rotations[pz] = sorted(spokes, reverse=True)
         return spokes
 
-    def add_crossed(self, u: int, v: int, cross: tuple[int, int]) -> None:
-        """Add edge (u, v) crossing the uncrossed edge `cross`, u and v on its
-        two sides; neither may be an end of `cross`, so the drawing stays good."""
+    def add_crossed(self, x: int, u: int, v: int) -> None:
+        """Add edge (u, v) across the uncrossed segment of dart x, u a corner of
+        the face of x and v of the face of x ^ 1; neither may be an end of the
+        segment's edge, so the drawing stays good."""
+        sid_c, org, rotations = self._dart(x) >> 1, self.org, self.rotations
+        cross = self.edges[self.seg_eid[sid_c]]
         if u == v:
             raise NotOnFace("crossing edge endpoints must differ")
         if u in cross or v in cross:
             raise NotOnFace(f"({u},{v}) shares an endpoint with edge {cross}")
-        # an uncrossed copy of `cross` is a segment joining its ends' real
-        # pvertices, as a crossed half ends at a dummy; the copy of least sid
-        # is crossed, read off the shorter rotation (a hub's is long)
-        org, rotations = self.org, self.rotations
-        p, q = (self.real_pid.get(w) for w in cross)
-        copies = []
-        if p is not None and q is not None:
-            if len(rotations[p]) > len(rotations[q]):
-                p, q = q, p
-            copies = [x >> 1 for x in rotations[p] if org[x ^ 1] == q]
-        if not copies:
-            state = "is already crossed" if tuple(sorted(cross)) in self.edges else "not in drawing"
-            raise NotOnFace(f"edge {cross} {state}")
-        sid_c = min(copies)
-        side_a, side_b = _face_at(self, 2 * sid_c), _face_at(self, 2 * sid_c + 1)
-        if side_a == side_b:
+        # a crossed half ends at a dummy
+        if DUMMY in (self.pvertices[org[x]], self.pvertices[org[x ^ 1]]):
+            raise NotOnFace(f"edge {cross} is already crossed")
+        side_u, side_v = _face_at(self, x), _face_at(self, x ^ 1)
+        if side_u == side_v:
             raise NotOnFace(f"edge {cross} has one face on both sides")
-        # side a runs pa -> pb, side b pb -> pa; u and v are attached at their
-        # first corners on these walks, which the split leaves in place: it
-        # renames only the dart leaving pb, an end of `cross`
-        first_a, first_b = _first_positions(self, side_a), _first_positions(self, side_b)
-        if u not in first_a or v not in first_b:
-            if u not in first_b or v not in first_a:
-                raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
-            u, v = v, u
+        # u and v are attached at their first corners on these walks, which
+        # the split leaves in place: it renames only the dart leaving pb, an
+        # end of `cross`
+        first_u, first_v = _first_positions(self, side_u), _first_positions(self, side_v)
+        if u not in first_u or v not in first_v:
+            raise NotOnFace(f"({u},{v}) do not sit on opposite sides of edge {cross}")
         new_eid = self.new_edge(u, v)
-        at_u, at_v = side_a[first_a[u]], side_b[first_b[v]]
+        at_u, at_v = side_u[first_u[u]], side_v[first_v[v]]
 
         # split the crossed segment pa -> pb at a fresh dummy pD: it now ends
         # at pD, and a new segment runs on from pD to pb
@@ -567,9 +557,11 @@ class _Builder(_Planarization):
         rotations[pD] = [2 * sid_c + 1, 2 * sid_c2]
 
         # each half of (u, v) is attached at its first corner on its own side:
-        # u's side runs pa -> pD -> pb and leaves pD by 2*sid_c2, v's side
-        # runs pb -> pD -> pa and leaves pD by 2*sid_c + 1
-        for at, corner in ((at_u, 2 * sid_c2), (at_v, 2 * sid_c + 1)):
+        # the face of dart 2*sid_c runs pa -> pD -> pb and leaves pD by
+        # 2*sid_c2, the face of 2*sid_c + 1 runs pb -> pD -> pa and leaves pD
+        # by 2*sid_c + 1; the half on the first is made first
+        at_a, at_b = (at_v, at_u) if x & 1 else (at_u, at_v)
+        for at, corner in ((at_a, 2 * sid_c2), (at_b, 2 * sid_c + 1)):
             sid = self.new_segment(org[at], pD, new_eid)
             self.insert_before(at, 2 * sid)
             self.insert_before(corner, 2 * sid + 1)

@@ -110,17 +110,15 @@ def _fill_triangle(d: _Builder, face: Face) -> None:
     leg of the next vertex around, giving three crossings per face.
     """
     c0, c1, c2 = real_corners(d, face)
-    a = d.n_real
+    a, b, c = d.n_real, d.n_real + 1, d.n_real + 2
     # the piece at a's spoke to c1 runs c1, c2, c0, a
-    spokes = d.insert_vertex(face[0], [c0, c1])
-    b = d.n_real
+    to_c1 = d.insert_vertex(face[0], [c0, c1])[1]
     # the piece at b's spoke to c2 runs c2, c0, a, c1, b
-    spokes = d.insert_vertex(spokes[1], [c1, c2])
-    c = d.n_real
-    d.insert_vertex(spokes[1], [c2, c0])
-    d.add_crossed(b, c0, (a, c1))
-    d.add_crossed(c, c1, (b, c2))
-    d.add_crossed(a, c2, (c, c0))
+    to_c2 = d.insert_vertex(to_c1, [c1, c2])[1]
+    to_c0 = d.insert_vertex(to_c2, [c2, c0])[1]
+    d.add_crossed(to_c1, b, c0)
+    d.add_crossed(to_c2, c, c1)
+    d.add_crossed(to_c0, a, c2)
 
 
 def _fill_quad(d: _Builder, face: Face) -> None:
@@ -130,26 +128,13 @@ def _fill_quad(d: _Builder, face: Face) -> None:
     in one corner cell and sends two legs across them.
     """
     c0, c1, c2, c3 = real_corners(d, face)
-    a = d.n_real
     # the piece at a's spoke to c0 runs c0, c1, a
     spokes = d.insert_vertex(face[0], [c0, c1, c2, c3])
     b = d.n_real
     d.insert_vertex(spokes[0], [c0, c1])
-    d.add_crossed(b, c2, (a, c1))
-    d.add_crossed(b, c3, (a, c0))
-
-
-def _cross_quad_face(d: _Builder, face: Face) -> None:
-    """Add both diagonals of a quadrilateral face, crossing inside it.
-
-    Only `face` changes, so a face list taken earlier stays current for
-    every other face.
-    """
-    w = real_corners(d, face)
-    if len(w) != 4 or len(set(w)) != 4:
-        raise InvalidDrawing(f"not a quadrilateral face: {w}")
-    d.add_chord(face[0], w[0], w[2])
-    d.add_crossed(w[1], w[3], (min(w[0], w[2]), max(w[0], w[2])))
+    # b is on the side of a's spoke to c0 and of the reversal of its spoke to c1
+    d.add_crossed(spokes[1] ^ 1, b, c2)
+    d.add_crossed(spokes[0], b, c3)
 
 
 # ---------------------------------------------------------------------
@@ -198,22 +183,26 @@ def family_delta4_k5(k: int) -> FamilyInstance:
         d.insert_vertex(0, [0, 1])  # p1
         # the piece at p3's spoke to 1 runs 1, p1, 0, p3
         spokes = d.insert_vertex(0, [0, 1])  # p3
-        d.insert_vertex(spokes[1], [0, 1, p1, p3])  # p2
-        d.add_crossed(p1, p3, (0, p2))
-        if d.n_real != 3 * i + 5:
-            raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")
+        spokes = d.insert_vertex(spokes[1], [0, 1, p1, p3])  # p2
+        # p1 is on the side of the dart from 0 to p2
+        d.add_crossed(spokes[0] ^ 1, p1, p3)
     return _instance(f"delta4-k5-k{k}", d, n=3 * k + 2, delta=4, witness=frozenset({0, 1}),
                      deficiency=k - 2)
 
 
 def _with_crossed_quads(n: int, faces: Sequence[Sequence[int]]) -> OnePlanarDrawing:
-    """The planar drawing with faces `faces`, plus both diagonals of each 4-cycle among them."""
+    """The planar drawing with faces `faces`, plus both diagonals of each
+    4-cycle among them, crossing inside it."""
     d = _Builder(drawing_from_faces(n, faces))
-    # the face walks are the cycles given, so each corner set names one face
+    # the face walks are the cycles given, so each corner set names one face;
+    # crossing a face's diagonals changes only that face, so the faces looked
+    # up here stay current for every other one
     by_corners = {frozenset(real_corners(d, f)): f for f in _face_orbits(d)}
     for cyc in faces:
         if len(cyc) == 4:
-            _cross_quad_face(d, by_corners[frozenset(cyc)])
+            face = by_corners[frozenset(cyc)]
+            w = real_corners(d, face)
+            d.add_crossed(d.add_chord(face[0], w[0], w[2])[1], w[1], w[3])
     return d.freeze()
 
 
@@ -353,8 +342,8 @@ def random_oneplanar(n: int, crossings: int, seed: int) -> OnePlanarDrawing:
         y = d.n_real
         # the piece at y's spoke to w runs w, u, z, y
         spokes = d.insert_vertex(spokes[1], [w, z])
-        d.add_chord(spokes[0], z, w)
-        d.add_crossed(u, y, (min(z, w), max(z, w)))
+        chord = d.add_chord(spokes[0], z, w)
+        d.add_crossed(chord[0], u, y)
     return d.freeze()
 
 

@@ -37,12 +37,8 @@ ALLOWED: list[tuple[str, str, str]] = [
     ("bounds", "continue",
      "_three_consecutive_crossed, degree < 3: T-vertices have degree >= 3 and steps 0-1 delete none of their edges"),
     ("cli", "sys.exit(main())", "runs only as `python -m oneplanar.cli`; tier-1 calls `main` in process"),
-    ("generators", 'raise InvalidDrawing(f"not a quadrilateral face: {w}")',
-     "internal guard: `_with_crossed_quads` passes only the 4-cycles of its face list"),
     ("generators", 'raise InvalidDrawing(f"{name}: built {d.n_real} vertices, expected {n}")',
      "internal guard: each family's vertex count is fixed by its size parameter"),
-    ("generators", 'raise InvalidDrawing(f"delta4-k5 block {i}: {d.n_real} vertices, expected {3 * i + 5}")',
-     "internal guard: each delta4-k5 block adds three vertices"),
 ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneplanar import bounds
 from oneplanar.bounds import (
@@ -40,6 +41,7 @@ from oneplanar.generators import (
 )
 from oneplanar.graph import build_graph
 from oneplanar.matcher import Matching
+from oneplanar.rng import SplitMix64
 
 from conftest import cube_drawing, edit, greedy_independent_t, make_k, share_an_endpoint
 
@@ -47,10 +49,10 @@ from conftest import cube_drawing, edit, greedy_independent_t, make_k, share_an_
 def hexagon_center_all_crossed():
     """Hexagon with a center vertex whose three spokes are all crossed."""
     b = _Builder(drawing_from_faces(6, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]))
-    b.insert_vertex(0, [0, 2, 4])
-    b.add_crossed(1, 5, (0, 6))
-    b.add_crossed(1, 3, (2, 6))
-    b.add_crossed(3, 5, (4, 6))
+    spokes = b.insert_vertex(0, [0, 2, 4])
+    b.add_crossed(spokes[0], 1, 5)
+    b.add_crossed(spokes[1], 3, 1)
+    b.add_crossed(spokes[2], 5, 3)
     return b.freeze()
 
 
@@ -252,12 +254,16 @@ def test_charging_reads_each_face_once(monkeypatch, which):
     assert reads <= len(validate(ledger.base).faces) + created
 
 
-def _reference_charging(d, s):
-    """Canonical steps 0-2 by full rescans: (chords, aux attachments, final
-    drawing).  Each iteration walks every face, takes the first with an S-T
-    pair that has a chord position off the face's sides (step 1), or with
-    three or more T-corners (step 2), and keeps nothing for the next."""
+def _reference_charging(d, s, order_seed=None):
+    """Steps 0-2 by full rescans: (chords, aux attachments, final drawing).
+    Each iteration walks every face, takes the first with an S-T pair that
+    has a chord position off the face's sides (step 1), or with three or
+    more T-corners (step 2), and keeps nothing for the next.  Under a seed,
+    one SplitMix64 shuffles the whole face list before each chord and the
+    sorted S-T pairs of each face visited, and the first pair with a chord
+    position wins."""
     t = frozenset(range(d.n_real)) - s
+    rng = SplitMix64(order_seed) if order_seed is not None else None
     b = _Builder(d)
     b.delete_edges([eid for eid, (u, v) in enumerate(d.edges) if u in s and v in s])
 
@@ -268,16 +274,20 @@ def _reference_charging(d, s):
                 occ.setdefault(vid, []).append(i)
         return occ
 
+    def shuffled(items):
+        if rng is not None:
+            rng.shuffle(items)
+        return items
+
     def chord(face):
         at_s, at_t, k = occurrences(face, s), occurrences(face, t), len(face)
-        for sv in sorted(at_s):
-            for tv in sorted(at_t):
-                if any((i - j) % k not in (1, k - 1) for i in at_s[sv] for j in at_t[tv]):
-                    return sv, tv
+        for sv, tv in shuffled([(sv, tv) for sv in sorted(at_s) for tv in sorted(at_t)]):
+            if any((i - j) % k not in (1, k - 1) for i in at_s[sv] for j in at_t[tv]):
+                return sv, tv
         return None
 
     chords, attached = [], []
-    while found := next(((f[0], c) for f in _face_orbits(b) if (c := chord(f))), None):
+    while found := next(((f[0], c) for f in shuffled(_face_orbits(b)) if (c := chord(f))), None):
         b.add_chord(found[0], *found[1])
         chords.append(found[1])
     while face := next((f for f in _face_orbits(b) if len(occurrences(f, t)) >= 3), None):
@@ -309,6 +319,22 @@ def test_charging_run_equals_a_full_rescan_reference():
         inputs, chords, aux = inputs + 1, chords + len(ledger.added_chords), aux + len(ledger.delta_attach)
     # delta3 brings all 28 auxiliary vertices
     assert (inputs, chords, aux) == (60, 456, 28)
+
+
+# CI's deep-profile step runs this at 2,000 examples
+@given(
+    n=st.integers(8, 24), crossings=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+    order_seed=st.integers(0, 2**64 - 1),
+)
+@settings(deadline=None, database=None)
+def test_seeded_charging_run_equals_a_full_rescan_reference(n, crossings, seed, order_seed):
+    # under a seed the engine still draws as a full rescan would: the whole
+    # face list before each chord, then the pairs of each face it visits
+    d = random_oneplanar(n, crossings, seed)
+    s = frozenset(range(d.n_real)) - greedy_independent_t(d.graph)
+    ledger = charging_run(d, s, order_seed)
+    want = (list(ledger.added_chords), list(ledger.delta_attach), write_drawing(ledger.final))
+    assert _reference_charging(d, s, order_seed) == want
 
 
 def test_ledger_dump_shape():
@@ -424,9 +450,9 @@ LEDGER_MUTATIONS = {
         {"delta_attach": lg.delta_attach + ((8, (9, 10, 11)),)},
         ("|E_delta| = 15 != 3*6", "auxiliary edge (0,8) is crossed", "auxiliary edge (4,8) is crossed",
          "edge 3 charged 6, expected 2", "edge 4 charged 3, expected 2", "edge 11 charged 3, expected 2")),
-    # step 1 added no chord; a new edge drawn across (0, 5) in gamma_prime reads as a crossed chord
+    # step 1 added no chord; a new edge drawn across (0, 5), segment 0, in gamma_prime reads as a crossed chord
     "chord-crossed": lambda lg: (
-        {"gamma_prime": edit(lg.gamma_prime, "add_crossed", 1, 3, (0, 5))}, ("added chord (1, 3) is crossed",)),
+        {"gamma_prime": edit(lg.gamma_prime, "add_crossed", 1, 1, 3)}, ("added chord (1, 3) is crossed",)),
     # gamma_prime's five T-heavy faces, each with exactly three T-corners, kept as the final drawing
     "t-heavy-faces-kept": lambda lg: (
         {"final": lg.gamma_prime},

@@ -243,11 +243,11 @@ def test_check_charge_long_csv_matches_witness_file(tmp_path, capsys):
     assert out_csv == out_file
 
 
-# random_oneplanar(8, 1, 3) with (0, 9) drawn across (0, 5), as
-# `add_crossed(0, 9, (0, 5))` wrote it before a crossing of two edges that
-# share an endpoint was refused.  While such a drawing was accepted, `check
-# charge` on it printed "total charges 102 exceed bound 96" and exited 4,
-# blaming the implementation for a drawing outside the model
+# random_oneplanar(8, 1, 3) with (0, 9) drawn across (0, 5), as the builder
+# wrote it before a crossing of two edges that share an endpoint was
+# refused.  While such a drawing was accepted, `check charge` on it printed
+# "total charges 102 exceed bound 96" and exited 4, blaming the
+# implementation for a drawing outside the model
 ADJACENT_CROSSING = Path(__file__).parent / "data" / "adjacent-crossing.1pg"
 
 

@@ -59,7 +59,7 @@ def k33_one_crossing():
     d = drawing_from_faces(
         6, [[0, 5, 1, 3], [0, 3, 2, 4], [4, 2, 3, 1], [1, 5, 0, 4]]
     )
-    return edit(d, "add_crossed", 2, 5, (0, 3))
+    return edit(d, "add_crossed", 0, 2, 5)
 
 
 def doubled_edge_drawing():
@@ -139,7 +139,7 @@ def test_crossed_parallel_copy_is_not_a_bigon():
         b.add_chord(face[0], 0, 1)
     assert validate(b.freeze()).violations == ()
     # the first copy crossed by (2, 3) stays parallel to the uncrossed one
-    b.add_crossed(2, 3, (0, 1))
+    b.add_crossed(9, 2, 3)
     d = b.freeze()
     assert validate(d).violations == ()
     assert d.edges == ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (0, 1), (2, 3))
@@ -201,8 +201,8 @@ def test_crossed_edge_back_to_its_start_is_a_loop():
     assert "edge 0 is a loop" in validate(d).violations
 
 
-# c4 with (0, 2) crossing (0, 1) at dummy 4, as `add_crossed(2, 0, (0, 1))`
-# built it before such crossings were refused: the two edges share vertex 0
+# c4 with (0, 2) crossing (0, 1) at dummy 4, as the builder drew it before
+# such crossings were refused: the two edges share vertex 0
 C4_ADJACENT_1PG = (
     "1pg 4 1 7\n"
     "pv 0 real 0\npv 1 real 1\npv 2 real 2\npv 3 real 3\npv 4 dummy 0 4\n"
@@ -395,8 +395,8 @@ def _c4_with_chord():
 
 
 def _crossed_square():
-    """c4 with chord (0, 2), crossed by (1, 3)."""
-    return edit(_c4_with_chord(), "add_crossed", 1, 3, (0, 2))
+    """c4 with chord (0, 2), segment 4, crossed by (1, 3)."""
+    return edit(_c4_with_chord(), "add_crossed", 9, 1, 3)
 
 
 # name -> (the drawing a `_Builder` is thawed from, a call on that builder
@@ -405,32 +405,35 @@ def _crossed_square():
 REJECTIONS = {
     "chord-loop": (c4_drawing, lambda b: b.add_chord(0, 2, 2), NotOnFace, "must differ"),
     "vertex-off-face": (k4_drawing, _vertex_off_the_face, BadAttachment, "not a corner"),
-    "crossed-missing-edge": (c4_drawing, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "not in drawing"),
-    "crossed-twice": (_crossed_square, lambda b: b.add_crossed(1, 3, (0, 2)), NotOnFace, "already crossed"),
-    "crossed-missing-vertex": (
-        c4_drawing, lambda b: b.add_crossed(1, 3, (0, 9)), NotOnFace, r"^edge \(0, 9\) not in drawing$"
+    "crossed-dart-out-of-range": (
+        c4_drawing, lambda b: b.add_crossed(8, 1, 3), NotOnFace, "^dart 8 is not a dart of this drawing$"
     ),
+    # dart 8 leaves 0 on the half of (0, 2) that ends at the dummy
+    "crossed-twice": (
+        _crossed_square, lambda b: b.add_crossed(8, 1, 3), NotOnFace, r"^edge \(0, 2\) is already crossed$"
+    ),
+    # the chord (0, 3) is segment 6
     "crossed-one-side": (
         lambda: _first_face_edit(drawing_from_faces(6, HEXAGON), "add_chord", 0, 3),
-        lambda b: b.add_crossed(1, 2, (0, 3)),
+        lambda b: b.add_crossed(12, 1, 2),
         NotOnFace,
         "opposite sides",
     ),
     # 2 is a corner on both sides of (0, 1)
     "crossed-loop": (
-        c4_drawing, lambda b: b.add_crossed(2, 2, (0, 1)), NotOnFace, "^crossing edge endpoints must differ$"
+        c4_drawing, lambda b: b.add_crossed(0, 2, 2), NotOnFace, "^crossing edge endpoints must differ$"
     ),
     # 1 is an end of (0, 1), and twice a corner of the face on its far side
     "crossed-adjacent": (
         lambda: drawing_from_faces(6, [[0, 1, 2, 3], [1, 4, 5], [0, 3, 2, 1, 5, 4, 1]]),
-        lambda b: b.add_crossed(3, 1, (0, 1)),
+        lambda b: b.add_crossed(0, 3, 1),
         NotOnFace,
         r"^\(3,1\) shares an endpoint with edge \(0, 1\)$",
     ),
     # each edge of a star is a bridge: the star's one face runs along both its sides
     "crossed-bridge": (
         lambda: drawing_from_faces(5, [[0, 1, 0, 2, 0, 3, 0, 4]]),
-        lambda b: b.add_crossed(2, 3, (0, 1)),
+        lambda b: b.add_crossed(0, 2, 3),
         NotOnFace,
         r"^edge \(0, 1\) has one face on both sides$",
     ),
@@ -475,40 +478,19 @@ def test_surgeries_and_face_lists_reject_bad_requests(case):
     assert b.freeze() == before
 
 
-# sha256 over the outcome of add_crossed(u, v, e) for every ordered pair
-# u != v and every edge e of c4, K4, the hexagon and the triangular prism,
-# 570 calls: the written `1pg` text, or the error's type and text, each
-# followed by a NUL.  The 370 calls with u or v an end of e are refused as
-# adjacent crossings, and 60 more as not on opposite sides of e; the other
-# 140 succeed, and in 68 of them (u, v) is already an edge, so the drawing
-# keeps a crossed parallel copy of it.
-CROSSED_OUTCOMES = "447ea6d5e432dc4e3368b13c24b99587464cc09c9d062b538896c10229f793ae"
+# sha256 over the outcome of add_crossed(x, u, v) for every dart x and every
+# ordered pair u != v of eight drawings: c4, K4, the hexagon and the
+# triangular prism, and four with parallel copies, c4 with chord (0, 2) in
+# both faces, the hexagon with chord (0, 3) in both faces, `_double_01`, and
+# `_double_01` with edge 4 crossed by (2, 3), where (0, 1) has one crossed
+# and one uncrossed copy.  Each outcome is the written `1pg` text, or the
+# error's type and text, followed by a NUL.  Of the 2,124 calls, 1,448 with
+# u or v an end of x's edge are refused as adjacent crossings, 390 as not on
+# opposite sides and 16, the darts of the crossed halves of the last
+# drawing, as already crossed.  The other 270 succeed, and in 138 of them
+# (u, v) is already an edge, so the drawing keeps a crossed parallel copy.
+CROSSED_OUTCOMES = "aabfef728439ef16e118b039f066dcbd2164a79084a6f6e23df2d4f3e2133ef4"
 PRISM = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
-
-
-def _crossed_outcomes(drawings) -> tuple[int, str]:
-    """(calls, sha256) over add_crossed(u, v, e) on each drawing, for every
-    ordered pair u != v and every distinct edge e in sorted order."""
-    h = hashlib.sha256()
-    calls = 0
-    for d in drawings:
-        for u in range(d.n_real):
-            for v in (v for v in range(d.n_real) if v != u):
-                for e in sorted(set(d.edges)):
-                    b = _Builder(d)
-                    try:
-                        b.add_crossed(u, v, e)
-                        out = write_drawing(b.freeze())
-                    except OnePlanarError as exc:
-                        out = f"{type(exc).__name__}: {exc}"
-                    h.update(out.encode() + b"\0")
-                    calls += 1
-    return calls, h.hexdigest()
-
-
-def test_add_crossed_outcomes_on_small_drawings():
-    drawings = (c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM))
-    assert _crossed_outcomes(drawings) == (570, CROSSED_OUTCOMES)
 
 
 def _chord_in_each_face(d, u, v):
@@ -520,47 +502,62 @@ def _chord_in_each_face(d, u, v):
 
 
 def _double_01():
-    """The 4-cycle 0, 2, 1, 3 with chord (0, 1) in both faces: edges 4 and 5."""
+    """The 4-cycle 0, 2, 1, 3 with chord (0, 1) in both faces: edges and segments 4 and 5."""
     return _chord_in_each_face(drawing_from_faces(4, [[0, 2, 1, 3], [3, 1, 2, 0]]), 0, 1)
 
 
-def test_add_crossed_crosses_an_uncrossed_parallel_copy():
-    b = _Builder(_double_01())
-    b.add_crossed(2, 3, (0, 1))
-    assert b.edges[4:] == [(0, 1), (0, 1), (2, 3)]
-    # edge 4 is crossed now, so the second call crosses edge 5
-    b.add_crossed(2, 3, (0, 1))
-    d = b.freeze()
-    assert _require_valid(d)
-    assert d.crossed_eids == {4, 5, 6, 7}
-    assert [d.crossing_edges(pid) for pid in (4, 5)] == [(4, 6), (5, 7)]
-    text = write_drawing(d)
-    assert write_drawing(parse_drawing(text)) == text
-    with pytest.raises(NotOnFace, match=r"^edge \(0, 1\) is already crossed$"):
-        b.add_crossed(2, 3, (0, 1))
+def _crossed_outcomes(drawings) -> tuple[int, str]:
+    """(calls, sha256) over add_crossed(x, u, v) on each drawing, for every
+    dart x and every ordered pair u != v."""
+    h = hashlib.sha256()
+    calls = 0
+    for d in drawings:
+        for x in range(2 * d.m_p):
+            for u in range(d.n_real):
+                for v in (v for v in range(d.n_real) if v != u):
+                    b = _Builder(d)
+                    try:
+                        b.add_crossed(x, u, v)
+                        out = write_drawing(b.freeze())
+                    except OnePlanarError as exc:
+                        out = f"{type(exc).__name__}: {exc}"
+                    h.update(out.encode() + b"\0")
+                    calls += 1
+    return calls, h.hexdigest()
 
 
-# as CROSSED_OUTCOMES, over drawings with parallel copies, for every ordered
-# pair u != v and every distinct edge e: c4 with chord (0, 2) in both faces,
-# the hexagon with chord (0, 3) in both faces, `_double_01`, and
-# `_double_01` with edge 4 crossed by (2, 3), where (0, 1) has one crossed
-# and one uncrossed copy; 402 calls.  286 are refused as adjacent crossings,
-# 88 as not on opposite sides and 2, on the last drawing, as already
-# crossed.  The 26 others succeed, which pins the copy each one crosses;
-# two of them, (2, 3) and (3, 2) across the uncrossed copy on the last
-# drawing, were refused while only the first copy of a pair was looked up.
-PARALLEL_CROSSED_OUTCOMES = "86e33ca7d98492a6ee2a070b2d44262bf87623320d5d971597f941ea8c08d173"
-
-
-def test_add_crossed_outcomes_on_drawings_with_parallel_copies():
+def test_add_crossed_outcomes_on_small_drawings():
     double_01 = _double_01()
     drawings = (
+        c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM),
         _chord_in_each_face(c4_drawing(), 0, 2),
         _chord_in_each_face(drawing_from_faces(6, HEXAGON), 0, 3),
         double_01,
-        edit(double_01, "add_crossed", 2, 3, (0, 1)),
+        edit(double_01, "add_crossed", 9, 2, 3),
     )
-    assert _crossed_outcomes(drawings) == (402, PARALLEL_CROSSED_OUTCOMES)
+    assert _crossed_outcomes(drawings) == (2124, CROSSED_OUTCOMES)
+
+
+def test_add_crossed_crosses_an_uncrossed_parallel_copy():
+    # the dart names the copy: the second of the two copies of (0, 1) is
+    # crossed first, and then the first
+    b = _Builder(_double_01())
+    b.add_crossed(10, 2, 3)
+    assert b.edges[4:] == [(0, 1), (0, 1), (2, 3)]
+    assert b.freeze().crossed_eids == {5, 6}
+    b.add_crossed(9, 2, 3)
+    d = b.freeze()
+    assert _require_valid(d)
+    assert d.crossed_eids == {4, 5, 6, 7}
+    assert [d.crossing_edges(pid) for pid in (4, 5)] == [(5, 6), (4, 7)]
+    text = write_drawing(d)
+    assert write_drawing(parse_drawing(text)) == text
+    # each dart of a crossed half names an edge that is already crossed
+    halves = [x for x in range(2 * d.m_p) if d.seg_eid[x >> 1] in (4, 5)]
+    assert len(halves) == 8
+    for x in halves:
+        with pytest.raises(NotOnFace, match=r"^edge \(0, 1\) is already crossed$"):
+            b.add_crossed(x, 2, 3)
 
 
 def test_local_face_walk_matches_full_enumeration():
@@ -615,19 +612,19 @@ def test_builder_surgeries_return_the_faces_they_create(make):
 
 class BuilderSurgeries(RuleBasedStateMachine):
     """One builder, from c4, under chords, vertices and crossed edges at
-    drawn darts, corners and edges.  After every step the drawing is valid,
-    and so good, and its `1pg` text writes back byte for byte; a chord or a
-    vertex took away exactly the face of the dart it was given and added
-    exactly the faces through the darts it returned, and a refused surgery
-    changes nothing."""
+    drawn darts and corners.  After every step the drawing is valid, and so
+    good, and its `1pg` text writes back byte for byte; a chord or a vertex
+    took away exactly the face of the dart it was given and added exactly
+    the faces through the darts it returned, a crossed edge took away the
+    faces of its dart and the reversal and added exactly the four faces
+    around its dummy, and a refused surgery changes nothing."""
 
     def __init__(self):
         super().__init__()
         self.b = _Builder(c4_drawing())
         self.faces = set(validate(self.b.freeze()).faces)
-        # (faces lost, faces gained) by the last step, sorted; None after a
-        # crossed edge, which returns no faces
-        self.change: tuple[list, list] | None = ([], [])
+        # (faces lost, faces gained) by the last step, sorted
+        self.change: tuple[list, list] = ([], [])
 
     def _apply(self, surgery, *args):
         before = self.b.freeze()
@@ -636,10 +633,13 @@ class BuilderSurgeries(RuleBasedStateMachine):
         except OnePlanarError:
             assert self.b.freeze() == before
             self.change = ([], [])
-        else:
-            self.change = None if new is None else (
-                [_face_at(before, args[0])], sorted(_face_at(self.b, x) for x in new)
-            )
+            return
+        x = args[0]
+        lost = {_face_at(before, x)}
+        if new is None:  # a crossed edge; its dummy is the newest pvertex
+            lost.add(_face_at(before, x ^ 1))
+            new = self.b.rotations[-1]
+        self.change = (sorted(lost), sorted(_face_at(self.b, y) for y in new))
 
     def _draw_dart(self, data):
         """Any dart of the drawing, and the real corners of its face."""
@@ -668,7 +668,7 @@ class BuilderSurgeries(RuleBasedStateMachine):
         near, far = real_corners(self.b, face), real_corners(self.b, _face_at(self.b, x ^ 1))
         u = data.draw(st.sampled_from([c for c in near if not legal or c not in cross] or near))
         v = data.draw(st.sampled_from([c for c in far if not legal or c not in (*cross, u)] or far))
-        self._apply("add_crossed", u, v, cross)
+        self._apply("add_crossed", x, u, v)
 
     @invariant()
     def drawing_is_valid_and_round_trips(self):
@@ -676,8 +676,7 @@ class BuilderSurgeries(RuleBasedStateMachine):
         report = validate(d)
         assert report.violations == ()
         faces = set(report.faces)
-        if self.change is not None:
-            assert (sorted(self.faces - faces), sorted(faces - self.faces)) == self.change
+        assert (sorted(self.faces - faces), sorted(faces - self.faces)) == self.change
         self.faces = faces
         text = write_drawing(d)
         assert write_drawing(parse_drawing(text)) == text
@@ -723,7 +722,7 @@ def test_delete_edges_restores_partner():
 
 def test_delete_edges_undoes_add_crossed():
     chord = _first_face_edit(c4_drawing(), "add_chord", 0, 2)
-    crossed = edit(chord, "add_crossed", 1, 3, (0, 2))
+    crossed = edit(chord, "add_crossed", 9, 1, 3)
     eid = {e: i for i, e in enumerate(crossed.edges)}
     assert write_drawing(edit(crossed, "delete_edges", [eid[1, 3]])) == write_drawing(chord)
     assert write_drawing(edit(crossed, "delete_edges", [eid[0, 2], eid[1, 3]])) == write_drawing(c4_drawing())

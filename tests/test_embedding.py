@@ -479,17 +479,13 @@ def test_surgeries_and_face_lists_reject_bad_requests(case):
 
 
 # sha256 over the outcome of add_crossed(x, u, v) for every dart x and every
-# ordered pair u != v of eight drawings: c4, K4, the hexagon and the
-# triangular prism, and four with parallel copies, c4 with chord (0, 2) in
-# both faces, the hexagon with chord (0, 3) in both faces, `_double_01`, and
-# `_double_01` with edge 4 crossed by (2, 3), where (0, 1) has one crossed
-# and one uncrossed copy.  Each outcome is the written `1pg` text, or the
-# error's type and text, followed by a NUL.  Of the 2,124 calls, 1,448 with
-# u or v an end of x's edge are refused as adjacent crossings, 390 as not on
-# opposite sides and 16, the darts of the crossed halves of the last
-# drawing, as already crossed.  The other 270 succeed, and in 138 of them
-# (u, v) is already an edge, so the drawing keeps a crossed parallel copy.
-CROSSED_OUTCOMES = "aabfef728439ef16e118b039f066dcbd2164a79084a6f6e23df2d4f3e2133ef4"
+# ordered pair u != v of c4, K4, the hexagon and the triangular prism, 1,140
+# calls: the written `1pg` text, or the error's type and text, each followed
+# by a NUL.  The 740 calls with u or v an end of x's edge are refused as
+# adjacent crossings, and 180 more as not on opposite sides of it; the other
+# 220 succeed, and in 112 of them (u, v) is already an edge, so the drawing
+# keeps a crossed parallel copy of it.
+CROSSED_OUTCOMES = "c4e1625cea2cfcb6df7bd3ffe90850b785ead477f3074289244e07f7a0a62615"
 PRISM = [[0, 1, 2], [5, 4, 3], [0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]]
 
 
@@ -527,15 +523,30 @@ def _crossed_outcomes(drawings) -> tuple[int, str]:
 
 
 def test_add_crossed_outcomes_on_small_drawings():
+    drawings = (c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM))
+    assert _crossed_outcomes(drawings) == (1140, CROSSED_OUTCOMES)
+
+
+# as CROSSED_OUTCOMES, over drawings with parallel copies: c4 with chord
+# (0, 2) in both faces, the hexagon with chord (0, 3) in both faces,
+# `_double_01`, and `_double_01` with edge 4 crossed by (2, 3), where (0, 1)
+# has one crossed and one uncrossed copy; 984 calls.  708 are refused as
+# adjacent crossings, 210 as not on opposite sides and 16, the darts of the
+# crossed halves of the last drawing, as already crossed.  The 50 others
+# succeed, which pins the copy each one crosses: the dart's own, in 26 of
+# them parallel to (u, v).
+PARALLEL_CROSSED_OUTCOMES = "5472345d14e85c959d2961c25b68052abfcad3292f66369848495dc38549bf30"
+
+
+def test_add_crossed_outcomes_on_drawings_with_parallel_copies():
     double_01 = _double_01()
     drawings = (
-        c4_drawing(), k4_drawing(), drawing_from_faces(6, HEXAGON), drawing_from_faces(6, PRISM),
         _chord_in_each_face(c4_drawing(), 0, 2),
         _chord_in_each_face(drawing_from_faces(6, HEXAGON), 0, 3),
         double_01,
         edit(double_01, "add_crossed", 9, 2, 3),
     )
-    assert _crossed_outcomes(drawings) == (2124, CROSSED_OUTCOMES)
+    assert _crossed_outcomes(drawings) == (984, PARALLEL_CROSSED_OUTCOMES)
 
 
 def test_add_crossed_crosses_an_uncrossed_parallel_copy():
